@@ -1,4 +1,4 @@
-//! `bench-snapshot`: measure the replay-layer speedup and write a
+//! `bench-snapshot`: time the default replay path and write a
 //! machine-readable snapshot to extend the perf trajectory.
 //!
 //! ```text
@@ -7,35 +7,38 @@
 //!                [--warm-min-speedup 5]
 //! ```
 //!
-//! Schema 2 compares the **predicted-trace overlay + result memo** (the
-//! default replay path) against the **shared-recording path** it
-//! replaces (`--no-predict-cache`, the schema-1 "shared" configuration
-//! whose `--experiment all` wall time is the baseline in
-//! `BENCH_1.json`):
+//! Each measurement times the default path at its window —
+//! config-lockstep over the pre-decoded overlay at or above
+//! `RunOptions::OVERLAY_MIN_INSTRS`, per-point replay of the shared
+//! recording below it, with the result memo on both sides — and records
+//! it as `overlay_wall_s`. Snapshots up to `BENCH_4.json` also carry
+//! `shared_wall_s` and `speedup` columns: a comparison against the
+//! shared-recording replay without the memo, a mode that no longer
+//! exists, and their `overlay_wall_s` at windows below the cutoff timed
+//! the overlay rather than the default path.
 //!
 //! - `table4`: one experiment, 500k instructions — the standing
 //!   wall-clock probe;
 //! - `all`: the full `--experiment all` sweep at the reproduction
-//!   budget — the tentpole's ≥1.25× acceptance measurement (skippable
-//!   with `--skip-all` when iterating).
+//!   budget (skippable with `--skip-all` when iterating).
 //!
 //! `--quick` shrinks the probes for CI smoke runs (table4 and `all`
 //! at 60k instructions, the full-budget `all` skipped) — it checks the
-//! harness, not the speedup. Full runs *also* record the quick probes,
-//! so a committed snapshot always has a matching `(experiment, instrs)`
-//! entry for the CI guard's quick-mode measurements.
+//! harness, not the absolute speed. Full runs *also* record the quick
+//! probes, so a committed snapshot always has a matching
+//! `(experiment, instrs)` entry for the CI guard's quick-mode
+//! measurements.
 //!
-//! `--baseline <snapshot.json>` compares the new fast-path
-//! (`overlay_wall_s`) times against a previous snapshot and exits
-//! nonzero when any measurement with a matching `(experiment, instrs)`
-//! entry regressed by more than `--tolerance` percent (default 2) —
-//! the guard that keeps robustness plumbing off the hot path. Only
-//! meaningful on the machine that recorded the baseline.
+//! `--baseline <snapshot.json>` compares the new `overlay_wall_s` times
+//! against a previous snapshot and exits nonzero when any measurement
+//! with a matching `(experiment, instrs)` entry regressed by more than
+//! `--tolerance` percent (default 2) — the guard that keeps robustness
+//! plumbing off the hot path. Only meaningful on the machine that
+//! recorded the baseline.
 //!
-//! Both paths replay the same shared recordings (the §5c layer this
-//! comparison sits on top of), so each measurement pre-records its
-//! window before timing either pass; within the timed region the
-//! overlay pass still pays for building its overlays and runs first.
+//! Each measurement pre-records its window's shared recordings (the §5c
+//! layer) before timing, so the timed region covers overlay building,
+//! replay and the memo, not the recording itself.
 //!
 //! Schema 3 adds the persistent result store (§5i): each measurement
 //! also spawns the `specfetch-repro` binary twice against a scratch
@@ -54,7 +57,6 @@ use specfetch_experiments::{run_experiment, RunOptions, EXPERIMENT_IDS};
 struct Measurement {
     name: &'static str,
     instrs: u64,
-    shared_s: f64,
     overlay_s: f64,
     /// Cross-process result-store probe: (cold wall, warm wall), when
     /// the sibling `specfetch-repro` binary was available to spawn.
@@ -62,10 +64,6 @@ struct Measurement {
 }
 
 impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.shared_s / self.overlay_s
-    }
-
     fn warm_speedup(&self) -> Option<f64> {
         self.store.map(|(cold, warm)| cold / warm)
     }
@@ -131,29 +129,18 @@ fn run_ids(ids: &[&str], opts: &RunOptions) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Times `ids` under both replay paths. Callers use distinct instruction
+/// Times `ids` on the default path. Callers use distinct instruction
 /// windows per measurement so each starts with cold overlay and result
-/// caches; the recordings both paths replay are warmed up front so the
-/// comparison times replay, not the shared recording layer.
+/// caches; the recordings are warmed up front so the timing covers
+/// replay, not the shared recording layer.
 fn measure(name: &'static str, ids: &[&str], instrs: u64) -> Measurement {
     for b in specfetch_synth::suite::Benchmark::all() {
         std::hint::black_box(specfetch_experiments::trace_cache::shared_trace(b, instrs));
     }
-    // `--overlay-min 0` keeps the timed pass on the overlay path even
-    // for probe windows below the default size heuristic — this
-    // measurement tracks the overlay itself, not the heuristic.
-    let overlay = RunOptions::new().with_instrs(instrs).with_overlay_min(0);
-    let shared = overlay.with_predict_cache(false);
-    let overlay_s = run_ids(ids, &overlay);
-    let shared_s = run_ids(ids, &shared);
+    let overlay_s = run_ids(ids, &RunOptions::new().with_instrs(instrs));
     let store = store_probe(name, instrs);
-    let m = Measurement { name, instrs, shared_s, overlay_s, store };
-    eprintln!(
-        "[{name}: shared {shared_s:.2}s, overlay {:.2}s, speedup {:.2}x]",
-        m.overlay_s,
-        m.speedup()
-    );
-    m
+    eprintln!("[{name}: {overlay_s:.2}s]");
+    Measurement { name, instrs, overlay_s, store }
 }
 
 /// A prior snapshot's measurement, as read back from its JSON.
@@ -311,13 +298,9 @@ fn main() {
         }
         let _ = writeln!(
             json,
-            "    {{\"experiment\": \"{}\", \"instrs\": {}, \"shared_wall_s\": {:.3}, \
-             \"overlay_wall_s\": {:.3}, \"speedup\": {:.2}{store_fields}}}{comma}",
-            m.name,
-            m.instrs,
-            m.shared_s,
-            m.overlay_s,
-            m.speedup()
+            "    {{\"experiment\": \"{}\", \"instrs\": {}, \
+             \"overlay_wall_s\": {:.3}{store_fields}}}{comma}",
+            m.name, m.instrs, m.overlay_s
         );
     }
     let _ = writeln!(json, "  ]");

@@ -2,7 +2,7 @@
 
 use specfetch_core::SpecfetchError;
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::{PathSource, TraceStats};
+use specfetch_trace::TraceStats;
 
 use crate::runner::{isolated_map, mean};
 use crate::{par_map, ExperimentReport, RunOptions, Table};
@@ -21,21 +21,13 @@ pub struct Row {
 /// Characterises one benchmark, reporting workload/trace failures as
 /// typed errors instead of panicking.
 fn try_row(b: &'static Benchmark, opts: RunOptions) -> Result<Row, SpecfetchError> {
-    let workload = |b: &Benchmark| {
-        b.workload().map_err(|e| SpecfetchError::Workload {
-            bench: b.name.to_owned(),
-            detail: e.to_string(),
-        })
-    };
-    let stats = if opts.share_traces {
-        let mut src = crate::trace_cache::try_recorded_source(b, opts.instrs_per_benchmark)?;
-        TraceStats::from_source(&mut src)
-    } else {
-        let w = workload(b)?;
-        let mut src = w.executor(b.path_seed()).take_instrs(opts.instrs_per_benchmark);
-        TraceStats::from_source(&mut src)
-    };
-    let static_kb = workload(b)?.program().footprint_bytes() / 1024;
+    let mut src = crate::trace_cache::try_recorded_source(b, opts.instrs_per_benchmark)?;
+    let stats = TraceStats::from_source(&mut src);
+    let workload = b.workload().map_err(|e| SpecfetchError::Workload {
+        bench: b.name.to_owned(),
+        detail: e.to_string(),
+    })?;
+    let static_kb = workload.program().footprint_bytes() / 1024;
     Ok(Row { benchmark: b, stats, static_kb })
 }
 

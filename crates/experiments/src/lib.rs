@@ -35,7 +35,6 @@ pub mod codec;
 #[cfg(test)]
 mod conformance;
 pub mod diag;
-pub mod disk_cache;
 pub mod driver;
 pub mod experiments;
 pub mod fault;

@@ -10,41 +10,6 @@ pub struct RunOptions {
     pub instrs_per_benchmark: u64,
     /// Run the 13 benchmarks on worker threads.
     pub parallel: bool,
-    /// Serve every run from the process-wide record-once / replay-many
-    /// trace cache (see [`crate::trace_cache`]) instead of re-running the
-    /// behavioural interpreter per configuration. The output is identical
-    /// either way; `false` exists for equivalence tests and for measuring
-    /// the speedup itself.
-    pub share_traces: bool,
-    /// Replay through the pre-decoded [`specfetch_trace::PredictedTrace`]
-    /// overlay (built once per shared trace) and memoise finished
-    /// `SimResult`s per `(benchmark, window, config)` so duplicate grid
-    /// points across experiments are simulated once. Requires
-    /// `share_traces` (the overlay is built over the shared recording);
-    /// output is byte-identical either way — `false` exists for
-    /// equivalence tests and for measuring the speedup itself.
-    pub predict_cache: bool,
-    /// Run each benchmark's grid points as one config-lockstep batch: a
-    /// single pass over the shared overlay advances every configuration's
-    /// lane together, decoding each fetch window once and fanning it out
-    /// (see [`specfetch_core::run_lockstep`] and DESIGN §5h). Requires the
-    /// overlay path (`share_traces && predict_cache`); output is
-    /// byte-identical either way — `false` exists for equivalence tests
-    /// and for measuring the speedup itself.
-    pub lockstep: bool,
-    /// Smallest instruction window worth pre-decoding: below this the
-    /// overlay (and therefore lockstep) is skipped and runs replay the
-    /// shared recording directly. Building the `PredictedTrace` costs a
-    /// full decode pass, which BENCH_3 showed is a net loss on small
-    /// windows (table4 @60k: 0.119s with the overlay vs 0.046s without);
-    /// output is byte-identical on both sides of the threshold. `0`
-    /// (the test default) always builds the overlay.
-    pub overlay_min_instrs: u64,
-    /// Look up / persist finished results in the on-disk result store
-    /// (when one is configured via [`crate::result_store::set_dir`]).
-    /// `false` (`--no-result-store`) recomputes everything and writes
-    /// nothing, byte-identically.
-    pub result_store: bool,
     /// Shard grid execution across this many `specfetch-repro --worker`
     /// child processes (see [`crate::worker`]); `0` simulates in-process.
     /// Output is byte-identical at any worker count.
@@ -84,16 +49,19 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
+    /// Smallest instruction window worth pre-decoding into an overlay.
+    /// Building the `PredictedTrace` costs a full decode pass and keeps a
+    /// second copy of the path in memory: BENCH_3 measured table4 at 60k
+    /// at 0.119s with the overlay and 0.046s without, and overlays at
+    /// every window cost the 50k-instruction job service about 20% more
+    /// peak RSS (DESIGN §5i).
+    pub const OVERLAY_MIN_INSTRS: u64 = 200_000;
+
     /// The default reproduction budget.
     pub fn new() -> Self {
         RunOptions {
             instrs_per_benchmark: 2_000_000,
             parallel: true,
-            share_traces: true,
-            predict_cache: true,
-            lockstep: true,
-            overlay_min_instrs: 200_000,
-            result_store: true,
             workers: 0,
             stream: false,
             retries: 0,
@@ -105,18 +73,14 @@ impl RunOptions {
         }
     }
 
-    /// A budget for unit tests and smoke checks. The overlay threshold is
-    /// `0` here so the overlay/lockstep machinery stays exercised at test
-    /// window sizes.
+    /// A budget for unit tests and smoke checks. It sits below
+    /// [`RunOptions::OVERLAY_MIN_INSTRS`], so grids replay the recording
+    /// point by point; the runner's tests drive the lockstep group
+    /// runner directly to keep it covered at this size.
     pub fn smoke() -> Self {
         RunOptions {
             instrs_per_benchmark: 40_000,
             parallel: true,
-            share_traces: true,
-            predict_cache: true,
-            lockstep: true,
-            overlay_min_instrs: 0,
-            result_store: true,
             workers: 0,
             stream: false,
             retries: 0,
@@ -131,37 +95,6 @@ impl RunOptions {
     /// Overrides the per-benchmark instruction budget.
     pub fn with_instrs(mut self, instrs: u64) -> Self {
         self.instrs_per_benchmark = instrs;
-        self
-    }
-
-    /// Enables or disables the shared-trace cache.
-    pub fn with_share_traces(mut self, share: bool) -> Self {
-        self.share_traces = share;
-        self
-    }
-
-    /// Enables or disables the predicted-trace overlay and the result
-    /// memo.
-    pub fn with_predict_cache(mut self, predict: bool) -> Self {
-        self.predict_cache = predict;
-        self
-    }
-
-    /// Enables or disables config-lockstep batched simulation.
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
-        self
-    }
-
-    /// Overrides the smallest window worth pre-decoding into an overlay.
-    pub fn with_overlay_min(mut self, instrs: u64) -> Self {
-        self.overlay_min_instrs = instrs;
-        self
-    }
-
-    /// Enables or disables the on-disk result store.
-    pub fn with_result_store(mut self, store: bool) -> Self {
-        self.result_store = store;
         self
     }
 
@@ -214,26 +147,13 @@ impl RunOptions {
         self
     }
 
-    /// Whether finished results may be served from / filled into the
-    /// process-wide memo and the on-disk store. Results are identical on
-    /// every replay path, but the memo rides the same opt-outs as the
-    /// overlay so `--no-predict-cache` stays a true "recompute
-    /// everything" mode.
-    pub(crate) fn use_memo(&self) -> bool {
-        self.share_traces && self.predict_cache
-    }
-
-    /// Whether runs should go through the overlay fast path: both caches
-    /// enabled and a window big enough that the decode pass pays for
-    /// itself.
+    /// Whether grids replay through the pre-decoded overlay as
+    /// config-lockstep batches: only at or above
+    /// [`RunOptions::OVERLAY_MIN_INSTRS`]. Below it they replay the
+    /// shared recording point by point. The window size alone picks the
+    /// path, and both render the same bytes.
     pub(crate) fn use_overlay(&self) -> bool {
-        self.use_memo() && self.instrs_per_benchmark >= self.overlay_min_instrs
-    }
-
-    /// Whether grids should run through the config-lockstep batch
-    /// executor (needs the overlay the lanes share).
-    pub(crate) fn use_lockstep(&self) -> bool {
-        self.lockstep && self.use_overlay()
+        self.instrs_per_benchmark >= Self::OVERLAY_MIN_INSTRS
     }
 }
 
@@ -252,19 +172,10 @@ mod tests {
         assert_eq!(RunOptions::default(), RunOptions::new());
         assert_eq!(RunOptions::new().with_instrs(5).instrs_per_benchmark, 5);
         assert!(RunOptions::smoke().instrs_per_benchmark < RunOptions::new().instrs_per_benchmark);
-        assert!(RunOptions::new().share_traces, "sharing is the default");
-        assert!(!RunOptions::new().with_share_traces(false).share_traces);
-        assert!(RunOptions::new().predict_cache, "overlay replay is the default");
-        assert!(!RunOptions::new().with_predict_cache(false).predict_cache);
-        assert!(RunOptions::new().lockstep, "lockstep batching is the default");
-        assert!(!RunOptions::new().with_lockstep(false).lockstep);
-        assert!(RunOptions::new().result_store, "a configured store is used by default");
-        assert!(!RunOptions::new().with_result_store(false).result_store);
         assert_eq!(RunOptions::new().workers, 0, "in-process execution is the default");
         assert_eq!(RunOptions::new().with_workers(3).workers, 3);
         assert!(!RunOptions::new().stream, "streaming is opt-in");
         assert!(RunOptions::new().with_stream(true).stream);
-        assert_eq!(RunOptions::new().with_overlay_min(7).overlay_min_instrs, 7);
         assert_eq!(RunOptions::new().retries, 0, "no retries by default");
         assert_eq!(RunOptions::new().with_retries(3).retries, 3);
         assert_eq!(RunOptions::new().point_timeout_secs, 0, "no deadline by default");
@@ -279,31 +190,11 @@ mod tests {
     }
 
     #[test]
-    fn overlay_requires_both_caches() {
-        assert!(RunOptions::new().use_overlay());
-        assert!(!RunOptions::new().with_predict_cache(false).use_overlay());
-        assert!(!RunOptions::new().with_share_traces(false).use_overlay());
-    }
-
-    #[test]
-    fn overlay_respects_the_size_threshold() {
-        let opts = RunOptions::new(); // 2M window, 200k threshold
+    fn the_window_size_alone_picks_the_replay_path() {
+        let opts = RunOptions::new(); // 2M window
         assert!(opts.use_overlay());
-        assert!(!opts.with_instrs(60_000).use_overlay(), "small windows skip the overlay");
-        assert!(opts.with_instrs(60_000).use_memo(), "...but still memoise results");
-        assert!(opts.with_instrs(60_000).with_overlay_min(0).use_overlay());
-        assert!(
-            RunOptions::smoke().use_overlay(),
-            "smoke options must keep the overlay path under test"
-        );
-    }
-
-    #[test]
-    fn lockstep_requires_the_overlay() {
-        assert!(RunOptions::new().use_lockstep());
-        assert!(!RunOptions::new().with_lockstep(false).use_lockstep());
-        assert!(!RunOptions::new().with_predict_cache(false).use_lockstep());
-        assert!(!RunOptions::new().with_share_traces(false).use_lockstep());
-        assert!(!RunOptions::new().with_instrs(60_000).use_lockstep());
+        assert!(opts.with_instrs(RunOptions::OVERLAY_MIN_INSTRS).use_overlay());
+        assert!(!opts.with_instrs(RunOptions::OVERLAY_MIN_INSTRS - 1).use_overlay());
+        assert!(!RunOptions::smoke().use_overlay());
     }
 }

@@ -14,12 +14,11 @@
 //! the `v1` path segment and the header line both change, so stale
 //! results are never *read*, merely ignored.
 //!
-//! The store follows the same trust model as the SFTB trace cache
-//! ([`crate::disk_cache`]): every load is verified end to end (header,
-//! full canonical config match — not just the hash — result decode,
-//! FNV-1a footer checksum) and any failure quarantines the file
-//! (`*.quarantined`) and reports a miss, so a corrupt entry costs one
-//! warning and one recompute, never a wrong number or a failed cell.
+//! Every load is verified end to end (header, full canonical config
+//! match — not just the hash — result decode, FNV-1a footer checksum)
+//! and any failure quarantines the file (`*.quarantined`) and reports a
+//! miss, so a corrupt entry costs one warning and one recompute, never
+//! a wrong number or a failed cell.
 //! Writes go through a per-process unique temp file + atomic rename:
 //! two processes racing on one key both land a complete, valid file,
 //! and readers never observe a half-written entry. Failure to write

@@ -14,10 +14,9 @@ use std::panic::{self, AssertUnwindSafe};
 
 use specfetch_core::{run_lockstep, FrontEnd, SimConfig, SimResult, Simulator, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::PathSource;
 
 use crate::parallel::panic_message;
-use crate::store::{persist, resolve_stored};
+use crate::store::resolve_stored;
 use crate::{fault, journal, par_map, supervise, try_par_map, RunOptions};
 
 /// One benchmark's simulation outcome.
@@ -138,18 +137,13 @@ pub type GridCell = Measured<SimResult>;
 ///
 /// The correct path is fixed per benchmark (same generator seed, same
 /// path seed), so different configurations replay the *same* execution —
-/// the property every policy comparison in the paper relies on. Three
-/// replay paths produce byte-identical results:
-///
-/// - default (`share_traces` + `predict_cache`): the engine replays the
-///   pre-decoded [`specfetch_trace::PredictedTrace`] overlay from the
-///   process-wide [`crate::trace_cache`] (enabling its batched fetch fast
-///   path), and the finished result is memoised per
-///   `(benchmark, window, config)`;
-/// - `--no-predict-cache`: replays the shared recording without the
-///   overlay or memo;
-/// - `--no-trace-cache`: re-interprets the workload per run (the
-///   pre-sharing behaviour).
+/// the property every policy comparison in the paper relies on. The
+/// finished result is resolved from the memo and the result store
+/// first; otherwise the engine replays the process-wide
+/// [`crate::trace_cache`] recording — through its pre-decoded
+/// [`specfetch_trace::PredictedTrace`] overlay at or above
+/// [`RunOptions::OVERLAY_MIN_INSTRS`], directly below it — and the result
+/// is memoised per `(benchmark, window, config)`.
 ///
 /// # Errors
 ///
@@ -170,40 +164,32 @@ pub fn try_simulate_benchmark(
     // verifier walk per benchmark — not per grid point.
     crate::analysis::preflight(bench)?;
     let instrs = opts.instrs_per_benchmark;
-    if opts.use_memo() {
-        // Memo / result-store check BEFORE any trace work: a warm run
-        // (every point already stored) never records, decodes, or loads
-        // a trace at all — it is render-only.
-        match resolve_stored(bench, instrs, cfg, &opts) {
-            Some(Ok(r)) => return Ok(r),
-            Some(Err(f)) => return Err(SpecfetchError::StoredFailure { reason: f.reason }),
-            None => {}
-        }
-        let r = if opts.use_overlay() {
-            let source = crate::trace_cache::try_predicted_source(bench, instrs)?;
-            crate::trace_cache::memoized_result(bench, instrs, cfg, || {
-                Simulator::new(cfg).run(source)
-            })
-        } else {
-            // Below the overlay threshold: replay the shared recording
-            // directly (byte-identical, no decode pass) but keep the memo.
-            let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
-            crate::trace_cache::memoized_result(bench, instrs, cfg, || {
-                Simulator::new(cfg).run(source)
-            })
-        };
-        persist(bench, instrs, cfg, &r, &opts);
-        Ok(r)
-    } else if opts.share_traces {
-        let source = crate::trace_cache::try_recorded_source(bench, opts.instrs_per_benchmark)?;
-        Ok(Simulator::new(cfg).run(source))
+    // Memo / result-store check BEFORE any trace work: a warm run (every
+    // point already stored) never records, decodes, or loads a trace at
+    // all — it is render-only.
+    match resolve_stored(bench, instrs, cfg, &opts) {
+        Some(Ok(r)) => return Ok(r),
+        Some(Err(f)) => return Err(SpecfetchError::StoredFailure { reason: f.reason }),
+        None => {}
+    }
+    let r = if opts.use_overlay() {
+        let source = crate::trace_cache::try_predicted_source(bench, instrs)?;
+        crate::trace_cache::memoized_result(bench, instrs, cfg, || Simulator::new(cfg).run(source))
     } else {
-        let workload = bench.workload().map_err(|e| SpecfetchError::Workload {
-            bench: bench.name.to_owned(),
-            detail: e.to_string(),
-        })?;
-        let source = workload.executor(bench.path_seed()).take_instrs(opts.instrs_per_benchmark);
-        Ok(Simulator::new(cfg).run(source))
+        let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
+        crate::trace_cache::memoized_result(bench, instrs, cfg, || Simulator::new(cfg).run(source))
+    };
+    crate::result_store::put(bench.name, instrs, &cfg, &r);
+    Ok(r)
+}
+
+/// Runs `f` under `catch_unwind`, turning a typed error or a panic into
+/// that cell's [`CellFailure`].
+fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
+    match panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(e)) => Err(CellFailure::from_error(&e)),
+        Err(payload) => Err(CellFailure::from_panic(payload.as_ref())),
     }
 }
 
@@ -259,12 +245,12 @@ pub fn simulate_benchmark(bench: &Benchmark, cfg: SimConfig, opts: RunOptions) -
 /// Groups, not points, are the parallel unit; point order within the
 /// result is the input order regardless of grouping.
 ///
-/// With [`RunOptions::lockstep`] (the default on the overlay path) each
-/// group runs as **one config-lockstep batch**: a single pass over the
-/// shared overlay advances a lane per distinct configuration, decoding
-/// each fetch window once and fanning it out to every lane (see
-/// [`run_lockstep`] and DESIGN §5h). `--no-lockstep` falls back to one
-/// sequential replay per point; the cells are byte-identical either way.
+/// At or above [`RunOptions::OVERLAY_MIN_INSTRS`] each group runs as
+/// **one config-lockstep batch**: a single pass over the shared overlay
+/// advances a lane per distinct configuration, decoding each fetch
+/// window once and fanning it out to every lane (see [`run_lockstep`]
+/// and DESIGN §5h). Below it each point replays the shared recording on
+/// its own. The cells are byte-identical either way.
 ///
 /// Isolation: each point runs under `catch_unwind`, with the
 /// fault-injection [`fault::guard`] fired first (points are numbered in
@@ -376,15 +362,13 @@ pub fn try_run_grid(points: &[GridPoint], opts: &RunOptions) -> Vec<GridCell> {
                             &f.reason,
                         );
                     }
-                    if opts.use_memo() && opts.result_store {
-                        let p = &points[i];
-                        crate::result_store::put_failed(
-                            p.benchmark.name,
-                            opts.instrs_per_benchmark,
-                            &p.cfg,
-                            &f.reason,
-                        );
-                    }
+                    let p = &points[i];
+                    crate::result_store::put_failed(
+                        p.benchmark.name,
+                        opts.instrs_per_benchmark,
+                        &p.cfg,
+                        &f.reason,
+                    );
                 }
             }
             None => {}
@@ -449,9 +433,9 @@ fn run_pass(
 }
 
 /// The in-process arm of [`run_pass`]: benchmark-grouped, parallel over
-/// groups, lockstep within a group when enabled. A shutdown request
-/// drains at group boundaries — groups not yet started are recorded as
-/// interrupted without simulating.
+/// groups, lockstep within a group at or above the overlay cutoff. A
+/// shutdown request drains at group boundaries — groups not yet started
+/// are recorded as interrupted without simulating.
 fn run_pass_inprocess(
     points: &[GridPoint],
     idxs: &[usize],
@@ -472,46 +456,63 @@ fn run_pass_inprocess(
         if supervise::job_shutdown_requested(opts_by_val.job) {
             return idxs.into_iter().map(|i| (i, Err(CellFailure::interrupted()))).collect();
         }
-        let cells = if opts_by_val.use_lockstep() {
-            run_group_lockstep(b, idxs, points, base, attempt, opts_by_val)
-        } else {
-            idxs.into_iter()
-                .map(|i| {
-                    let cell = panic::catch_unwind(AssertUnwindSafe(|| {
-                        fault::guard(base + i as u64, attempt, opts_by_val.point_timeout_secs)?;
-                        try_simulate_benchmark(b, points[i].cfg, opts_by_val)
-                    }));
-                    let cell = match cell {
-                        Ok(Ok(r)) => Ok(r),
-                        Ok(Err(e)) => Err(CellFailure::from_error(&e)),
-                        Err(payload) => Err(CellFailure::from_panic(payload.as_ref())),
-                    };
-                    (i, cell)
-                })
-                .collect::<Vec<(usize, GridCell)>>()
-        };
+        let run_group: GroupRunner =
+            if opts_by_val.use_overlay() { run_group_lockstep } else { run_group_pointwise };
+        let cells = run_group(b, idxs, points, base, attempt, opts_by_val);
         stream_cells(points, &cells, &opts_by_val);
         cells
     });
     done.into_iter().flatten().collect()
 }
 
+/// One benchmark group's runner: the group's point indices in, one cell
+/// per point out.
+type GroupRunner = fn(
+    &'static Benchmark,
+    Vec<usize>,
+    &[GridPoint],
+    u64,
+    u32,
+    RunOptions,
+) -> Vec<(usize, GridCell)>;
+
+/// Runs one benchmark group's grid points one after another, each
+/// through [`try_simulate_benchmark`] under its own fault guard.
+fn run_group_pointwise(
+    b: &'static Benchmark,
+    idxs: Vec<usize>,
+    points: &[GridPoint],
+    base: u64,
+    attempt: u32,
+    opts: RunOptions,
+) -> Vec<(usize, GridCell)> {
+    idxs.into_iter()
+        .map(|i| {
+            let cell = isolate(|| {
+                fault::guard(base + i as u64, attempt, opts.point_timeout_secs)?;
+                try_simulate_benchmark(b, points[i].cfg, opts)
+            });
+            (i, cell)
+        })
+        .collect()
+}
+
 /// Runs one benchmark group's grid points as a config-lockstep batch:
 /// one pass over the shared overlay advances a lane per distinct
 /// configuration (see [`run_lockstep`]).
 ///
-/// Per-point semantics match the sequential arm exactly:
+/// Per-point semantics match [`run_group_pointwise`] exactly:
 ///
 /// - the fault-injection guard and the static preflight fire per point,
 ///   in input order, so `--inject` numbering is unchanged;
 /// - memo-hit configurations are served from the result cache without
 ///   occupying a lane, and finished lanes fill the memo;
 /// - a panicking lane yields `FAILED(...)` for that configuration's
-///   points while sibling lanes complete (sequentially, each such point
-///   would deterministically re-panic on its own);
-/// - a configuration the front end rejects falls back to the sequential
-///   per-point path, which runs it unvalidated exactly as [`Simulator`]
-///   does.
+///   points while sibling lanes complete (point by point, each such
+///   point would deterministically re-panic on its own);
+/// - a configuration the front end rejects falls back to
+///   [`try_simulate_benchmark`], so its cell is exactly the pointwise
+///   runner's (the [`Simulator`]'s own verdict on the configuration).
 fn run_group_lockstep(
     b: &'static Benchmark,
     idxs: Vec<usize>,
@@ -525,16 +526,11 @@ fn run_group_lockstep(
     let cells: Vec<(usize, Option<GridCell>)> = idxs
         .into_iter()
         .map(|i| {
-            let pre = panic::catch_unwind(AssertUnwindSafe(|| {
+            let pre = isolate(|| {
                 fault::guard(base + i as u64, attempt, opts.point_timeout_secs)?;
                 crate::analysis::preflight(b)
-            }));
-            let early = match pre {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(Err(CellFailure::from_error(&e))),
-                Err(payload) => Some(Err(CellFailure::from_panic(payload.as_ref()))),
-            };
-            (i, early)
+            });
+            (i, pre.err().map(Err))
         })
         .collect();
 
@@ -556,8 +552,8 @@ fn run_group_lockstep(
 
     if !pending.is_empty() {
         // One shared overlay for the whole batch; failing to build it
-        // fails every unresolved point (the sequential arm would hit the
-        // same error per point), while stored points still render.
+        // fails every unresolved point (the pointwise runner would hit
+        // the same error per point), while stored points still render.
         match crate::trace_cache::try_predicted_trace(b, instrs) {
             Err(e) => {
                 let fail: GridCell = Err(CellFailure::from_error(&e));
@@ -569,15 +565,7 @@ fn run_group_lockstep(
                     match FrontEnd::build(cfg) {
                         Ok(fe) => fronts.push(fe),
                         Err(_) => {
-                            let cell = panic::catch_unwind(AssertUnwindSafe(|| {
-                                try_simulate_benchmark(b, cfg, opts)
-                            }));
-                            let cell = match cell {
-                                Ok(Ok(r)) => Ok(r),
-                                Ok(Err(e)) => Err(CellFailure::from_error(&e)),
-                                Err(payload) => Err(CellFailure::from_panic(payload.as_ref())),
-                            };
-                            resolved.push((cfg, cell));
+                            resolved.push((cfg, isolate(|| try_simulate_benchmark(b, cfg, opts))))
                         }
                     }
                 }
@@ -586,7 +574,7 @@ fn run_group_lockstep(
                     let cell = match outcome {
                         Ok(r) => {
                             crate::trace_cache::store_result(b, instrs, cfg, r.clone());
-                            persist(b, instrs, cfg, &r, &opts);
+                            crate::result_store::put(b.name, instrs, &cfg, &r);
                             Ok(r)
                         }
                         Err(payload) => Err(CellFailure::from_panic(payload.as_ref())),
@@ -694,6 +682,7 @@ pub(crate) fn mean_ok<'a>(xs: impl IntoIterator<Item = &'a Measured<f64>>) -> f6
 mod tests {
     use super::*;
     use specfetch_core::FetchPolicy;
+    use specfetch_trace::PathSource;
 
     #[test]
     fn simulate_benchmark_is_deterministic() {
@@ -705,14 +694,24 @@ mod tests {
         assert_eq!(a, c);
     }
 
+    /// The interpret-per-run reference: a fresh behavioural
+    /// interpretation of `b`'s correct path, with no recording, overlay,
+    /// memo or store involved.
+    fn reference(b: &Benchmark, cfg: SimConfig, instrs: u64) -> SimResult {
+        let workload = b.workload().unwrap();
+        Simulator::new(cfg).run(workload.executor(b.path_seed()).take_instrs(instrs))
+    }
+
     #[test]
     fn shared_and_legacy_paths_agree() {
         let b = Benchmark::by_name("gcc").unwrap();
         let cfg = SimConfig::paper_baseline();
-        let opts = RunOptions::smoke().with_instrs(10_000);
-        let shared = simulate_benchmark(b, cfg, opts);
-        let legacy = simulate_benchmark(b, cfg, opts.with_share_traces(false));
-        assert_eq!(shared, legacy);
+        // One window on each side of the cutoff: the recorded and the
+        // overlay arm of `try_simulate_benchmark`.
+        for instrs in [10_000, RunOptions::OVERLAY_MIN_INSTRS] {
+            let opts = RunOptions::smoke().with_instrs(instrs);
+            assert_eq!(simulate_benchmark(b, cfg, opts), reference(b, cfg, instrs), "{instrs}");
+        }
     }
 
     #[test]
@@ -722,9 +721,66 @@ mod tests {
         for policy in FetchPolicy::ALL {
             let mut cfg = SimConfig::paper_baseline();
             cfg.policy = policy;
-            let overlay = simulate_benchmark(b, cfg, opts);
-            let plain = simulate_benchmark(b, cfg, opts.with_predict_cache(false));
-            assert_eq!(overlay, plain, "{policy}: overlay replay diverged");
+            let shared = simulate_benchmark(b, cfg, opts);
+            assert_eq!(shared, reference(b, cfg, 10_000), "{policy}: shared replay diverged");
+            let overlay = Simulator::new(cfg).run(crate::trace_cache::predicted_source(b, 10_000));
+            assert_eq!(overlay, shared, "{policy}: overlay replay diverged");
+        }
+    }
+
+    /// Runs every point (all of one benchmark) through one group runner
+    /// as a single first attempt, sorted back into input order.
+    fn group_cells(run: GroupRunner, points: &[GridPoint], opts: RunOptions) -> Vec<GridCell> {
+        let mut cells = run(points[0].benchmark, (0..points.len()).collect(), points, 0, 0, opts);
+        cells.sort_by_key(|(i, _)| *i);
+        assert!(cells.iter().enumerate().all(|(k, (i, _))| k == *i), "one cell per point");
+        cells.into_iter().map(|(_, c)| c).collect()
+    }
+
+    #[test]
+    fn lockstep_group_runner_matches_the_pointwise_runner() {
+        // Below the cutoff grids never reach lockstep, so drive both group
+        // runners directly. The window is this test's own: lockstep runs
+        // first on a cold memo, so its lanes really simulate.
+        const W: u64 = 7_013;
+        let b = Benchmark::by_name("li").unwrap();
+        let opts = RunOptions::smoke().with_instrs(W);
+        let with = |f: fn(&mut SimConfig)| {
+            let mut cfg = SimConfig::paper_baseline();
+            f(&mut cfg);
+            cfg
+        };
+        let pess = with(|c| c.policy = FetchPolicy::Pessimistic);
+        // A memo hit is served without a lane: seed the memo with a
+        // sentinel no simulation produces, and both runners must return it.
+        let memo_hit = with(|c| c.policy = FetchPolicy::Oracle);
+        let sentinel = SimResult { cycles: 1, ..reference(b, memo_hit, W) };
+        crate::trace_cache::store_result(b, W, memo_hit, sentinel.clone());
+        // A lane that panics: the fill completion time overflows, which
+        // panics under overflow checks and trips the engine's stall
+        // watchdog without them.
+        let panics = with(|c| c.miss_penalty = u64::MAX);
+        // `FrontEnd::build` rejects two sequential prefetchers at once;
+        // the lockstep runner falls back to the pointwise path, whose
+        // `Simulator` refuses the configuration with a panic.
+        let rejected = with(|c| {
+            c.prefetch = true;
+            c.stream_buffer = true;
+        });
+        assert!(FrontEnd::build(rejected).is_err());
+
+        let cfgs = [pess, memo_hit, SimConfig::paper_baseline(), panics, rejected, pess];
+        let points: Vec<GridPoint> = cfgs.iter().map(|&cfg| GridPoint::new(b, cfg)).collect();
+        let lockstep = group_cells(run_group_lockstep, &points, opts);
+        let pointwise = group_cells(run_group_pointwise, &points, opts);
+        assert_eq!(lockstep, pointwise);
+
+        assert_eq!(lockstep[1], Ok(sentinel), "memo hits never occupy a lane");
+        assert!(lockstep[3].is_err(), "{:?}", lockstep[3]);
+        let reason = &lockstep[4].as_ref().unwrap_err().reason;
+        assert!(reason.starts_with("invalid simulator configuration"), "{reason}");
+        for i in [0, 2, 5] {
+            assert_eq!(lockstep[i], Ok(reference(b, cfgs[i], W)), "point {i}");
         }
     }
 
@@ -752,16 +808,14 @@ mod tests {
     #[test]
     fn run_grid_agrees_without_any_caches() {
         let opts = RunOptions::smoke().with_instrs(6_000);
-        let raw = opts.with_share_traces(false).with_predict_cache(false);
+        let b = Benchmark::by_name("su2cor").unwrap();
         let points: Vec<GridPoint> = FetchPolicy::ALL
             .into_iter()
-            .map(|policy| {
-                let mut cfg = SimConfig::paper_baseline();
-                cfg.policy = policy;
-                GridPoint::new(Benchmark::by_name("su2cor").unwrap(), cfg)
-            })
+            .map(|policy| GridPoint::new(b, SimConfig { policy, ..SimConfig::paper_baseline() }))
             .collect();
-        assert_eq!(run_grid(&points, &opts), run_grid(&points, &raw));
+        for (p, r) in points.iter().zip(run_grid(&points, &opts)) {
+            assert_eq!(r, reference(b, p.cfg, 6_000), "{}", p.cfg.policy);
+        }
     }
 
     #[test]

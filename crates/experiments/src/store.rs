@@ -4,15 +4,16 @@
 //! owning the resolution order (memo → disk → compute) and exposing the
 //! journal's lifecycle counters as typed [`Progress`] snapshots.
 //!
-//! The free functions [`resolve_stored`] / [`persist`] are the
-//! per-point seam the runner and the worker pool call on the hot path;
+//! The free function [`resolve_stored`] is the per-point lookup the
+//! runner and the worker pool call on the hot path (computed results go
+//! straight to [`crate::result_store::put`]);
 //! [`RunStore`] is the per-job handle the driver and the service
 //! controller hold — it attaches a journal, reads progress, and
 //! releases the slot, without either layer touching journal internals.
 
 use std::path::{Path, PathBuf};
 
-use specfetch_core::{SimConfig, SimResult, SpecfetchError};
+use specfetch_core::{SimConfig, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
 
 use crate::runner::{CellFailure, GridCell};
@@ -101,38 +102,18 @@ pub(crate) fn resolve_stored(
     cfg: SimConfig,
     opts: &RunOptions,
 ) -> Option<GridCell> {
-    if !opts.use_memo() {
-        return None;
-    }
     if let Some(r) = crate::trace_cache::cached_result(bench, instrs, cfg) {
         return Some(Ok(r));
     }
-    if opts.result_store {
-        match crate::result_store::get(bench.name, instrs, &cfg) {
-            Some(crate::result_store::StoredOutcome::Completed(r)) => {
-                crate::trace_cache::store_result(bench, instrs, cfg, r.clone());
-                return Some(Ok(r));
-            }
-            Some(crate::result_store::StoredOutcome::Failed(reason)) if !opts.retry_failed => {
-                return Some(Err(CellFailure::from_replay(reason)));
-            }
-            _ => {}
+    match crate::result_store::get(bench.name, instrs, &cfg) {
+        Some(crate::result_store::StoredOutcome::Completed(r)) => {
+            crate::trace_cache::store_result(bench, instrs, cfg, r.clone());
+            Some(Ok(r))
         }
-    }
-    None
-}
-
-/// Persists a freshly simulated result to the on-disk store (no-op when
-/// the store is unconfigured or disabled).
-pub(crate) fn persist(
-    bench: &Benchmark,
-    instrs: u64,
-    cfg: SimConfig,
-    r: &SimResult,
-    opts: &RunOptions,
-) {
-    if opts.use_memo() && opts.result_store {
-        crate::result_store::put(bench.name, instrs, &cfg, r);
+        Some(crate::result_store::StoredOutcome::Failed(reason)) if !opts.retry_failed => {
+            Some(Err(CellFailure::from_replay(reason)))
+        }
+        _ => None,
     }
 }
 

@@ -119,35 +119,24 @@ fn result_map() -> &'static Map<(Key, SimConfig), SimResult> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Records `bench`'s correct path from the calibrated synthetic model —
-/// the ground-truth producer both the in-memory cache and the on-disk
-/// cache ([`crate::disk_cache`]) regenerate from.
-pub(crate) fn record_fresh(
-    bench: &Benchmark,
-    instrs: u64,
-) -> Result<Arc<RecordedTrace>, SpecfetchError> {
-    let workload = bench.workload().map_err(|e| SpecfetchError::Workload {
-        bench: bench.name.to_owned(),
-        detail: e.to_string(),
-    })?;
-    let mut live = workload.executor(bench.path_seed());
-    Ok(Arc::new(RecordedTrace::record(&mut live, instrs)))
-}
-
 /// The shared recording of `bench`'s correct path, capped at `instrs`
-/// instructions — loaded from the on-disk cache (if one is configured)
-/// or recorded on first request, replayed from memory after.
+/// instructions — recorded on first request, replayed from memory after.
 ///
 /// # Errors
 ///
 /// Returns [`SpecfetchError::Workload`] if the calibrated spec fails to
-/// generate (on-disk cache corruption self-heals and is not an error).
+/// generate.
 pub fn try_shared_trace(
     bench: &Benchmark,
     instrs: u64,
 ) -> Result<Arc<RecordedTrace>, SpecfetchError> {
     try_get_or_init(trace_map(), (bench.name, instrs), || {
-        crate::disk_cache::load_or_record(bench, instrs)
+        let workload = bench.workload().map_err(|e| SpecfetchError::Workload {
+            bench: bench.name.to_owned(),
+            detail: e.to_string(),
+        })?;
+        let mut live = workload.executor(bench.path_seed());
+        Ok(Arc::new(RecordedTrace::record(&mut live, instrs)))
     })
 }
 

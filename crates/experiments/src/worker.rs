@@ -168,36 +168,19 @@ fn cell_failure_from_wire(fail: Option<&str>, reason: String) -> CellFailure {
 }
 
 /// The argv a child worker is spawned with: `--worker` plus the parent's
-/// cache/store configuration, so parent and children agree on every
-/// replay knob. `--instrs` travels per group in the protocol instead;
-/// supervision knobs stay in the parent.
+/// store configuration, so parent and children agree on every stored
+/// point. `--instrs` travels per group in the protocol instead (and with
+/// it the replay path, which the window size alone picks); supervision
+/// knobs stay in the parent.
 fn child_args(opts: &RunOptions) -> Vec<String> {
     let mut a = vec!["--worker".to_owned()];
     if !opts.parallel {
         a.push("--sequential".to_owned());
     }
-    if !opts.share_traces {
-        a.push("--no-trace-cache".to_owned());
-    }
-    if !opts.predict_cache {
-        a.push("--no-predict-cache".to_owned());
-    }
-    if !opts.lockstep {
-        a.push("--no-lockstep".to_owned());
-    }
-    if !opts.result_store {
-        a.push("--no-result-store".to_owned());
-    }
     // Without this, a child would replay a negative-cache entry the
     // parent deliberately skipped.
     if opts.retry_failed {
         a.push("--retry-failed".to_owned());
-    }
-    a.push("--overlay-min".to_owned());
-    a.push(opts.overlay_min_instrs.to_string());
-    if let Some(d) = crate::disk_cache::dir() {
-        a.push("--trace-dir".to_owned());
-        a.push(d.display().to_string());
     }
     if let Some(d) = crate::result_store::dir() {
         a.push("--result-dir".to_owned());

@@ -4,14 +4,20 @@
 //!
 //! ```text
 //! specfetch-repro [--experiment <id>|all] [--sweep <spec>] [--instrs N]
-//!                 [--format plain|markdown|csv] [--sequential] [--no-trace-cache]
-//!                 [--no-predict-cache] [--no-lockstep] [--trace-dir <dir>]
-//!                 [--result-dir <dir>] [--no-result-store] [--workers N]
+//!                 [--format plain|markdown|csv] [--sequential]
+//!                 [--result-dir <dir>] [--workers N]
 //!                 [--retries N] [--point-timeout SECS] [--backoff-ms N]
 //!                 [--heartbeat-ms N] [--resume] [--retry-failed]
-//!                 [--stream] [--overlay-min N] [--inject <spec>] [--quiet]
+//!                 [--stream] [--inject <spec>] [--quiet]
 //!                 [--list [--json]] [--serve <addr> [--jobs N]]
 //! ```
+//!
+//! Every configuration of a benchmark replays one shared recording of
+//! its correct path. The window size alone picks how: at or above
+//! `RunOptions::OVERLAY_MIN_INSTRS` (200k) instructions through a
+//! pre-decoded overlay in config-lockstep batches, below it point by
+//! point. Finished results are memoised in-process and, with
+//! `--result-dir`, persisted across runs.
 //!
 //! A sweep spec is whitespace-separated `axis=value[,value...]` terms,
 //! e.g. `--sweep 'policy=Res,Pess cache=8K,32K penalty=5,20 metric=ispi'`.
@@ -35,8 +41,8 @@ use std::sync::Arc;
 use specfetch_experiments::fault::FaultPlan;
 use specfetch_experiments::sweep::AXES;
 use specfetch_experiments::{
-    analysis, diag, disk_cache, fault, journal, registry, result_store, supervise, worker, Driver,
-    Format, JobSpec, RunOptions, EXPERIMENT_IDS, EXTRA_EXPERIMENT_IDS,
+    analysis, diag, fault, journal, registry, result_store, supervise, worker, Driver, Format,
+    JobSpec, RunOptions, EXPERIMENT_IDS, EXTRA_EXPERIMENT_IDS,
 };
 use specfetch_service::{http, Controller, ControllerConfig};
 use specfetch_synth::suite::Benchmark;
@@ -131,24 +137,6 @@ fn parse_args() -> Result<Args, String> {
                 format = Format::parse(&v).ok_or(format!("unknown format {v:?}"))?;
             }
             "--sequential" => opts.parallel = false,
-            // Re-interpret the workload per run (the pre-sharing
-            // behaviour); output is identical, only slower. Kept for
-            // equivalence checks and speedup measurements.
-            "--no-trace-cache" => opts.share_traces = false,
-            // Replay the shared recording without the pre-decoded
-            // overlay or the per-(benchmark, config) result memo; same
-            // deal — identical output, kept for equivalence checks and
-            // speedup measurements.
-            "--no-predict-cache" => opts.predict_cache = false,
-            // Replay each grid point sequentially instead of advancing
-            // the whole configuration batch in lockstep over one trace
-            // pass; same deal — identical output, kept for equivalence
-            // checks and speedup measurements.
-            "--no-lockstep" => opts.lockstep = false,
-            "--trace-dir" => {
-                let v = it.next().ok_or("--trace-dir needs a value")?;
-                disk_cache::set_dir(v.into()).map_err(|e| e.to_string())?;
-            }
             // Persist finished grid-point results across processes (see
             // DESIGN §5i): a second run over the same store renders from
             // disk, and an interrupted sweep resumes where it stopped.
@@ -156,9 +144,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--result-dir needs a value")?;
                 result_store::set_dir(v.into()).map_err(|e| e.to_string())?;
             }
-            // Ignore a configured result store: recompute every point
-            // and write nothing (byte-identical output).
-            "--no-result-store" => opts.result_store = false,
             // Shard grid execution across N child worker processes.
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
@@ -217,13 +202,6 @@ fn parse_args() -> Result<Args, String> {
             // Print one [row] line to stderr per grid point as it
             // finishes; stdout is unchanged.
             "--stream" => opts = opts.with_stream(true),
-            // Smallest window worth pre-decoding into the overlay
-            // (advanced; see RunOptions::overlay_min_instrs).
-            "--overlay-min" => {
-                let v = it.next().ok_or("--overlay-min needs a value")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad --overlay-min value {v:?}"))?;
-                opts = opts.with_overlay_min(n);
-            }
             // Deterministic fault injection, e.g.
             //   --inject point=table3:2,panic
             //   --inject 'point=table4:1,err;chaos=50@7,panic'
@@ -272,12 +250,10 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: specfetch-repro [--experiment <id>|all] [--sweep <spec>] \
                      [--analyze [--benchmark <name>]] [--instrs N] \
-                     [--format plain|markdown|csv] [--sequential] \
-                     [--no-trace-cache] [--no-predict-cache] [--no-lockstep] \
-                     [--trace-dir <dir>] [--result-dir <dir>] [--no-result-store] \
+                     [--format plain|markdown|csv] [--sequential] [--result-dir <dir>] \
                      [--workers N] [--retries N] [--point-timeout SECS] \
                      [--backoff-ms N] [--heartbeat-ms N] [--resume] [--retry-failed] \
-                     [--stream] [--overlay-min N] [--quiet] \
+                     [--stream] [--quiet] \
                      [--inject <spec>] [--corrupt-target <name>] [--list [--json]] \
                      [--serve <addr> [--jobs N]]"
                 );
@@ -333,13 +309,8 @@ fn parse_args() -> Result<Args, String> {
     if json && !list {
         return Err("--json only applies to --list".into());
     }
-    if resume {
-        if result_store::dir().is_none() {
-            return Err("--resume needs --result-dir (the journal lives in the store)".into());
-        }
-        if !opts.result_store {
-            return Err("--resume conflicts with --no-result-store".into());
-        }
+    if resume && result_store::dir().is_none() {
+        return Err("--resume needs --result-dir (the journal lives in the store)".into());
     }
     Ok(Args {
         experiment: experiment.unwrap_or_else(|| "all".to_owned()),
@@ -387,9 +358,6 @@ fn interrupted_exit() -> Option<ExitCode> {
 /// this run (keyed by experiment selection + instruction budget), either
 /// fresh or in `--resume` replay mode. The CLI runs as the ambient job 0.
 fn activate_journal(args: &Args) -> Result<(), ExitCode> {
-    if !args.opts.result_store {
-        return Ok(());
-    }
     let Some(dir) = result_store::dir() else { return Ok(()) };
     let desc = match &args.sweep {
         Some(spec) => format!("sweep:{spec}"),

@@ -480,18 +480,6 @@ fn resume_without_a_result_dir_is_a_usage_error() {
     let out = repro(&["--experiment", "table3", "--resume"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--resume needs --result-dir"), "{}", stderr(&out));
-
-    let dir = scratch("resume-usage");
-    let out = repro(&[
-        "--experiment",
-        "table3",
-        "--result-dir",
-        dir.to_str().unwrap(),
-        "--no-result-store",
-        "--resume",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--no-result-store"), "{}", stderr(&out));
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Replay-equivalence determinism: the shared-trace cache must be an
-//! invisible optimisation.  Running a benchmark through the legacy
-//! interpret-per-run path and through the record-once/replay-many path
-//! must produce byte-identical `SimResult`s — same event counts, same
-//! ISPI — for every policy, because both paths feed the engine the same
-//! retired-instruction stream.
+//! invisible optimisation.  Interpreting a benchmark afresh (the legacy
+//! interpret-per-run path, built here as the reference) and running it
+//! through the record-once/replay-many production path must produce
+//! byte-identical `SimResult`s — same event counts, same ISPI — for every
+//! policy, because both feed the engine the same retired-instruction
+//! stream.
 
-use specfetch_core::{FetchPolicy, SimConfig};
+use specfetch_core::{FetchPolicy, SimConfig, Simulator};
 use specfetch_experiments::{simulate_benchmark, RunOptions};
 use specfetch_synth::suite::Benchmark;
+use specfetch_trace::PathSource;
 
 const INSTRS: u64 = 50_000;
 
 /// One benchmark, two policies (the eager baseline and the paper's best
-/// policy), both modes: results must match exactly, field for field.
+/// policy), production replay against the interpreter: results must
+/// match exactly, field for field.
 #[test]
 fn legacy_and_shared_trace_paths_are_equivalent() {
     let bench = Benchmark::by_name("gcc").expect("gcc is in the suite");
@@ -23,7 +26,9 @@ fn legacy_and_shared_trace_paths_are_equivalent() {
         cfg.policy = policy;
 
         let shared = simulate_benchmark(bench, cfg, opts);
-        let legacy = simulate_benchmark(bench, cfg, opts.with_share_traces(false));
+        let workload = bench.workload().expect("calibrated specs generate");
+        let legacy =
+            Simulator::new(cfg).run(workload.executor(bench.path_seed()).take_instrs(INSTRS));
 
         assert_eq!(
             shared, legacy,
