@@ -47,9 +47,9 @@ pub enum SpecfetchError {
         /// What was wrong with it.
         detail: String,
     },
-    /// An on-disk cached trace was unusable (corrupt, truncated, or
-    /// inconsistent with its key) and has been quarantined.
-    CorruptTrace {
+    /// An on-disk result store entry was unusable (corrupt, truncated,
+    /// or inconsistent with its key) and has been quarantined.
+    CorruptStoreEntry {
         /// The quarantined file.
         path: PathBuf,
         /// Why it was rejected.
@@ -125,7 +125,7 @@ impl SpecfetchError {
             SpecfetchError::Workload { bench, .. } => format!("workload {bench}"),
             SpecfetchError::Analysis { report, .. } => format!("analysis: {}", report.headline()),
             SpecfetchError::InvalidSpec { .. } => "invalid spec".to_owned(),
-            SpecfetchError::CorruptTrace { .. } => "corrupt trace".to_owned(),
+            SpecfetchError::CorruptStoreEntry { .. } => "corrupt store entry".to_owned(),
             SpecfetchError::Io { context, .. } => format!("io: {context}"),
             SpecfetchError::PointPanic { reason } => reason.clone(),
             SpecfetchError::Injected { action } => format!("injected {action}"),
@@ -150,8 +150,8 @@ impl fmt::Display for SpecfetchError {
                 write!(f, "static analysis failed for {bench:?}: {report}")
             }
             SpecfetchError::InvalidSpec { detail } => write!(f, "{detail}"),
-            SpecfetchError::CorruptTrace { path, detail } => {
-                write!(f, "corrupt cached trace {}: {detail}", path.display())
+            SpecfetchError::CorruptStoreEntry { path, detail } => {
+                write!(f, "corrupt result store entry {}: {detail}", path.display())
             }
             SpecfetchError::Io { context, source } => write!(f, "{context}: {source}"),
             SpecfetchError::PointPanic { reason } => {
@@ -213,7 +213,7 @@ mod tests {
                 },
             },
             SpecfetchError::InvalidSpec { detail: "bad --inject".into() },
-            SpecfetchError::CorruptTrace { path: "x.sftb".into(), detail: "short".into() },
+            SpecfetchError::CorruptStoreEntry { path: "x.sr".into(), detail: "short".into() },
             SpecfetchError::Io { context: "create dir".into(), source: io::Error::other("d") },
             SpecfetchError::PointPanic { reason: "injected panic".into() },
             SpecfetchError::Injected { action: "err" },
@@ -250,6 +250,14 @@ mod tests {
         assert_eq!(e.cell_reason(), "injected panic", "negative-cache replay is verbatim");
         let e = SpecfetchError::WorkerProtocol { detail: "proto 1 != 2".into() };
         assert!(e.to_string().contains("proto 1 != 2"));
+    }
+
+    #[test]
+    fn a_corrupt_store_entry_names_the_store_not_a_trace() {
+        let e =
+            SpecfetchError::CorruptStoreEntry { path: "v1/li.sr".into(), detail: "short".into() };
+        assert_eq!(e.to_string(), "corrupt result store entry v1/li.sr: short");
+        assert_eq!(e.cell_reason(), "corrupt store entry");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! Because each lane is a self-contained engine over an immutable trace,
 //! the interleaving order cannot affect results: lockstep output is
 //! byte-identical to running the lanes one after another, which is what
-//! the `--no-lockstep` opt-out (and the equivalence test suite) checks.
+//! the equivalence test suite checks.
 //!
 //! Fault isolation: each lane's construction and stepping run under
 //! `catch_unwind`. A panicking lane records its payload as that lane's

@@ -75,8 +75,8 @@ impl RunOptions {
 
     /// A budget for unit tests and smoke checks. It sits below
     /// [`RunOptions::OVERLAY_MIN_INSTRS`], so grids replay the recording
-    /// point by point; the runner's tests drive the lockstep group
-    /// runner directly to keep it covered at this size.
+    /// point by point; the runner's tests drive the executor's lockstep
+    /// arm directly to keep it covered at this size.
     pub fn smoke() -> Self {
         RunOptions {
             instrs_per_benchmark: 40_000,

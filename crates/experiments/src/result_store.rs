@@ -3,8 +3,8 @@
 //! `--result-dir <dir>` keys every simulated grid point by **schema
 //! version + benchmark + window length + canonical config hash** and
 //! persists it as one small checksummed text file, so a later process —
-//! a resumed sweep, a warm re-run, or a sibling worker — renders the row
-//! instead of recomputing it. The canonical config encoding lives in
+//! a resumed sweep, a warm re-run, or another run sharing the directory
+//! — renders the row instead of recomputing it. The canonical config encoding lives in
 //! `specfetch_core::canon` (`SimConfig::canonical_hash`), which is
 //! stable across processes and compile sessions, unlike `std::hash`.
 //!
@@ -169,13 +169,13 @@ fn render_failed(cfg: &SimConfig, reason: &str) -> String {
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> SpecfetchError {
-    SpecfetchError::CorruptTrace { path: path.to_path_buf(), detail: detail.into() }
+    SpecfetchError::CorruptStoreEntry { path: path.to_path_buf(), detail: detail.into() }
 }
 
 /// Reads and fully verifies one store entry. Any structural problem —
 /// unreadable file, bad header, checksum mismatch, config mismatch
 /// (hash collision or a renamed file), or an undecodable result — is a
-/// [`SpecfetchError::CorruptTrace`].
+/// [`SpecfetchError::CorruptStoreEntry`].
 fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
     let text = std::fs::read_to_string(path).map_err(|source| SpecfetchError::Io {
         context: format!("opening result store entry {}", path.display()),

@@ -11,13 +11,15 @@
 //!   tests, benches, and examples, where a failure is a bug.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
 
 use specfetch_core::{run_lockstep, FrontEnd, SimConfig, SimResult, Simulator, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
 
+use crate::fault::{self, FaultAction};
 use crate::parallel::panic_message;
 use crate::store::resolve_stored;
-use crate::{fault, journal, par_map, supervise, try_par_map, RunOptions};
+use crate::{journal, par_map, supervise, try_par_map, RunOptions};
 
 /// One benchmark's simulation outcome.
 #[derive(Clone, PartialEq, Debug)]
@@ -132,60 +134,9 @@ pub type Measured<T> = Result<T, CellFailure>;
 /// One grid point's simulation outcome under isolation.
 pub type GridCell = Measured<SimResult>;
 
-/// Simulates one benchmark under `cfg` for `opts.instrs_per_benchmark`
-/// dynamic instructions, reporting trace/workload problems as errors.
-///
-/// The correct path is fixed per benchmark (same generator seed, same
-/// path seed), so different configurations replay the *same* execution —
-/// the property every policy comparison in the paper relies on. The
-/// finished result is resolved from the memo and the result store
-/// first; otherwise the engine replays the process-wide
-/// [`crate::trace_cache`] recording — through its pre-decoded
-/// [`specfetch_trace::PredictedTrace`] overlay at or above
-/// [`RunOptions::OVERLAY_MIN_INSTRS`], directly below it — and the result
-/// is memoised per `(benchmark, window, config)`.
-///
-/// # Errors
-///
-/// Returns [`SpecfetchError::Workload`] if the spec fails to generate
-/// (replay sources are acquired *before* the memo fill, so acquisition
-/// failures surface here instead of panicking inside a cache cell), and
-/// [`SpecfetchError::Analysis`] if the generated image fails the static
-/// CFG preflight ([`crate::analysis::preflight`]) — rendered as a
-/// `FAILED(analysis: …)` cell by the isolated grid.
-pub fn try_simulate_benchmark(
-    bench: &Benchmark,
-    cfg: SimConfig,
-    opts: RunOptions,
-) -> Result<SimResult, SpecfetchError> {
-    // Static preflight: a structurally broken image must never reach the
-    // engine (its wrong-path walks would silently skew the very cache
-    // statistics being measured). Memoized per process, so this is one
-    // verifier walk per benchmark — not per grid point.
-    crate::analysis::preflight(bench)?;
-    let instrs = opts.instrs_per_benchmark;
-    // Memo / result-store check BEFORE any trace work: a warm run (every
-    // point already stored) never records, decodes, or loads a trace at
-    // all — it is render-only.
-    match resolve_stored(bench, instrs, cfg, &opts) {
-        Some(Ok(r)) => return Ok(r),
-        Some(Err(f)) => return Err(SpecfetchError::StoredFailure { reason: f.reason }),
-        None => {}
-    }
-    let r = if opts.use_overlay() {
-        let source = crate::trace_cache::try_predicted_source(bench, instrs)?;
-        crate::trace_cache::memoized_result(bench, instrs, cfg, || Simulator::new(cfg).run(source))
-    } else {
-        let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
-        crate::trace_cache::memoized_result(bench, instrs, cfg, || Simulator::new(cfg).run(source))
-    };
-    crate::result_store::put(bench.name, instrs, &cfg, &r);
-    Ok(r)
-}
-
 /// Runs `f` under `catch_unwind`, turning a typed error or a panic into
 /// that cell's [`CellFailure`].
-fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
+pub(crate) fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
     match panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(Ok(r)) => Ok(r),
         Ok(Err(e)) => Err(CellFailure::from_error(&e)),
@@ -193,12 +144,18 @@ fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
     }
 }
 
+/// The cell of a point nothing produced an outcome for: unreachable by
+/// construction, but a failed cell rather than an unwind.
+fn never_simulated() -> GridCell {
+    Err(CellFailure::permanent("grid point was never simulated"))
+}
+
 /// Streams one finished batch of cells (`--stream`): one `[row] ...`
 /// line per grid point, in completion order, delivered through the
 /// per-job row sink ([`crate::diag::row`]) — stderr for the CLI, the
 /// controller's buffer for service jobs. Stdout — and therefore the
 /// golden byte-identity — is untouched.
-pub(crate) fn stream_cells(points: &[GridPoint], cells: &[(usize, GridCell)], opts: &RunOptions) {
+fn stream_cells(points: &[GridPoint], cells: &[(usize, GridCell)], opts: &RunOptions) {
     if !opts.stream {
         return;
     }
@@ -222,15 +179,24 @@ pub(crate) fn stream_cells(points: &[GridPoint], cells: &[(usize, GridCell)], op
     }
 }
 
-/// Infallible convenience over [`try_simulate_benchmark`].
+/// Simulates one benchmark under `cfg` for `opts.instrs_per_benchmark`
+/// dynamic instructions: a one-point [`run_grid`].
+///
+/// The correct path is fixed per benchmark (same generator seed, same
+/// path seed), so different configurations replay the *same* execution —
+/// the property every policy comparison in the paper relies on.
 ///
 /// # Panics
 ///
-/// Panics on trace/workload failure (never expected for the calibrated
-/// suite; the isolated grid captures such a panic per point).
-pub fn simulate_benchmark(bench: &Benchmark, cfg: SimConfig, opts: RunOptions) -> SimResult {
-    try_simulate_benchmark(bench, cfg, opts)
-        .unwrap_or_else(|e| panic!("simulating {}: {e}", bench.name))
+/// Panics if the point fails (never expected for the calibrated suite;
+/// rendered reports use [`try_run_grid`] and flag the cell instead).
+pub fn simulate_benchmark(
+    bench: &'static Benchmark,
+    cfg: SimConfig,
+    opts: RunOptions,
+) -> SimResult {
+    let mut cells = run_grid(&[GridPoint::new(bench, cfg)], &opts);
+    cells.remove(0)
 }
 
 /// Simulates every grid point under per-point isolation, returning one
@@ -245,20 +211,19 @@ pub fn simulate_benchmark(bench: &Benchmark, cfg: SimConfig, opts: RunOptions) -
 /// Groups, not points, are the parallel unit; point order within the
 /// result is the input order regardless of grouping.
 ///
-/// At or above [`RunOptions::OVERLAY_MIN_INSTRS`] each group runs as
-/// **one config-lockstep batch**: a single pass over the shared overlay
-/// advances a lane per distinct configuration, decoding each fetch
-/// window once and fanning it out to every lane (see [`run_lockstep`]
-/// and DESIGN §5h). Below it each point replays the shared recording on
-/// its own. The cells are byte-identical either way.
+/// Every batch goes through one pipeline (DESIGN §5h): `plan_group`
+/// prefilters it, `simulate_configs` simulates what is left — in
+/// process, or in a `--workers` child — and `settle` records the
+/// outcome. The cells are byte-identical at any window, worker count or
+/// parallelism.
 ///
-/// Isolation: each point runs under `catch_unwind`, with the
-/// fault-injection [`fault::guard`] fired first (points are numbered in
-/// input order via [`fault::reserve`], so `--inject point=<exp>:<n>,...`
-/// is deterministic at any parallelism). A panic or typed error in one
-/// point yields that point's `Err(CellFailure)`; every other point still
-/// simulates — in lockstep form, a panicking lane costs the points of
-/// that configuration while sibling lanes complete.
+/// Isolation: each point's fault-injection [`fault::guard`] fires first
+/// (points are numbered in input order via [`fault::reserve`], so
+/// `--inject point=<exp>:<n>,...` is deterministic at any parallelism).
+/// A panic or typed error in one point yields that point's
+/// `Err(CellFailure)`; every other point still simulates — a panicking
+/// lockstep lane costs the points of that configuration while sibling
+/// lanes complete.
 pub fn try_run_grid(points: &[GridPoint], opts: &RunOptions) -> Vec<GridCell> {
     let base = fault::reserve(points.len());
     let jbase = journal::reserve(opts.job, points.len());
@@ -376,18 +341,17 @@ pub fn try_run_grid(points: &[GridPoint], opts: &RunOptions) -> Vec<GridCell> {
     }
     supervise::note_outcomes(completed, failed, interrupted);
 
-    // Every index is filled by construction; degrade an impossible gap
-    // to a failed cell instead of unwinding past the isolation layer.
-    out.into_iter()
-        .map(|r| r.unwrap_or_else(|| Err(CellFailure::permanent("grid point was never simulated"))))
-        .collect()
+    out.into_iter().map(|r| r.unwrap_or_else(never_simulated)).collect()
 }
+
+/// One benchmark's points of a pass, by grid index.
+type Group = (&'static Benchmark, Vec<usize>);
 
 /// Runs one attempt over the `idxs` subset of `points`, filling `out`.
 /// Attempt 0 is the full grid; retry passes re-run only their transient
 /// failures. Sharded execution (`--workers`) dispatches through the
 /// worker pool; otherwise (or when the pool cannot start) the pass runs
-/// in-process, grouped by benchmark.
+/// in-process.
 #[allow(clippy::too_many_arguments)]
 fn run_pass(
     points: &[GridPoint],
@@ -413,193 +377,289 @@ fn run_pass(
             journal::record_attempt(opts.job, jb + i as u64, attempt);
         }
     }
+    let mut groups: Vec<Group> = Vec::new();
     for &i in idxs {
+        let p = &points[i];
         attempts[i] = attempt + 1;
-    }
-    let cells = if opts.workers > 0 {
-        match crate::worker::try_run_grid_sharded(points, idxs, base, attempt, opts) {
-            Some(cells) => cells,
-            // The worker pool could not start (e.g. the executable cannot
-            // re-spawn itself); a warning has been printed and the pass
-            // runs in-process instead.
-            None => run_pass_inprocess(points, idxs, base, attempt, opts),
+        match groups.iter_mut().find(|(b, _)| std::ptr::eq(*b, p.benchmark)) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((p.benchmark, vec![i])),
         }
-    } else {
-        run_pass_inprocess(points, idxs, base, attempt, opts)
+    }
+    // A pool that cannot start (e.g. the executable cannot re-spawn
+    // itself) has printed a warning; the pass runs in-process instead.
+    let cells = match (opts.workers > 0).then(|| crate::worker::pool(opts)).flatten() {
+        Some(pool) => run_pass_sharded(pool, points, groups, base, attempt, opts),
+        None => run_pass_inprocess(points, groups, base, attempt, opts),
     };
     for (i, c) in cells {
         out[i] = Some(c);
     }
 }
 
-/// The in-process arm of [`run_pass`]: benchmark-grouped, parallel over
-/// groups, lockstep within a group at or above the overlay cutoff. A
-/// shutdown request drains at group boundaries — groups not yet started
-/// are recorded as interrupted without simulating.
+/// Every point of a group that a shutdown request drained before it
+/// started.
+fn interrupted(idxs: Vec<usize>) -> Vec<(usize, GridCell)> {
+    idxs.into_iter().map(|i| (i, Err(CellFailure::interrupted()))).collect()
+}
+
+/// The in-process arm of [`run_pass`]: parallel over benchmark groups,
+/// each planned, simulated and settled on one thread. At or above the
+/// overlay cutoff a group is one lockstep batch. Below it every point is
+/// a batch of its own, settled before the next point's fault guard
+/// fires, so a fault that kills the process mid-group leaves the group's
+/// earlier points persisted. A shutdown request drains at group
+/// boundaries: groups not yet started are interrupted without
+/// simulating.
 fn run_pass_inprocess(
     points: &[GridPoint],
-    idxs: &[usize],
+    groups: Vec<Group>,
     base: u64,
     attempt: u32,
     opts: &RunOptions,
 ) -> Vec<(usize, GridCell)> {
-    let mut groups: Vec<(&'static Benchmark, Vec<usize>)> = Vec::new();
-    for &i in idxs {
-        let p = &points[i];
-        match groups.iter_mut().find(|(b, _)| std::ptr::eq(*b, p.benchmark)) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((p.benchmark, vec![i])),
-        }
-    }
-    let opts_by_val = *opts;
     let done = par_map(groups, opts.parallel, |(b, idxs)| {
-        if supervise::job_shutdown_requested(opts_by_val.job) {
-            return idxs.into_iter().map(|i| (i, Err(CellFailure::interrupted()))).collect();
+        if supervise::job_shutdown_requested(opts.job) {
+            return interrupted(idxs);
         }
-        let run_group: GroupRunner =
-            if opts_by_val.use_overlay() { run_group_lockstep } else { run_group_pointwise };
-        let cells = run_group(b, idxs, points, base, attempt, opts_by_val);
-        stream_cells(points, &cells, &opts_by_val);
+        let batches = if opts.use_overlay() {
+            vec![idxs]
+        } else {
+            idxs.into_iter().map(|i| vec![i]).collect()
+        };
+        let mut cells = Vec::new();
+        for batch in batches {
+            let plan = plan_group(b, batch, points, base, attempt, false, opts);
+            let cfgs: Vec<SimConfig> = plan.todo.iter().map(|&(cfg, _)| cfg).collect();
+            let simulated = simulate_configs(b, opts.instrs_per_benchmark, &cfgs);
+            cells.extend(settle(points, plan, simulated, opts));
+        }
         cells
     });
     done.into_iter().flatten().collect()
 }
 
-/// One benchmark group's runner: the group's point indices in, one cell
-/// per point out.
-type GroupRunner = fn(
-    &'static Benchmark,
-    Vec<usize>,
-    &[GridPoint],
-    u64,
-    u32,
-    RunOptions,
-) -> Vec<(usize, GridCell)>;
+/// The sharded arm of [`run_pass`] (`--workers`): each group is planned
+/// here in the parent, the configurations left to simulate go to a
+/// worker child, and each reply settles here — the parent is the only
+/// process that touches the memo and the result store. A shutdown
+/// request drains at dispatch: groups not yet dispatched are
+/// interrupted, in-flight groups finish normally.
+fn run_pass_sharded(
+    pool: &crate::worker::WorkerPool,
+    points: &[GridPoint],
+    groups: Vec<Group>,
+    base: u64,
+    attempt: u32,
+    opts: &RunOptions,
+) -> Vec<(usize, GridCell)> {
+    let (reply, replies) = mpsc::channel();
+    let mut cells = Vec::new();
+    let mut in_flight: Vec<Option<GroupPlan>> = Vec::new();
+    for (b, idxs) in groups {
+        if supervise::job_shutdown_requested(opts.job) {
+            cells.extend(interrupted(idxs));
+            continue;
+        }
+        let plan = plan_group(b, idxs, points, base, attempt, true, opts);
+        if plan.todo.is_empty() {
+            cells.extend(settle(points, plan, Vec::new(), opts));
+        } else {
+            pool.dispatch(b, plan.todo.clone(), in_flight.len(), opts, reply.clone());
+            in_flight.push(Some(plan));
+        }
+    }
+    drop(reply);
+    for (group, simulated) in replies {
+        if let Some(plan) = in_flight.get_mut(group).and_then(Option::take) {
+            cells.extend(settle(points, plan, simulated, opts));
+        }
+    }
+    // A group whose reply never arrived (the pool died) fails its points.
+    for plan in in_flight.into_iter().flatten() {
+        let lost = Err(CellFailure::permanent("worker pool shut down mid-grid"));
+        let simulated = vec![lost; plan.todo.len()];
+        cells.extend(settle(points, plan, simulated, opts));
+    }
+    cells
+}
 
-/// Runs one benchmark group's grid points one after another, each
-/// through [`try_simulate_benchmark`] under its own fault guard.
-fn run_group_pointwise(
-    b: &'static Benchmark,
+/// One batch of a benchmark group after [`plan_group`].
+struct GroupPlan {
+    bench: &'static Benchmark,
+    /// Cells decided without simulating: a guard or preflight failure,
+    /// or a memo / result-store hit.
+    decided: Vec<(usize, GridCell)>,
+    /// Points whose cell is their configuration's outcome in `todo`.
+    waiting: Vec<usize>,
+    /// The distinct configurations left to simulate, each with the
+    /// process fault routed to the worker child that will run it.
+    todo: Vec<(SimConfig, Option<FaultAction>)>,
+}
+
+/// The one prefilter every batch passes before it simulates:
+///
+/// - each point's fault guard fires, in input order, then the static
+///   preflight — a structurally broken image must never reach the
+///   engine, and a failure here costs only that cell. A sharded pass
+///   (`route`) does not fire process faults (`abort`, `hang`,
+///   `exitcode`) in the parent; it routes them to the child that will
+///   run the point;
+/// - configurations are deduplicated and memo / result-store hits
+///   resolved BEFORE any trace work, so a fully warm batch never
+///   records, decodes or loads a trace.
+#[allow(clippy::too_many_arguments)]
+fn plan_group(
+    bench: &'static Benchmark,
     idxs: Vec<usize>,
     points: &[GridPoint],
     base: u64,
     attempt: u32,
-    opts: RunOptions,
-) -> Vec<(usize, GridCell)> {
-    idxs.into_iter()
-        .map(|i| {
-            let cell = isolate(|| {
-                fault::guard(base + i as u64, attempt, opts.point_timeout_secs)?;
-                try_simulate_benchmark(b, points[i].cfg, opts)
+    route: bool,
+    opts: &RunOptions,
+) -> GroupPlan {
+    let mut plan = GroupPlan { bench, decided: Vec::new(), waiting: Vec::new(), todo: Vec::new() };
+    for i in idxs {
+        let fidx = base + i as u64;
+        let routed = fault::peek(fidx, attempt).filter(|a| route && a.is_process_fault());
+        if routed.is_none() {
+            let pre = isolate(|| {
+                fault::guard(fidx, attempt, opts.point_timeout_secs)?;
+                crate::analysis::preflight(bench)
             });
-            (i, cell)
+            if let Err(f) = pre {
+                plan.decided.push((i, Err(f)));
+                continue;
+            }
+        }
+        let cfg = points[i].cfg;
+        if let Some((_, fault)) = plan.todo.iter_mut().find(|(c, _)| *c == cfg) {
+            *fault = fault.or(routed);
+        } else {
+            // A routed point must reach its child, hit or not.
+            let stored = routed
+                .is_none()
+                .then(|| resolve_stored(bench, opts.instrs_per_benchmark, cfg, opts))
+                .flatten();
+            if let Some(cell) = stored {
+                plan.decided.push((i, cell));
+                continue;
+            }
+            plan.todo.push((cfg, routed));
+        }
+        plan.waiting.push(i);
+    }
+    plan
+}
+
+/// The one place a batch's outcome lands. `simulated` holds one cell
+/// per configuration of `plan.todo`; each finished result fills the
+/// memo and is persisted to the result store. Every point then gets its
+/// cell — the plan's decision, or its configuration's outcome — which
+/// is streamed (`--stream`) and returned keyed by grid index.
+fn settle(
+    points: &[GridPoint],
+    plan: GroupPlan,
+    simulated: Vec<GridCell>,
+    opts: &RunOptions,
+) -> Vec<(usize, GridCell)> {
+    let (bench, instrs) = (plan.bench, opts.instrs_per_benchmark);
+    for ((cfg, _), cell) in plan.todo.iter().zip(&simulated) {
+        if let Ok(r) = cell {
+            crate::trace_cache::store_result(bench, instrs, *cfg, r.clone());
+            crate::result_store::put(bench.name, instrs, cfg, r);
+        }
+    }
+    let mut cells = plan.decided;
+    for i in plan.waiting {
+        let k = plan.todo.iter().position(|(c, _)| *c == points[i].cfg);
+        cells.push((i, k.and_then(|k| simulated.get(k).cloned()).unwrap_or_else(never_simulated)));
+    }
+    stream_cells(points, &cells, opts);
+    cells
+}
+
+/// The one executor every grid runs on, in process or in a `--workers`
+/// child: simulates `bench`'s first `instrs` instructions under each of
+/// `cfgs`, returning one cell per configuration in order. Configurations
+/// already in the result memo are served from it without simulating.
+///
+/// At or above [`RunOptions::OVERLAY_MIN_INSTRS`] the configurations run
+/// as **one config-lockstep batch** over the shared overlay; below it
+/// each replays the shared recording on its own. The cells are
+/// byte-identical either way.
+pub(crate) fn simulate_configs(
+    bench: &Benchmark,
+    instrs: u64,
+    cfgs: &[SimConfig],
+) -> Vec<GridCell> {
+    if instrs >= RunOptions::OVERLAY_MIN_INSTRS {
+        lockstep_cells(bench, instrs, cfgs)
+    } else {
+        replay_cells(bench, instrs, cfgs)
+    }
+}
+
+/// The per-config arm of [`simulate_configs`]: each configuration
+/// replays the process-wide [`crate::trace_cache`] recording through the
+/// result memo.
+fn replay_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
+    cfgs.iter()
+        .map(|&cfg| {
+            isolate(|| {
+                // Acquired before the memo fill, so a recording failure
+                // is this cell's error, not a panic inside the memo cell.
+                let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
+                Ok(crate::trace_cache::memoized_result(bench, instrs, cfg, || {
+                    Simulator::new(cfg).run(source)
+                }))
+            })
         })
         .collect()
 }
 
-/// Runs one benchmark group's grid points as a config-lockstep batch:
-/// one pass over the shared overlay advances a lane per distinct
-/// configuration (see [`run_lockstep`]).
+/// The lockstep arm of [`simulate_configs`]: one pass over the shared
+/// overlay advances a lane per configuration, decoding each fetch window
+/// once and fanning it out to every lane (see [`run_lockstep`] and
+/// DESIGN §5h).
 ///
-/// Per-point semantics match [`run_group_pointwise`] exactly:
-///
-/// - the fault-injection guard and the static preflight fire per point,
-///   in input order, so `--inject` numbering is unchanged;
-/// - memo-hit configurations are served from the result cache without
-///   occupying a lane, and finished lanes fill the memo;
-/// - a panicking lane yields `FAILED(...)` for that configuration's
-///   points while sibling lanes complete (point by point, each such
-///   point would deterministically re-panic on its own);
-/// - a configuration the front end rejects falls back to
-///   [`try_simulate_benchmark`], so its cell is exactly the pointwise
-///   runner's (the [`Simulator`]'s own verdict on the configuration).
-fn run_group_lockstep(
-    b: &'static Benchmark,
-    idxs: Vec<usize>,
-    points: &[GridPoint],
-    base: u64,
-    attempt: u32,
-    opts: RunOptions,
-) -> Vec<(usize, GridCell)> {
-    let instrs = opts.instrs_per_benchmark;
-    // Per-point guard + preflight; a failure here costs only that cell.
-    let cells: Vec<(usize, Option<GridCell>)> = idxs
-        .into_iter()
-        .map(|i| {
-            let pre = isolate(|| {
-                fault::guard(base + i as u64, attempt, opts.point_timeout_secs)?;
-                crate::analysis::preflight(b)
-            });
-            (i, pre.err().map(Err))
-        })
+/// - a panicking lane yields `FAILED(...)` for its configuration while
+///   sibling lanes complete;
+/// - a configuration the front end rejects gets the per-config arm's
+///   cell (the [`Simulator`]'s own verdict on the configuration);
+/// - failing to build the overlay fails every configuration the memo
+///   does not already hold.
+fn lockstep_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
+    let mut cells: Vec<Option<GridCell>> = cfgs
+        .iter()
+        .map(|&cfg| crate::trace_cache::cached_result(bench, instrs, cfg).map(Ok))
         .collect();
-
-    // Deduplicate configurations and resolve memo / result-store hits
-    // BEFORE touching the trace layer: a fully warm batch returns here
-    // without recording or decoding anything.
-    let mut resolved: Vec<(SimConfig, GridCell)> = Vec::new();
-    let mut pending: Vec<SimConfig> = Vec::new();
-    for &(i, ref early) in &cells {
-        let cfg = points[i].cfg;
-        if early.is_some() || resolved.iter().any(|(c, _)| *c == cfg) || pending.contains(&cfg) {
-            continue;
-        }
-        match resolve_stored(b, instrs, cfg, &opts) {
-            Some(cell) => resolved.push((cfg, cell)),
-            None => pending.push(cfg),
-        }
-    }
-
+    let pending: Vec<usize> = (0..cfgs.len()).filter(|&k| cells[k].is_none()).collect();
     if !pending.is_empty() {
-        // One shared overlay for the whole batch; failing to build it
-        // fails every unresolved point (the pointwise runner would hit
-        // the same error per point), while stored points still render.
-        match crate::trace_cache::try_predicted_trace(b, instrs) {
+        match crate::trace_cache::try_predicted_trace(bench, instrs) {
             Err(e) => {
-                let fail: GridCell = Err(CellFailure::from_error(&e));
-                resolved.extend(pending.into_iter().map(|cfg| (cfg, fail.clone())));
+                for k in pending {
+                    cells[k] = Some(Err(CellFailure::from_error(&e)));
+                }
             }
             Ok(overlay) => {
-                let mut fronts: Vec<FrontEnd> = Vec::new();
-                for cfg in pending {
-                    match FrontEnd::build(cfg) {
-                        Ok(fe) => fronts.push(fe),
-                        Err(_) => {
-                            resolved.push((cfg, isolate(|| try_simulate_benchmark(b, cfg, opts))))
+                let (mut lanes, mut fronts) = (Vec::new(), Vec::new());
+                for k in pending {
+                    match FrontEnd::build(cfgs[k]) {
+                        Ok(fe) => {
+                            lanes.push(k);
+                            fronts.push(fe);
                         }
+                        Err(_) => cells[k] = replay_cells(bench, instrs, &cfgs[k..=k]).pop(),
                     }
                 }
-                let lane_cfgs: Vec<SimConfig> = fronts.iter().map(|f| *f.config()).collect();
-                for (cfg, outcome) in lane_cfgs.into_iter().zip(run_lockstep(&overlay, fronts)) {
-                    let cell = match outcome {
-                        Ok(r) => {
-                            crate::trace_cache::store_result(b, instrs, cfg, r.clone());
-                            crate::result_store::put(b.name, instrs, &cfg, &r);
-                            Ok(r)
-                        }
-                        Err(payload) => Err(CellFailure::from_panic(payload.as_ref())),
-                    };
-                    resolved.push((cfg, cell));
+                for (k, outcome) in lanes.into_iter().zip(run_lockstep(&overlay, fronts)) {
+                    cells[k] = Some(outcome.map_err(|p| CellFailure::from_panic(p.as_ref())));
                 }
             }
         }
     }
-
-    cells
-        .into_iter()
-        .map(|(i, early)| {
-            let cell = early.unwrap_or_else(|| {
-                resolved
-                    .iter()
-                    .find(|(c, _)| *c == points[i].cfg)
-                    .map(|(_, r)| r.clone())
-                    .unwrap_or_else(|| {
-                        Err(CellFailure::permanent("grid point was never simulated"))
-                    })
-            });
-            (i, cell)
-        })
-        .collect()
+    cells.into_iter().map(|c| c.unwrap_or_else(never_simulated)).collect()
 }
 
 /// Infallible convenience over [`try_run_grid`].
@@ -646,16 +706,22 @@ where
 
 /// Runs the full 13-benchmark suite under the configuration produced by
 /// `cfg_for` (called once per benchmark), in suite order.
+///
+/// # Panics
+///
+/// Panics like [`run_grid`] if any benchmark fails.
 pub fn suite_results(
     opts: &RunOptions,
-    cfg_for: impl Fn(&Benchmark) -> SimConfig + Sync,
+    cfg_for: impl Fn(&Benchmark) -> SimConfig,
 ) -> Vec<BenchResult> {
-    let benches: Vec<&'static Benchmark> = Benchmark::all().iter().collect();
-    let opts = *opts;
-    par_map(benches, opts.parallel, |b| BenchResult {
-        benchmark: b,
-        result: simulate_benchmark(b, cfg_for(b), opts),
-    })
+    let points: Vec<GridPoint> =
+        Benchmark::all().iter().map(|b| GridPoint::new(b, cfg_for(b))).collect();
+    let results = run_grid(&points, opts);
+    points
+        .iter()
+        .zip(results)
+        .map(|(p, result)| BenchResult { benchmark: p.benchmark, result })
+        .collect()
 }
 
 /// The arithmetic mean of `xs`.
@@ -706,8 +772,8 @@ mod tests {
     fn shared_and_legacy_paths_agree() {
         let b = Benchmark::by_name("gcc").unwrap();
         let cfg = SimConfig::paper_baseline();
-        // One window on each side of the cutoff: the recorded and the
-        // overlay arm of `try_simulate_benchmark`.
+        // One window on each side of the cutoff: the per-config and the
+        // lockstep arm of `simulate_configs`.
         for instrs in [10_000, RunOptions::OVERLAY_MIN_INSTRS] {
             let opts = RunOptions::smoke().with_instrs(instrs);
             assert_eq!(simulate_benchmark(b, cfg, opts), reference(b, cfg, instrs), "{instrs}");
@@ -728,31 +794,22 @@ mod tests {
         }
     }
 
-    /// Runs every point (all of one benchmark) through one group runner
-    /// as a single first attempt, sorted back into input order.
-    fn group_cells(run: GroupRunner, points: &[GridPoint], opts: RunOptions) -> Vec<GridCell> {
-        let mut cells = run(points[0].benchmark, (0..points.len()).collect(), points, 0, 0, opts);
-        cells.sort_by_key(|(i, _)| *i);
-        assert!(cells.iter().enumerate().all(|(k, (i, _))| k == *i), "one cell per point");
-        cells.into_iter().map(|(_, c)| c).collect()
-    }
-
     #[test]
-    fn lockstep_group_runner_matches_the_pointwise_runner() {
-        // Below the cutoff grids never reach lockstep, so drive both group
-        // runners directly. The window is this test's own: lockstep runs
-        // first on a cold memo, so its lanes really simulate.
+    fn lockstep_arm_matches_the_replay_arm() {
+        // Below the cutoff `simulate_configs` never picks the lockstep
+        // arm, so drive both arms directly. The window is this test's
+        // own: the lockstep arm runs first on a cold memo (it only reads
+        // the memo; `settle` fills it), so its lanes really simulate.
         const W: u64 = 7_013;
         let b = Benchmark::by_name("li").unwrap();
-        let opts = RunOptions::smoke().with_instrs(W);
         let with = |f: fn(&mut SimConfig)| {
             let mut cfg = SimConfig::paper_baseline();
             f(&mut cfg);
             cfg
         };
         let pess = with(|c| c.policy = FetchPolicy::Pessimistic);
-        // A memo hit is served without a lane: seed the memo with a
-        // sentinel no simulation produces, and both runners must return it.
+        // A memo hit is served without simulating: seed the memo with a
+        // sentinel no simulation produces, and both arms must return it.
         let memo_hit = with(|c| c.policy = FetchPolicy::Oracle);
         let sentinel = SimResult { cycles: 1, ..reference(b, memo_hit, W) };
         crate::trace_cache::store_result(b, W, memo_hit, sentinel.clone());
@@ -761,7 +818,7 @@ mod tests {
         // watchdog without them.
         let panics = with(|c| c.miss_penalty = u64::MAX);
         // `FrontEnd::build` rejects two sequential prefetchers at once;
-        // the lockstep runner falls back to the pointwise path, whose
+        // the lockstep arm falls back to the replay arm, whose
         // `Simulator` refuses the configuration with a panic.
         let rejected = with(|c| {
             c.prefetch = true;
@@ -769,11 +826,11 @@ mod tests {
         });
         assert!(FrontEnd::build(rejected).is_err());
 
+        // `pess` twice: a duplicate configuration gets a lane of its own.
         let cfgs = [pess, memo_hit, SimConfig::paper_baseline(), panics, rejected, pess];
-        let points: Vec<GridPoint> = cfgs.iter().map(|&cfg| GridPoint::new(b, cfg)).collect();
-        let lockstep = group_cells(run_group_lockstep, &points, opts);
-        let pointwise = group_cells(run_group_pointwise, &points, opts);
-        assert_eq!(lockstep, pointwise);
+        let lockstep = lockstep_cells(b, W, &cfgs);
+        let replay = replay_cells(b, W, &cfgs);
+        assert_eq!(lockstep, replay);
 
         assert_eq!(lockstep[1], Ok(sentinel), "memo hits never occupy a lane");
         assert!(lockstep[3].is_err(), "{:?}", lockstep[3]);

@@ -5,8 +5,8 @@
 //! journal's lifecycle counters as typed [`Progress`] snapshots.
 //!
 //! The free function [`resolve_stored`] is the per-point lookup the
-//! runner and the worker pool call on the hot path (computed results go
-//! straight to [`crate::result_store::put`]);
+//! runner's planner calls on the hot path (computed results go to
+//! [`crate::result_store::put`] when their batch settles);
 //! [`RunStore`] is the per-job handle the driver and the service
 //! controller hold — it attaches a journal, reads progress, and
 //! releases the slot, without either layer touching journal internals.

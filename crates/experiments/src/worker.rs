@@ -2,9 +2,10 @@
 //!
 //! One simulation process is single-core-bound on the hot per-branch /
 //! per-access work (DESIGN §5h), so the next multiplier is scale-out.
-//! The parent keeps the whole pipeline it already has — input-order
-//! fault numbering, static preflight, memo and result-store resolution —
-//! and ships only the *unresolved, config-deduplicated* points of each
+//! The parent runs the grid pipeline itself — input-order fault
+//! numbering, static preflight, memo and result-store resolution, and
+//! settling every finished cell into the memo and the store — and ships
+//! only the *unresolved, config-deduplicated* configurations of each
 //! benchmark group to a pool of `specfetch-repro --worker` child
 //! processes over a JSON-lines pipe protocol (version
 //! [`PROTO_VERSION`]):
@@ -20,6 +21,12 @@
 //!                  {"kind":"cell","idx":1,"ok":0,"fail":"terminal","reason":"..."}
 //!                  {"kind":"done"}
 //! ```
+//!
+//! Children are pure compute: a child answers a group with the static
+//! preflight and the same executor the in-process path runs
+//! (`runner::simulate_configs`), and never opens the result store — its
+//! argv is just `--worker`, and the parent is the only process that
+//! persists results.
 //!
 //! A failed cell carries its retry class (`fail`: `terminal` |
 //! `transient` | `interrupted`) so the parent treats a deterministic
@@ -43,31 +50,29 @@
 //! fail *transiently* (`timeout after Ns` / `worker hung`), which the
 //! runner's `--retries` loop re-dispatches.
 //!
-//! Faults: the parent fires `panic`/`err`/`slow` guards itself before
-//! dispatch (identical numbering and rendering to the in-process path)
-//! and forwards process faults — `abort`, `hang`, `exitcode=<n>` — to
-//! the child that will run the point: the child dies or freezes
+//! Faults: the parent fires `panic`/`err`/`slow` guards itself while it
+//! plans a group (identical numbering and rendering to the in-process
+//! path) and forwards process faults — `abort`, `hang`, `exitcode=<n>`
+//! — to the child that will run the point: the child dies or freezes
 //! mid-group, the parent recovers as above, and sibling workers drain
 //! the rest of the queue. A pool that cannot start at all (the
 //! executable cannot re-spawn itself) falls back to in-process
 //! execution with a warning.
 
 use std::io::{BufRead, BufReader, Write};
-use std::panic::{self, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use specfetch_core::{SimConfig, SimResult, SpecfetchError};
+use specfetch_core::{SimConfig, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
 use specfetch_verify::{worker_step, DeadReason, Step, WorkerEvent, WorkerState};
 
 use crate::codec::{decode_result, encode_result, json_escape, json_string_field, json_u64_field};
 use crate::fault::{self, FaultAction};
-use crate::runner::{stream_cells, CellFailure, FailKind, GridCell, GridPoint};
-use crate::store::resolve_stored;
-use crate::{supervise, RunOptions};
+use crate::runner::{isolate, simulate_configs, CellFailure, FailKind, GridCell};
+use crate::RunOptions;
 
 /// Version of the parent↔worker JSON-lines protocol. Bumped by the
 /// supervision layer (v2: hello handshake, heartbeats, per-point fault
@@ -89,22 +94,41 @@ const SUPERVISE_POLL_MS: u64 = 25;
 /// One group of unresolved points bound for a child process.
 struct Job {
     bench: &'static Benchmark,
-    instrs: u64,
     /// Deduplicated configs to simulate, each with its forwarded
     /// process fault (if any).
     cfgs: Vec<(SimConfig, Option<FaultAction>)>,
-    /// Position of this group in the calling grid.
+    /// Position of this group in the calling pass.
     group: usize,
-    /// The per-point deadline (0 = none); the whole group gets
-    /// `point_timeout_secs × cfgs.len()` before the child is killed.
-    point_timeout_secs: u64,
-    /// Heartbeat silence tolerated before the child is declared hung.
-    heartbeat_ms: u64,
-    reply: mpsc::Sender<(usize, Vec<Result<SimResult, CellFailure>>)>,
+    /// The window, plus the supervision knobs: the whole group gets
+    /// `point_timeout_secs × cfgs.len()` (0 = no deadline) before the
+    /// child is killed, and `heartbeat_ms` of silence marks it hung.
+    opts: RunOptions,
+    reply: mpsc::Sender<(usize, Vec<GridCell>)>,
 }
 
-struct WorkerPool {
+/// The process-wide pool of worker children, fed one job per planned
+/// group.
+pub(crate) struct WorkerPool {
     jobs: mpsc::Sender<Job>,
+}
+
+impl WorkerPool {
+    /// Queues one planned group: a child simulates `cfgs` (firing any
+    /// forwarded process fault first), and the cells — one per config,
+    /// in order — come back on `reply` tagged with `group`.
+    pub(crate) fn dispatch(
+        &self,
+        bench: &'static Benchmark,
+        cfgs: Vec<(SimConfig, Option<FaultAction>)>,
+        group: usize,
+        opts: &RunOptions,
+        reply: mpsc::Sender<(usize, Vec<GridCell>)>,
+    ) {
+        // The queue's receiver lives as long as the process. Were the
+        // send to fail anyway, the job and its reply sender would drop
+        // unanswered, and the caller fails the group's points.
+        let _ = self.jobs.send(Job { bench, cfgs, group, opts: *opts, reply });
+    }
 }
 
 /// One live child: the process handle plus the reader thread's line
@@ -167,35 +191,13 @@ fn cell_failure_from_wire(fail: Option<&str>, reason: String) -> CellFailure {
     }
 }
 
-/// The argv a child worker is spawned with: `--worker` plus the parent's
-/// store configuration, so parent and children agree on every stored
-/// point. `--instrs` travels per group in the protocol instead (and with
-/// it the replay path, which the window size alone picks); supervision
-/// knobs stay in the parent.
-fn child_args(opts: &RunOptions) -> Vec<String> {
-    let mut a = vec!["--worker".to_owned()];
-    if !opts.parallel {
-        a.push("--sequential".to_owned());
-    }
-    // Without this, a child would replay a negative-cache entry the
-    // parent deliberately skipped.
-    if opts.retry_failed {
-        a.push("--retry-failed".to_owned());
-    }
-    if let Some(d) = crate::result_store::dir() {
-        a.push("--result-dir".to_owned());
-        a.push(d.display().to_string());
-    }
-    a
-}
-
-/// Spawns one worker child, wires its stdout to a reader thread, and
+/// Spawns one `--worker` child, wires its stdout to a reader thread, and
 /// completes the hello handshake. A child that answers with the wrong
 /// protocol version (or nothing at all) is killed and reported.
-fn spawn_child(args: &[String]) -> std::io::Result<Slot> {
+fn spawn_child() -> std::io::Result<Slot> {
     let exe = std::env::current_exe()?;
     let mut child =
-        Command::new(exe).args(args).stdin(Stdio::piped()).stdout(Stdio::piped()).spawn()?;
+        Command::new(exe).arg("--worker").stdin(Stdio::piped()).stdout(Stdio::piped()).spawn()?;
     let stdout = child.stdout.take().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::BrokenPipe, "worker has no stdout")
     })?;
@@ -272,17 +274,13 @@ enum DriveFailure {
 /// Runs one job on `slot`'s child, filling `out` (pre-initialised to
 /// worker-death failures) as cell lines arrive. `Ok(())` means the child
 /// completed the group; `Err` means it must be killed and replaced.
-fn drive_child(
-    slot: &mut Slot,
-    job: &Job,
-    out: &mut [Result<SimResult, CellFailure>],
-) -> Result<(), DriveFailure> {
+fn drive_child(slot: &mut Slot, job: &Job, out: &mut [GridCell]) -> Result<(), DriveFailure> {
     let dead = DriveFailure::Dead;
     let stdin = slot.child.stdin.as_mut().ok_or_else(|| dead("worker stdin closed".to_owned()))?;
     let mut msg = format!(
         "{{\"kind\":\"group\",\"bench\":\"{}\",\"instrs\":{},\"points\":{}}}\n",
         job.bench.name,
-        job.instrs,
+        job.opts.instrs_per_benchmark,
         job.cfgs.len()
     );
     for (i, (cfg, fault)) in job.cfgs.iter().enumerate() {
@@ -297,9 +295,10 @@ fn drive_child(
         .and_then(|()| stdin.flush())
         .map_err(|e| dead(e.to_string()))?;
 
-    let deadline = (job.point_timeout_secs > 0)
-        .then(|| Duration::from_secs(job.point_timeout_secs * job.cfgs.len() as u64));
-    supervise_replies(&slot.lines, deadline, job.heartbeat_ms, job.point_timeout_secs, out)
+    let o = &job.opts;
+    let deadline = (o.point_timeout_secs > 0)
+        .then(|| Duration::from_secs(o.point_timeout_secs * job.cfgs.len() as u64));
+    supervise_replies(&slot.lines, deadline, o.heartbeat_ms, o.point_timeout_secs, out)
 }
 
 /// Classifies one line from a child into a protocol [`WorkerEvent`],
@@ -310,7 +309,7 @@ fn drive_child(
 fn classify_line(
     line: &str,
     seen: &mut [bool],
-    out: &mut [Result<SimResult, CellFailure>],
+    out: &mut [GridCell],
     detail: &mut String,
 ) -> WorkerEvent {
     match json_string_field(line, "kind").as_deref() {
@@ -377,7 +376,7 @@ fn supervise_replies(
     deadline: Option<Duration>,
     heartbeat_ms: u64,
     point_timeout_secs: u64,
-    out: &mut [Result<SimResult, CellFailure>],
+    out: &mut [GridCell],
 ) -> Result<(), DriveFailure> {
     let started = Instant::now();
     let mut last_heard = Instant::now();
@@ -440,18 +439,18 @@ const PENDING_REASON: &str = "worker died before this point";
 /// shared queue, and replaces its child whenever it dies or hangs (each
 /// replacement costs exactly the in-flight group's unfinished points —
 /// transiently, so the runner's retry loop can re-dispatch them).
-fn worker_thread(args: Vec<String>, rx: &Mutex<mpsc::Receiver<Job>>) {
-    let mut slot = spawn_child(&args).ok();
+fn worker_thread(rx: &Mutex<mpsc::Receiver<Job>>) {
+    let mut slot = spawn_child().ok();
     loop {
         let job = {
             let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             guard.recv()
         };
         let Ok(job) = job else { return };
-        let mut out: Vec<Result<SimResult, CellFailure>> =
+        let mut out: Vec<GridCell> =
             job.cfgs.iter().map(|_| Err(CellFailure::transient(PENDING_REASON))).collect();
         if slot.is_none() {
-            slot = spawn_child(&args).ok();
+            slot = spawn_child().ok();
         }
         match &mut slot {
             None => {
@@ -490,14 +489,14 @@ fn worker_thread(args: Vec<String>, rx: &Mutex<mpsc::Receiver<Job>>) {
     }
 }
 
-/// Starts the process-wide pool on first use; `None` if no child could
-/// be spawned at all (the caller falls back to in-process execution).
-fn pool(opts: &RunOptions) -> Option<&'static WorkerPool> {
+/// Starts the process-wide pool of `opts.workers` children on first
+/// use; `None` if no child could be spawned at all (the caller falls
+/// back to in-process execution).
+pub(crate) fn pool(opts: &RunOptions) -> Option<&'static WorkerPool> {
     POOL.get_or_init(|| {
-        let args = child_args(opts);
         // Prove the executable can re-spawn itself (and speaks our
         // protocol) before committing.
-        match spawn_child(&args) {
+        match spawn_child() {
             Ok(mut probe) => {
                 // The probe child sees EOF on stdin and exits cleanly.
                 drop(probe.child.stdin.take());
@@ -514,186 +513,11 @@ fn pool(opts: &RunOptions) -> Option<&'static WorkerPool> {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx: &'static Mutex<mpsc::Receiver<Job>> = Box::leak(Box::new(Mutex::new(rx)));
         for _ in 0..opts.workers.max(1) {
-            let args = args.clone();
-            std::thread::spawn(move || worker_thread(args, rx));
+            std::thread::spawn(move || worker_thread(rx));
         }
         Some(WorkerPool { jobs: tx })
     })
     .as_ref()
-}
-
-/// Runs one attempt over the `idxs` subset of a grid by sharding its
-/// benchmark groups across the worker pool. Returns `None` when the
-/// pool is unavailable, in which case the caller runs the pass
-/// in-process. Cells come back keyed by their grid index and are
-/// byte-identical to the in-process path.
-pub(crate) fn try_run_grid_sharded(
-    points: &[GridPoint],
-    idxs: &[usize],
-    base: u64,
-    attempt: u32,
-    opts: &RunOptions,
-) -> Option<Vec<(usize, GridCell)>> {
-    let pool = pool(opts)?;
-    let mut groups: Vec<(&'static Benchmark, Vec<usize>)> = Vec::new();
-    for &i in idxs {
-        let p = &points[i];
-        match groups.iter_mut().find(|(b, _)| std::ptr::eq(*b, p.benchmark)) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((p.benchmark, vec![i])),
-        }
-    }
-
-    let instrs = opts.instrs_per_benchmark;
-    let mut out: Vec<Option<GridCell>> = (0..points.len()).map(|_| None).collect();
-    let (reply_tx, reply_rx) = mpsc::channel();
-    // Per dispatched group: the point indices and configs awaiting reply.
-    let mut dispatched: Vec<Option<(Vec<usize>, Vec<SimConfig>)>> = Vec::new();
-
-    for (b, idxs) in groups {
-        // Shutdown drain: groups not yet dispatched are interrupted, not
-        // simulated; in-flight groups below finish normally.
-        if supervise::job_shutdown_requested(opts.job) {
-            for i in idxs {
-                out[i] = Some(Err(CellFailure::interrupted()));
-            }
-            dispatched.push(None);
-            continue;
-        }
-        // Parent-side pre-filter, identical to the in-process path: fire
-        // the fault guard (process faults are routed to the child
-        // instead) and the static preflight per point, then resolve
-        // memo/store hits.
-        let mut early: Vec<(usize, Option<GridCell>)> = Vec::new();
-        let mut routed: Vec<(usize, FaultAction)> = Vec::new();
-        for &i in &idxs {
-            let fidx = base + i as u64;
-            if let Some(action) = fault::peek(fidx, attempt).filter(|a| a.is_process_fault()) {
-                routed.push((i, action));
-                early.push((i, None));
-                continue;
-            }
-            let pre = panic::catch_unwind(AssertUnwindSafe(|| {
-                fault::guard(fidx, attempt, opts.point_timeout_secs)?;
-                crate::analysis::preflight(b)
-            }));
-            let cell = match pre {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(Err(CellFailure::from_error(&e))),
-                Err(payload) => Some(Err(CellFailure::permanent(crate::parallel::panic_message(
-                    payload.as_ref(),
-                )))),
-            };
-            early.push((i, cell));
-        }
-
-        // Deduplicate configs among surviving points; resolve memo/store
-        // hits locally (a disk hit back-fills the memo, so duplicates of
-        // a resolved config hit RAM on their own lookup below).
-        let mut cfgs: Vec<(SimConfig, Option<FaultAction>)> = Vec::new();
-        for (i, cell) in &mut early {
-            if cell.is_some() {
-                continue;
-            }
-            let cfg = points[*i].cfg;
-            let fault = routed.iter().find(|(j, _)| j == i).map(|(_, a)| *a);
-            match cfgs.iter_mut().find(|(c, _)| *c == cfg) {
-                Some((_, flagged)) => *flagged = flagged.or(fault),
-                None => {
-                    if fault.is_none() {
-                        if let Some(resolved) = resolve_stored(b, instrs, cfg, opts) {
-                            *cell = Some(resolved);
-                            continue;
-                        }
-                    }
-                    cfgs.push((cfg, fault));
-                }
-            }
-        }
-
-        // Locally decided cells render (and stream) now; the rest wait.
-        let decided: Vec<(usize, GridCell)> =
-            early.iter().filter_map(|(i, c)| c.clone().map(|c| (*i, c))).collect();
-        stream_cells(points, &decided, opts);
-        for (i, c) in decided {
-            out[i] = Some(c);
-        }
-
-        let group_id = dispatched.len();
-        if cfgs.is_empty() {
-            dispatched.push(None);
-            continue;
-        }
-        let waiting: Vec<usize> =
-            early.iter().filter(|(_, c)| c.is_none()).map(|(i, _)| *i).collect();
-        let cfg_list: Vec<SimConfig> = cfgs.iter().map(|(c, _)| *c).collect();
-        dispatched.push(Some((waiting, cfg_list)));
-        let job = Job {
-            bench: b,
-            instrs,
-            cfgs,
-            group: group_id,
-            point_timeout_secs: opts.point_timeout_secs,
-            heartbeat_ms: opts.heartbeat_ms,
-            reply: reply_tx.clone(),
-        };
-        if pool.jobs.send(job).is_err() {
-            // Pool wedged: fail this group's waiting points.
-            if let Some((waiting, _)) = dispatched[group_id].take() {
-                for i in waiting {
-                    out[i] = Some(Err(CellFailure::permanent("worker pool is not accepting jobs")));
-                }
-            }
-        }
-    }
-    drop(reply_tx);
-
-    let mut awaiting = dispatched.iter().filter(|d| d.is_some()).count();
-    while awaiting > 0 {
-        let Ok((group_id, results)) = reply_rx.recv() else { break };
-        awaiting -= 1;
-        let Some((waiting, cfg_list)) = dispatched.get_mut(group_id).and_then(Option::take) else {
-            continue;
-        };
-        let b = points[waiting.first().copied().unwrap_or(0)].benchmark;
-        // Merge child results into the parent memo (and render cells).
-        for (cfg, res) in cfg_list.iter().zip(&results) {
-            if let Ok(r) = res {
-                crate::trace_cache::store_result(b, instrs, *cfg, r.clone());
-            }
-        }
-        let mut cells: Vec<(usize, GridCell)> = Vec::new();
-        for i in waiting {
-            let cfg = points[i].cfg;
-            let cell = match cfg_list.iter().position(|c| *c == cfg) {
-                Some(k) => results[k].clone(),
-                None => Err(CellFailure::permanent("grid point was never simulated")),
-            };
-            cells.push((i, cell));
-        }
-        stream_cells(points, &cells, opts);
-        for (i, c) in cells {
-            out[i] = Some(c);
-        }
-    }
-    // Any group whose reply never arrived (pool death) fails its points.
-    for slot in dispatched.into_iter().flatten() {
-        let (waiting, _) = slot;
-        for i in waiting {
-            out[i] = Some(Err(CellFailure::permanent("worker pool shut down mid-grid")));
-        }
-    }
-
-    Some(
-        idxs.iter()
-            .map(|&i| {
-                let cell = out[i].take().unwrap_or_else(|| {
-                    Err(CellFailure::permanent("grid point was never simulated"))
-                });
-                (i, cell)
-            })
-            .collect(),
-    )
 }
 
 /// Set when a forwarded `hang` fault freezes this worker: the heartbeat
@@ -709,11 +533,14 @@ fn emit(line: &str) -> std::io::Result<()> {
 }
 
 /// The `--worker` child loop: handshake, then serve group requests from
-/// stdin until EOF, heartbeating every ~100ms throughout. Runs each
-/// group through the normal in-process grid (lockstep batching, memo,
-/// result store — no fault plan is installed in children, so the only
-/// injected behaviour is the forwarded per-point fault).
-pub fn child_loop(opts: RunOptions) -> std::process::ExitCode {
+/// stdin until EOF, heartbeating every ~100ms throughout. A child is
+/// pure compute: it answers each group with the static preflight and
+/// the in-process executor (`runner::simulate_configs`: lockstep at or
+/// above the overlay cutoff, per-config replay below it), and never
+/// touches the result store or the journal — the parent plans the group
+/// and settles the reply. No fault plan is installed in children, so the
+/// only injected behaviour is the forwarded per-point fault.
+pub fn child_loop() -> std::process::ExitCode {
     let stdin = std::io::stdin();
     let mut input = stdin.lock();
     let mut line = String::new();
@@ -819,9 +646,10 @@ pub fn child_loop(opts: RunOptions) -> std::process::ExitCode {
             _ => {}
         }
 
-        let grid: Vec<GridPoint> = cfgs.iter().map(|&c| GridPoint::new(bench, c)).collect();
-        let gopts = opts.with_instrs(instrs).with_workers(0).with_stream(false).with_retries(0);
-        let cells = crate::runner::try_run_grid(&grid, &gopts);
+        let cells = match isolate(|| crate::analysis::preflight(bench)) {
+            Ok(()) => simulate_configs(bench, instrs, &cfgs),
+            Err(f) => vec![Err(f); cfgs.len()],
+        };
         let mut reply = String::new();
         for (i, cell) in cells.iter().enumerate() {
             match cell {
@@ -879,7 +707,7 @@ mod tests {
         );
     }
 
-    fn pending_out(n: usize) -> Vec<Result<SimResult, CellFailure>> {
+    fn pending_out(n: usize) -> Vec<GridCell> {
         (0..n).map(|_| Err(CellFailure::transient(PENDING_REASON))).collect()
     }
 

@@ -388,7 +388,7 @@ fn main() -> ExitCode {
     // Worker protocol mode: serve grid groups over stdin/stdout until
     // the parent closes the pipe. Never prints reports.
     if args.worker {
-        return worker::child_loop(args.opts);
+        return worker::child_loop();
     }
 
     if args.list {

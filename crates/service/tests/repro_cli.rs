@@ -314,7 +314,24 @@ fn worker_stream_and_store_modes_render_byte_identical_reports() {
     let (hits, re_stores) = store_stats(&stderr(&warm));
     assert_eq!(hits, stores, "every stored point replays as a hit");
     assert_eq!(re_stores, 0, "a warm run recomputes nothing");
+
+    // Sharded: the children only compute, and the parent persists every
+    // cell it settles, so its counters see every write.
+    let sharded_dir = scratch("modes-sharded");
+    let sharded =
+        [&base[..], &["--workers", "2", "--result-dir", sharded_dir.to_str().unwrap()]].concat();
+    let cold = repro(&sharded);
+    assert_eq!(cold.status.code(), Some(0), "{}", stderr(&cold));
+    assert_eq!(stdout(&cold), golden, "a cold sharded store must not change the report");
+    let on_disk = store_entries(&sharded_dir).len() as u64;
+    assert!(on_disk > 0, "a cold sharded run must populate the store");
+    assert_eq!(store_stats(&stderr(&cold)), (0, on_disk), "stores= counts every entry written");
+
+    let warm = repro(&sharded);
+    assert_eq!(stdout(&warm), golden, "a warm sharded store must not change the report");
+    assert_eq!(store_stats(&stderr(&warm)), (on_disk, 0), "every entry replays as a hit");
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&sharded_dir).unwrap();
 }
 
 #[test]
@@ -422,6 +439,7 @@ fn a_corrupt_store_entry_is_quarantined_and_recomputed() {
     assert_eq!(stdout(&healed), stdout(&cold), "healing must not change the report");
     let err = stderr(&healed);
     assert!(err.contains("failed verification"), "corruption is reported: {err}");
+    assert!(!err.contains("cached trace"), "the warning names the store entry: {err}");
     let mut parked = victim.clone().into_os_string();
     parked.push(".quarantined");
     assert!(PathBuf::from(parked).exists(), "the bad entry is parked, not deleted");

@@ -6,7 +6,8 @@
 //!
 //! 1. **Panic audit** ([`panic_audit`]) — library code (every
 //!    `crates/*/src` and the root `src/`, minus `bin/` directories and
-//!    `#[cfg(test)]` modules) must not call the panicking `Option`/
+//!    `#[cfg(test)]` modules, inline or out-of-line) must not call the
+//!    panicking `Option`/
 //!    `Result` extractors. Existing sites live in a committed allowlist
 //!    ([`ALLOWLIST_FILE`]) that may only shrink: new sites fail, and a
 //!    burned-down site whose entry was not updated fails as stale.
@@ -67,9 +68,10 @@
 //! real workspace; CI runs them via `cargo test -p tidy`.
 //!
 //! The scanner is deliberately textual (line-based, no parsing crates —
-//! the crate has zero dependencies): it skips comment lines and
-//! `#[cfg(test)]` items by brace counting, and its own patterns are
-//! assembled from split literals so it never flags itself.
+//! the crate has zero dependencies): it skips comment lines,
+//! `#[cfg(test)]` items by brace counting, and whole files declared as
+//! out-of-line `#[cfg(test)] mod name;` modules, and its own patterns
+//! are assembled from split literals so it never flags itself.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -1030,8 +1032,10 @@ fn check_manifest_edges(
 }
 
 /// Every library source file: all `crates/*/src` trees plus the root
-/// `src/`, minus `bin/` directories. Returns (repo-relative, absolute)
-/// pairs, sorted for deterministic reports.
+/// `src/`, minus `bin/` directories and the files of out-of-line
+/// `#[cfg(test)]` modules (test code, like an inline `#[cfg(test)]`
+/// item). Returns (repo-relative, absolute) pairs, sorted for
+/// deterministic reports.
 fn library_sources(root: &Path, violations: &mut Vec<Violation>) -> Vec<(String, PathBuf)> {
     let mut roots = vec![root.join("src")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
@@ -1046,7 +1050,55 @@ fn library_sources(root: &Path, violations: &mut Vec<Violation>) -> Vec<(String,
         }
     }
     files.sort();
+    let mut test_modules = Vec::new();
+    for (rel, path) in &files {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        test_modules.extend(out_of_line_test_modules(rel, &text));
+    }
+    // A test module's own file, or any file of its submodules.
+    files.retain(|(rel, _)| {
+        !test_modules.iter().any(|m| *rel == format!("{m}.rs") || rel.starts_with(&format!("{m}/")))
+    });
     files
+}
+
+/// The module paths (repo-relative, without extension) that `text`, the
+/// file at `rel`, declares as out-of-line `#[cfg(test)] mod name;`: the
+/// module lives in `<path>.rs` or under `<path>/`.
+fn out_of_line_test_modules(rel: &str, text: &str) -> Vec<String> {
+    let (dir, file) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let stem = file.trim_end_matches(".rs");
+    // `lib.rs`, `main.rs` and `mod.rs` own their directory; any other
+    // file `x.rs` keeps its submodules under `x/`.
+    let module_dir = if ["lib", "main", "mod"].contains(&stem) {
+        dir.to_owned()
+    } else {
+        format!("{dir}/{stem}")
+    };
+    let mut found = Vec::new();
+    let mut pending_test_attr = false;
+    for raw in text.lines() {
+        let mut line = raw.trim();
+        if let Some(rest) = line.strip_prefix("#[cfg(test)]") {
+            pending_test_attr = true;
+            line = rest.trim();
+            if line.is_empty() {
+                continue;
+            }
+        }
+        if !pending_test_attr || line.starts_with("#[") {
+            continue;
+        }
+        pending_test_attr = false;
+        let item = ["pub(crate) ", "pub(super) ", "pub "]
+            .iter()
+            .find_map(|v| line.strip_prefix(v))
+            .unwrap_or(line);
+        if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            found.push(format!("{module_dir}/{}", name.trim()));
+        }
+    }
+    found
 }
 
 /// Recursively collects `.rs` files under `dir` (skipping `bin/`
@@ -1141,6 +1193,20 @@ mod tests {
         let mut seen = Vec::new();
         scan_code_lines(text, |n, _| seen.push(n));
         assert_eq!(seen, vec![6]);
+    }
+
+    #[test]
+    fn out_of_line_test_modules_resolve_against_the_declaring_file() {
+        let text = "mod live;\n#[cfg(test)]\nmod conformance;\n#[cfg(test)] pub(crate) mod b;\n\
+                    #[cfg(test)]\n#[allow(dead_code)]\nmod c;\n#[cfg(test)]\nmod tests {\n}\n";
+        assert_eq!(
+            out_of_line_test_modules("crates/x/src/lib.rs", text),
+            vec!["crates/x/src/conformance", "crates/x/src/b", "crates/x/src/c"]
+        );
+        assert_eq!(
+            out_of_line_test_modules("crates/x/src/engine.rs", "#[cfg(test)]\nmod t;\n"),
+            vec!["crates/x/src/engine/t"]
+        );
     }
 
     #[test]

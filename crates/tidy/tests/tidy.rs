@@ -125,6 +125,26 @@ fn unwrap_inside_cfg_test_modules_and_bins_is_exempt() {
 }
 
 #[test]
+fn a_file_behind_an_out_of_line_cfg_test_mod_is_test_code() {
+    let body = "pub fn f() {\n    Some(1).unwrap();\n}\n";
+    let root = scratch("out-of-line-test");
+    seed(&root, "crates/cache/src/lib.rs", "pub fn g() {}\n\n#[cfg(test)]\nmod x;\n");
+    seed(&root, "crates/cache/src/x.rs", body);
+    seed(&root, "crates/cache/src/x/nested.rs", body);
+    let v = panic_audit(&root, "");
+    assert!(v.is_empty(), "{}", render(&v));
+    fs::remove_dir_all(&root).expect("cleanup");
+
+    let root = scratch("out-of-line-live");
+    seed(&root, "crates/cache/src/lib.rs", "pub fn g() {}\n\nmod x;\n");
+    seed(&root, "crates/cache/src/x.rs", body);
+    let v = panic_audit(&root, "");
+    assert_eq!(v.len(), 1, "{}", render(&v));
+    assert_eq!((v[0].file.as_str(), v[0].line), ("crates/cache/src/x.rs", 2));
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
+#[test]
 fn oracle_tokens_outside_the_gate_are_flagged_and_inside_are_not() {
     let root = scratch("oracle");
     let token = concat!("Oracle", "Gate");

@@ -10,8 +10,10 @@ fn sft_tools() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sft_tools"))
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sft-tools-test-{}", std::process::id()));
+/// A scratch directory of the test's own: test threads run in parallel,
+/// and each test removes its directory when done.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sft-tools-test-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -27,7 +29,7 @@ fn sample_trace() -> Trace {
 
 #[test]
 fn info_and_stats_report() {
-    let dir = temp_dir();
+    let dir = temp_dir("info");
     let path = dir.join("x.sft");
     write_trace_text(&sample_trace(), &mut std::fs::File::create(&path).unwrap()).unwrap();
 
@@ -49,7 +51,7 @@ fn info_and_stats_report() {
 
 #[test]
 fn convert_round_trips_formats() {
-    let dir = temp_dir();
+    let dir = temp_dir("convert");
     let text_path = dir.join("a.sft");
     let bin_path = dir.join("a.sftb");
     let back_path = dir.join("b.sft");
@@ -76,7 +78,7 @@ fn convert_round_trips_formats() {
 
 #[test]
 fn head_prints_instructions() {
-    let dir = temp_dir();
+    let dir = temp_dir("head");
     let path = dir.join("h.sft");
     write_trace_text(&sample_trace(), &mut std::fs::File::create(&path).unwrap()).unwrap();
 
@@ -99,9 +101,7 @@ fn rejects_unknown_extension_and_missing_file() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("extension"));
 }
 
-/// Writes a valid binary trace into its own scratch directory (the
-/// shared `temp_dir` races with tests that remove it) and returns its
-/// path + bytes.
+/// Writes a valid binary trace into `dir` and returns its path + bytes.
 fn binary_fixture(dir: &std::path::Path, name: &str) -> (PathBuf, Vec<u8>) {
     let path = dir.join(name);
     let mut f = std::fs::File::create(&path).unwrap();
