@@ -2,7 +2,7 @@
 //! fetch-policy paper.
 //!
 //! Each paper artifact has a module under [`experiments`] exposing a
-//! structured `data(...)` function (used by tests and Criterion benches)
+//! structured `data(...)` function (used by tests)
 //! and a `run(...)` function returning a rendered [`ExperimentReport`].
 //! The `specfetch-repro` binary drives them:
 //!
@@ -138,7 +138,7 @@ mod tests {
         assert!(!is_known_experiment(""));
     }
 
-    /// The const id arrays (kept for the bench harness and CLI help) must
+    /// The const id arrays (used by job specs and CLI help) must
     /// partition the registry exactly, in registry order.
     #[test]
     fn id_arrays_mirror_the_registry() {
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn every_listed_id_dispatches() {
         // Smoke-run the two cheapest to keep test time sane; the rest are
-        // covered by integration tests and benches.
+        // covered by integration tests.
         let opts = RunOptions::smoke();
         for id in ["table2", "table4"] {
             let r = run_experiment(id, &opts).unwrap();

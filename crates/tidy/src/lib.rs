@@ -18,7 +18,8 @@
 //!    grew access to ground truth it must not have.
 //! 3. **Crate layering** ([`layering`]) — inter-crate dependencies
 //!    (both `Cargo.toml` edges and `specfetch_*` source references) must
-//!    respect the workspace DAG; a back-edge fails.
+//!    respect the workspace DAG; a back-edge fails, and so does a crate
+//!    the DAG does not list.
 //! 4. **Error hygiene** ([`error_hygiene`]) — public fallible APIs in
 //!    `crates/core` and `crates/experiments` return typed errors
 //!    (`SpecfetchError`), never `Result<_, String>`.
@@ -162,8 +163,9 @@ const SPAWN_ALLOWED: [&str; 3] = [
 
 /// The workspace dependency DAG: crate directory name, allowed
 /// `[dependencies]`, allowed extra `[dev-dependencies]`. A `Cargo.toml`
-/// or source edge outside these sets is a layering violation.
-const LAYERS: [(&str, &[&str], &[&str]); 11] = [
+/// or source edge outside these sets is a layering violation, and so is
+/// a `crates/*/Cargo.toml` with no row here.
+const LAYERS: [(&str, &[&str], &[&str]); 10] = [
     ("isa", &[], &[]),
     ("trace", &["isa"], &[]),
     ("bpred", &["isa"], &[]),
@@ -173,7 +175,6 @@ const LAYERS: [(&str, &[&str], &[&str]); 11] = [
     ("verify", &[], &[]),
     ("experiments", &["isa", "trace", "bpred", "cache", "synth", "core", "verify"], &[]),
     ("service", &["isa", "trace", "bpred", "cache", "synth", "core", "experiments", "verify"], &[]),
-    ("bench", &["isa", "trace", "bpred", "cache", "synth", "core", "experiments"], &[]),
     ("tidy", &[], &[]),
 ];
 
@@ -335,9 +336,29 @@ pub fn oracle_capability(root: &Path) -> Vec<Violation> {
 }
 
 /// Rule 3: the crate DAG has no back-edges — in `Cargo.toml` or in
-/// `specfetch_*` source references.
+/// `specfetch_*` source references — and every crate has a place in it.
 pub fn layering(root: &Path) -> Vec<Violation> {
     let mut violations = Vec::new();
+    let mut unlisted: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|dir| !LAYERS.iter().any(|(name, _, _)| name == dir))
+        .collect();
+    unlisted.sort();
+    for dir in unlisted {
+        violations.push(Violation {
+            rule: "layering",
+            file: format!("crates/{dir}/Cargo.toml"),
+            line: 0,
+            detail: format!(
+                "crate `{dir}` has no row in tidy's `LAYERS` table; add one naming \
+                 the crates it may depend on"
+            ),
+        });
+    }
     for (name, deps, dev) in LAYERS {
         let dir = root.join("crates").join(name);
         if !dir.is_dir() {

@@ -192,6 +192,20 @@ fn layering_back_edges_are_flagged_in_manifests_and_sources() {
 }
 
 #[test]
+fn a_crate_missing_from_the_layer_table_is_flagged() {
+    let root = scratch("unlisted");
+    seed(&root, "crates/extra/Cargo.toml", "[package]\nname = \"specfetch-extra\"\n");
+    seed(&root, "crates/cache/Cargo.toml", "[package]\nname = \"specfetch-cache\"\n");
+    // A directory without a manifest is not a crate.
+    seed(&root, "crates/notes/README.md", "scratch\n");
+    let v = layering(&root);
+    assert_eq!(v.len(), 1, "{}", render(&v));
+    assert_eq!(v[0].file, "crates/extra/Cargo.toml");
+    assert!(v[0].detail.contains("`extra`"), "{}", render(&v));
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
+#[test]
 fn forward_edges_and_dev_dependencies_are_allowed() {
     let root = scratch("dag-ok");
     seed(

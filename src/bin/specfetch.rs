@@ -21,17 +21,6 @@ struct Args {
     cfg: SimConfig,
 }
 
-fn parse_policy(s: &str) -> Option<FetchPolicy> {
-    match s.to_ascii_lowercase().as_str() {
-        "oracle" => Some(FetchPolicy::Oracle),
-        "optimistic" | "opt" => Some(FetchPolicy::Optimistic),
-        "resume" | "res" => Some(FetchPolicy::Resume),
-        "pessimistic" | "pess" => Some(FetchPolicy::Pessimistic),
-        "decode" | "dec" => Some(FetchPolicy::Decode),
-        _ => None,
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args =
         Args { trace: None, bench: None, instrs: 1_000_000, cfg: SimConfig::paper_baseline() };
@@ -43,10 +32,13 @@ fn parse_args() -> Result<Args, String> {
             "--bench" => args.bench = Some(value()?),
             "--instrs" => {
                 args.instrs = value()?.parse().map_err(|_| "bad --instrs")?;
+                if args.instrs == 0 {
+                    return Err("--instrs must be positive".into());
+                }
             }
             "--policy" => {
                 let v = value()?;
-                args.cfg.policy = parse_policy(&v).ok_or(format!("unknown policy {v:?}"))?;
+                args.cfg.policy = FetchPolicy::parse(&v).ok_or(format!("unknown policy {v:?}"))?;
             }
             "--penalty" => {
                 args.cfg.miss_penalty = value()?.parse().map_err(|_| "bad --penalty")?;
@@ -71,7 +63,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: specfetch (--trace FILE.sft[b] | --bench NAME) [--instrs N]\n\
-                     [--policy oracle|optimistic|resume|pessimistic|decode]\n\
+                     [--policy oracle|optimistic|resume|pessimistic|decode|dynamic]\n\
                      [--penalty N] [--depth N] [--cache 8k|32k]\n\
                      [--prefetch] [--target-prefetch] [--stream-buffer]\n\
                      [--bus-slots N] [--classify]"

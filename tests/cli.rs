@@ -76,6 +76,24 @@ fn bad_policy_fails() {
 }
 
 #[test]
+fn dynamic_policy_is_accepted() {
+    let out = specfetch()
+        .args(["--bench", "li", "--instrs", "30000", "--policy", "dynamic"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Dynamic"));
+}
+
+#[test]
+fn zero_instrs_fails() {
+    let out = specfetch().args(["--bench", "li", "--instrs", "0"]).output().expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--instrs"), "{stderr}");
+}
+
+#[test]
 fn trace_round_trip_through_cli() {
     use specfetch::synth::{Workload, WorkloadSpec};
     use specfetch::trace::{write_trace_binary, Trace};
@@ -96,7 +114,7 @@ fn trace_round_trip_through_cli() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Pessimistic"));
-    assert!(stdout.contains("instructions:  2000") || stdout.contains("instructions:"));
+    assert!(stdout.lines().any(|l| l == "instructions:  20000"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
