@@ -66,7 +66,7 @@ pub use runner::{
 pub use scenario::{run_scenario, ConfigPoint, Metric, Scenario, ScenarioGrid};
 pub use specfetch_core::SpecfetchError;
 pub use store::{Progress, RunStore};
-pub use sweep::{parse_sweep, SweepError};
+pub use sweep::{parse_explain, parse_sweep, ExplainSpec, PathInput, SweepError};
 pub use table::{Format, Table};
 
 /// The paper-artifact experiment identifiers (`--experiment all`).

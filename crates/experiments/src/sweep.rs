@@ -12,6 +12,12 @@
 //! value is validated up front: a typo is rejected with a
 //! "did you mean" hint before anything simulates, mirroring the
 //! unknown-experiment-id treatment (`specfetch-repro` exits 2).
+//!
+//! A spec with no configuration axis (`bench=li`) is the single
+//! baseline column `base`. [`parse_explain`] reads the same grammar
+//! restricted to one point, for `specfetch-repro --explain`.
+
+use std::path::PathBuf;
 
 use specfetch_core::{FetchPolicy, SimConfig};
 use specfetch_synth::suite::Benchmark;
@@ -243,16 +249,18 @@ pub fn parse_sweep(spec: &str) -> Result<Scenario, SweepError> {
         }
     }
 
-    if axes.is_empty() {
+    if axes.is_empty() && benches.is_none() && metric.is_none() {
         return Err(err(format!(
-            "empty sweep: give at least one configuration axis ({})",
+            "empty sweep: give at least one axis ({}, metric)",
             AXES.map(|(n, _)| n).join(", ")
         )));
     }
 
-    // Cross-multiply, leftmost axis outermost.
+    // Cross-multiply, leftmost axis outermost. With no configuration
+    // axis the grid is the one baseline column.
+    let base = if axes.is_empty() { "base" } else { "" };
     let mut points: Vec<ConfigPoint> =
-        vec![ConfigPoint::new(String::new(), SimConfig::paper_baseline())];
+        vec![ConfigPoint::new(base.to_owned(), SimConfig::paper_baseline())];
     for (name, values) in &axes {
         let mut next = Vec::with_capacity(points.len() * values.len());
         for p in &points {
@@ -282,6 +290,79 @@ pub fn parse_sweep(spec: &str) -> Result<Scenario, SweepError> {
         scenario = scenario.with_benches(benches);
     }
     Ok(scenario)
+}
+
+/// Where an `--explain` point takes its correct path from.
+#[derive(Clone, PartialEq, Debug)]
+pub enum PathInput {
+    /// A calibrated benchmark, replayed exactly like a sweep cell.
+    Bench(&'static Benchmark),
+    /// A `.sft` (text) or `.sftb` (binary) trace file.
+    Trace(PathBuf),
+}
+
+/// A parsed `--explain` spec: one configuration of one path.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ExplainSpec {
+    /// The path to simulate.
+    pub input: PathInput,
+    /// The configuration, with miss classification switched on.
+    pub cfg: SimConfig,
+}
+
+/// Parses an `--explain` spec: the sweep grammar restricted to one
+/// point, plus `trace=<file>` as a path source.
+///
+/// The path comes from exactly one of `bench=<name>` or
+/// `trace=<file.sft|.sftb>`; each configuration axis takes at most one
+/// value; `metric=` is rejected because the explanation prints every
+/// metric. Classification is always on (it leaves ISPI unchanged).
+///
+/// # Errors
+///
+/// Everything [`parse_sweep`] rejects, plus the restrictions above.
+pub fn parse_explain(spec: &str) -> Result<ExplainSpec, SweepError> {
+    let mut trace: Option<PathBuf> = None;
+    let mut terms = Vec::new();
+    for term in spec.split_whitespace() {
+        match term.split_once('=') {
+            Some(("trace", path)) => {
+                if trace.is_some() {
+                    return Err(err("explain term trace given twice".into()));
+                }
+                if path.is_empty() {
+                    return Err(err("explain term trace: empty path".into()));
+                }
+                trace = Some(PathBuf::from(path));
+            }
+            Some(("metric", _)) => {
+                return Err(err(
+                    "explain prints every metric; metric= only applies to --sweep".into()
+                ))
+            }
+            _ => terms.push(term),
+        }
+    }
+    let (mut cfg, benches) = if terms.is_empty() {
+        (SimConfig::paper_baseline(), Vec::new())
+    } else {
+        let scenario = parse_sweep(&terms.join(" "))?;
+        (scenario.points[0].cfg, scenario.benches)
+    };
+    if let Some(term) = terms.iter().find(|t| t.contains(',')) {
+        return Err(err(format!("explain runs one point, but {term:?} gives several values")));
+    }
+    let input = match (trace, terms.iter().any(|t| t.starts_with("bench="))) {
+        (Some(path), false) => PathInput::Trace(path),
+        (None, true) => PathInput::Bench(benches[0]),
+        _ => {
+            return Err(err(
+                "explain needs exactly one of bench=<name> or trace=<file.sft|.sftb>".into()
+            ))
+        }
+    };
+    cfg.classify = true;
+    Ok(ExplainSpec { input, cfg })
 }
 
 #[cfg(test)]
@@ -354,6 +435,53 @@ mod tests {
         assert!(s.points[3].cfg.prefetch && s.points[3].cfg.target_prefetch);
         assert!(s.points[4].cfg.stream_buffer);
         assert_eq!(s.benches.len(), 1);
+    }
+
+    #[test]
+    fn a_spec_without_configuration_axes_is_the_baseline_column() {
+        for spec in ["bench=li", "metric=miss", "bench=li,gcc metric=ipc"] {
+            let s = parse_sweep(spec).unwrap();
+            assert_eq!(s.points.len(), 1, "{spec}");
+            assert_eq!(s.points[0].label, "base", "{spec}");
+            assert_eq!(s.points[0].cfg, SimConfig::paper_baseline(), "{spec}");
+        }
+        assert_eq!(parse_sweep("bench=li").unwrap().benches.len(), 1);
+        assert!(parse_sweep("  ").unwrap_err().message.contains("empty sweep"));
+    }
+
+    #[test]
+    fn explain_takes_one_point_from_one_source() {
+        let e = parse_explain("bench=li policy=Pess cache=32K prefetch=nl").unwrap();
+        assert_eq!(e.input, PathInput::Bench(Benchmark::by_name("li").unwrap()));
+        assert_eq!(e.cfg.policy, FetchPolicy::Pessimistic);
+        assert_eq!(e.cfg.icache.size_bytes, 32 * 1024);
+        assert!(e.cfg.prefetch && e.cfg.classify);
+
+        let e = parse_explain("trace=run.sftb depth=2").unwrap();
+        assert_eq!(e.input, PathInput::Trace(PathBuf::from("run.sftb")));
+        assert_eq!(e.cfg.max_unresolved, 2);
+        let mut base = SimConfig::paper_baseline();
+        base.classify = true;
+        assert_eq!(parse_explain("bench=li").unwrap().cfg, base);
+        assert_eq!(parse_explain("trace=t.sft").unwrap().cfg, base);
+    }
+
+    #[test]
+    fn explain_rejects_grids_metrics_and_ambiguous_sources() {
+        for (spec, needle) in [
+            ("bench=li policy=Res,Pess", "several values"),
+            ("bench=li,gcc", "several values"),
+            ("bench=li metric=ispi", "metric="),
+            ("policy=Res", "exactly one of"),
+            ("", "exactly one of"),
+            ("bench=li trace=t.sft", "exactly one of"),
+            ("trace=a.sft trace=b.sft", "given twice"),
+            ("trace=", "empty path"),
+            ("bench=li polcy=Res", "did you mean"),
+        ] {
+            let e = parse_explain(spec).unwrap_err();
+            assert!(e.message.contains(needle), "{spec:?}: {e}");
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! `specfetch-repro`: regenerate the paper's tables and figures, run a
-//! user-defined sweep through the same pipeline, or serve both as jobs
-//! over HTTP.
+//! user-defined sweep through the same pipeline, explain one
+//! configuration in full, or serve experiments and sweeps as jobs over
+//! HTTP.
 //!
 //! ```text
-//! specfetch-repro [--experiment <id>|all] [--sweep <spec>] [--instrs N]
+//! specfetch-repro [--experiment <id>|all] [--sweep <spec>] [--explain <spec>]
+//!                 [--instrs N]
 //!                 [--format plain|markdown|csv] [--sequential]
 //!                 [--result-dir <dir>] [--workers N]
 //!                 [--retries N] [--point-timeout SECS] [--backoff-ms N]
@@ -22,6 +24,12 @@
 //! A sweep spec is whitespace-separated `axis=value[,value...]` terms,
 //! e.g. `--sweep 'policy=Res,Pess cache=8K,32K penalty=5,20 metric=ispi'`.
 //!
+//! `--explain` takes the same grammar restricted to one point, with the
+//! path from `bench=<name>` or `trace=<file.sft|.sftb>`, and prints that
+//! point's full measurement bundle (ISPI components, traffic, the
+//! Table 4 miss classification), e.g.
+//! `--explain 'bench=li policy=Pess cache=32K prefetch=nl'`.
+//!
 //! `--serve <addr>` turns the process into a long-running job service
 //! (see `specfetch_service::http`): jobs submitted over HTTP run
 //! through the exact driver the flags above use, so a job's result body
@@ -33,25 +41,35 @@
 //! SIGINT/SIGTERM drains in-flight points, flushes the result store and
 //! sweep journal, and prints a partial summary; a second signal aborts
 //! immediately. In `--serve` mode the first signal stops intake and
-//! drains running jobs, then exits `0`.
+//! drains running jobs, then exits `0`. `141` (128+SIGPIPE) means the
+//! reader of stdout went away (`| head`): the run flushes its journal
+//! and stops without a panic.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use specfetch_core::{SimResult, Simulator};
 use specfetch_experiments::fault::FaultPlan;
 use specfetch_experiments::sweep::AXES;
 use specfetch_experiments::{
-    analysis, diag, fault, journal, registry, result_store, supervise, worker, Driver, Format,
-    JobSpec, RunOptions, EXPERIMENT_IDS, EXTRA_EXPERIMENT_IDS,
+    analysis, diag, fault, journal, parse_explain, registry, result_store, supervise, try_run_grid,
+    worker, Driver, ExplainSpec, Format, GridPoint, JobSpec, PathInput, RunOptions, EXPERIMENT_IDS,
+    EXTRA_EXPERIMENT_IDS,
 };
 use specfetch_service::{http, Controller, ControllerConfig};
 use specfetch_synth::suite::Benchmark;
+use specfetch_trace::{read_trace_file, PathSource};
 
 /// Usage problems abort before any experiment runs.
 const EXIT_USAGE: u8 = 2;
 
 /// The conventional 128+SIGINT exit code for an interrupted run.
 const EXIT_INTERRUPTED: u8 = 130;
+
+/// The conventional 128+SIGPIPE exit code for a run whose stdout reader
+/// went away.
+const EXIT_BROKEN_PIPE: u8 = 141;
 
 /// Graceful-shutdown signal handling. This is the only place in the
 /// workspace allowed to install process signal handlers (tidy rule 6
@@ -89,6 +107,7 @@ mod signals {
 struct Args {
     experiment: String,
     sweep: Option<String>,
+    explain: Option<ExplainSpec>,
     format: Format,
     opts: RunOptions,
     list: bool,
@@ -98,12 +117,13 @@ struct Args {
     worker: bool,
     resume: bool,
     serve: Option<String>,
-    jobs: usize,
+    jobs: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut experiment: Option<String> = None;
     let mut sweep: Option<String> = None;
+    let mut explain: Option<ExplainSpec> = None;
     let mut format = Format::Plain;
     let mut opts = RunOptions::new();
     let mut list = false;
@@ -113,7 +133,7 @@ fn parse_args() -> Result<Args, String> {
     let mut worker = false;
     let mut resume = false;
     let mut serve: Option<String> = None;
-    let mut jobs = 1usize;
+    let mut jobs: Option<usize> = None;
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -123,6 +143,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--sweep" | "-s" => {
                 sweep = Some(it.next().ok_or("--sweep needs a spec")?);
+            }
+            // One point of the sweep grammar, printed as the full
+            // measurement bundle.
+            "--explain" => {
+                let v = it.next().ok_or("--explain needs a spec")?;
+                explain = Some(parse_explain(&v).map_err(|e| e.to_string())?);
             }
             "--instrs" | "-n" => {
                 let v = it.next().ok_or("--instrs needs a value")?;
@@ -244,38 +270,42 @@ fn parse_args() -> Result<Args, String> {
                 if n == 0 {
                     return Err("--jobs must be positive".into());
                 }
-                jobs = n;
+                jobs = Some(n);
             }
             "--help" | "-h" => {
-                println!(
+                emit(
                     "usage: specfetch-repro [--experiment <id>|all] [--sweep <spec>] \
-                     [--analyze [--benchmark <name>]] [--instrs N] \
+                     [--explain <spec>] [--analyze [--benchmark <name>]] [--instrs N] \
                      [--format plain|markdown|csv] [--sequential] [--result-dir <dir>] \
                      [--workers N] [--retries N] [--point-timeout SECS] \
                      [--backoff-ms N] [--heartbeat-ms N] [--resume] [--retry-failed] \
                      [--stream] [--quiet] \
                      [--inject <spec>] [--corrupt-target <name>] [--list [--json]] \
-                     [--serve <addr> [--jobs N]]"
+                     [--serve <addr> [--jobs N]]",
                 );
-                println!("experiments: all {}", EXPERIMENT_IDS.join(" "));
-                println!("extras:      extras {}", EXTRA_EXPERIMENT_IDS.join(" "));
-                println!(
+                emit(&format!("experiments: all {}", EXPERIMENT_IDS.join(" ")));
+                emit(&format!("extras:      extras {}", EXTRA_EXPERIMENT_IDS.join(" ")));
+                emit(
                     "sweep spec:  whitespace-separated axis=value[,value...] terms; the \
-                     configuration axes cross-multiply"
+                     configuration axes cross-multiply",
                 );
                 for (name, values) in AXES {
-                    println!("  {name:<10} {values}");
+                    emit(&format!("  {name:<10} {values}"));
                 }
-                println!("  {:<10} projection: ispi, miss, traffic, cycles, ipc", "metric");
-                println!(
+                emit(&format!("  {:<10} projection: ispi, miss, traffic, cycles, ipc", "metric"));
+                emit(
+                    "explain:     one point of the sweep grammar (one value per axis, no \
+                     metric) from bench=<name> or trace=<file.sft|.sftb>",
+                );
+                emit(
                     "inject spec: point=<experiment>:<n>,<action>[*<k>] or \
                      chaos=<permille>@<seed>,<action>[*<k>] or soak=<permille>@<seed>; \
                      ';'-separated; actions: panic err slow abort hang exitcode=<n>; \
-                     *<k> limits the fault to the first k attempts"
+                     *<k> limits the fault to the first k attempts",
                 );
-                println!(
+                emit(
                     "serve:       POST /jobs, GET /jobs/<id>[/result|/stream], \
-                     DELETE /jobs/<id>, GET /experiments"
+                     DELETE /jobs/<id>, GET /experiments",
                 );
                 std::process::exit(0);
             }
@@ -306,8 +336,24 @@ fn parse_args() -> Result<Args, String> {
     if serve.is_some() && resume {
         return Err("--resume applies to a single run; served jobs journal per job".into());
     }
+    if explain.is_some()
+        && (sweep.is_some()
+            || experiment.is_some()
+            || analyze
+            || list
+            || worker
+            || serve.is_some()
+            || resume)
+    {
+        return Err("--explain runs one point and takes no other selection, --serve or \
+                    --resume"
+            .into());
+    }
     if json && !list {
         return Err("--json only applies to --list".into());
+    }
+    if jobs.is_some() && serve.is_none() {
+        return Err("--jobs only applies to --serve".into());
     }
     if resume && result_store::dir().is_none() {
         return Err("--resume needs --result-dir (the journal lives in the store)".into());
@@ -315,6 +361,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         experiment: experiment.unwrap_or_else(|| "all".to_owned()),
         sweep,
+        explain,
         format,
         opts,
         list,
@@ -335,6 +382,25 @@ fn report_store_stats() {
     if result_store::dir().is_some() {
         let (hits, stores) = result_store::stats();
         diag::line(&format!("[result-store] hits={hits} stores={stores}"));
+    }
+}
+
+/// Prints one report and a newline to stdout; every stdout write of
+/// this binary goes through here. When the reader has gone away (`|
+/// head`), the run flushes its journal, as an interrupted run does, and
+/// exits 141 instead of panicking.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            journal::flush();
+            std::process::exit(i32::from(EXIT_BROKEN_PIPE));
+        }
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -393,10 +459,10 @@ fn main() -> ExitCode {
 
     if args.list {
         if args.json {
-            println!("{}", registry::render_listing_json());
+            emit(&registry::render_listing_json());
         } else {
             for id in EXPERIMENT_IDS.iter().chain(EXTRA_EXPERIMENT_IDS.iter()) {
-                println!("{id}");
+                emit(id);
             }
         }
         return ExitCode::SUCCESS;
@@ -409,7 +475,7 @@ fn main() -> ExitCode {
             Some(b) => vec![(b, analysis::analyze_benchmark(b))],
             None => analysis::analyze_all(),
         };
-        println!("{}", analysis::render_analysis(&results, args.format));
+        emit(&analysis::render_analysis(&results, args.format));
         let mut failed = 0usize;
         for (b, outcome) in &results {
             match outcome {
@@ -449,7 +515,7 @@ fn main() -> ExitCode {
             opts: args.opts,
             format: args.format,
             journal_root: result_store::dir().map(|d| d.join("jobs")),
-            max_concurrent: args.jobs,
+            max_concurrent: args.jobs.unwrap_or(1),
         }));
         return match http::serve(addr, &controller) {
             Ok(()) => {
@@ -461,6 +527,10 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
+    }
+
+    if let Some(spec) = &args.explain {
+        return explain(spec, &args.opts);
     }
 
     // A user-defined sweep runs through the same scenario pipeline as
@@ -478,8 +548,7 @@ fn main() -> ExitCode {
         if let Err(code) = activate_journal(&args) {
             return code;
         }
-        let outcome =
-            Driver::new(args.opts, args.format).run(&spec, &mut |text: &str| println!("{text}"));
+        let outcome = Driver::new(args.opts, args.format).run(&spec, &mut |text: &str| emit(text));
         report_store_stats();
         if let Some(code) = interrupted_exit() {
             return code;
@@ -510,8 +579,7 @@ fn main() -> ExitCode {
     // Failures no longer stop the run: every experiment executes, failed
     // grid points render as FAILED(...) cells, and the exit code
     // summarises at the end.
-    let outcome =
-        Driver::new(args.opts, args.format).run(&spec, &mut |text: &str| println!("{text}"));
+    let outcome = Driver::new(args.opts, args.format).run(&spec, &mut |text: &str| emit(text));
     report_store_stats();
     if let Some(code) = interrupted_exit() {
         return code;
@@ -524,4 +592,76 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// `--explain`: simulates one point and prints its measurement bundle.
+/// A benchmark point is a one-cell grid, so it shares the memo, the
+/// result store and the worker pool with sweep cells and matches the
+/// sweep cell of the same configuration.
+fn explain(spec: &ExplainSpec, opts: &RunOptions) -> ExitCode {
+    let result = match &spec.input {
+        PathInput::Bench(bench) => {
+            fault::begin_experiment("explain");
+            let cell = try_run_grid(&[GridPoint::new(bench, spec.cfg)], opts).remove(0);
+            report_store_stats();
+            if let Some(code) = interrupted_exit() {
+                return code;
+            }
+            match cell {
+                Ok(r) => r,
+                Err(f) => {
+                    eprintln!("error: {}: {}", bench.name, f.cell());
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        PathInput::Trace(path) => match read_trace_file(path) {
+            // `parse_explain` validated the configuration.
+            Ok(trace) => Simulator::new(spec.cfg)
+                .run(trace.into_source().take_instrs(opts.instrs_per_benchmark)),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    emit(&bundle(&result));
+    ExitCode::SUCCESS
+}
+
+/// The measurement bundle of one point, one `label: value` line per
+/// measure.
+fn bundle(r: &SimResult) -> String {
+    let mut lines = vec![
+        format!("policy:        {}", r.policy),
+        format!("instructions:  {}", r.correct_instrs),
+        format!("cycles:        {}", r.cycles),
+        format!(
+            "IPC:           {:.3} (of {} wide)",
+            r.correct_instrs as f64 / r.cycles.max(1) as f64,
+            r.issue_width
+        ),
+        format!("ISPI:          {:.4}", r.ispi()),
+    ];
+    for (label, slots) in r.lost.components() {
+        lines.push(format!("  {label:<14} {:.4}", r.ispi_component(slots)));
+    }
+    lines.push(format!("miss rate:     {:.2}% correct-path", r.miss_rate_pct()));
+    lines.push(format!(
+        "branch events: {} misfetch, {} mispredict, {} target-mispredict",
+        r.misfetches, r.mispredicts, r.target_mispredicts
+    ));
+    lines.push(format!("bpred:         {}", r.bpred));
+    lines.push(format!(
+        "traffic:       {} fills ({} correct, {} wrong, {} prefetch, {} target)",
+        r.total_traffic(),
+        r.traffic_demand_correct,
+        r.traffic_demand_wrong,
+        r.traffic_prefetch,
+        r.traffic_target_prefetch
+    ));
+    if let Some(c) = &r.classification {
+        lines.push(format!("classification: {c}"));
+    }
+    lines.join("\n")
 }

@@ -523,3 +523,193 @@ fn quiet_suppresses_status_chatter_but_not_reports_or_rows() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir2).ok();
 }
+
+#[test]
+fn jobs_without_serve_is_a_usage_error() {
+    let out = repro(&["--jobs", "3", "--sweep", "bench=li policy=Res"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--jobs only applies to --serve"), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "nothing may run before validation");
+}
+
+#[test]
+fn a_bench_only_sweep_runs_the_baseline_column() {
+    let out = repro(&["--sweep", "bench=li", "--instrs", "2000"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("base") && text.contains("li"), "{text}");
+}
+
+/// A reader that goes away (`| head`, `| true`) ends the run with the
+/// shell's 128+SIGPIPE code, not a panic. The pipe's read end is closed
+/// before the child starts, so its first write always fails.
+#[test]
+fn a_closed_stdout_exits_141_without_a_panic() {
+    for args in [&["--sweep", "bench=li policy=Res,Pess", "--instrs", "20000"][..], &["--list"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_specfetch-repro"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawning specfetch-repro");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{args:?}: {}", stderr(&out));
+    }
+}
+
+/// The lines of an `--explain` bundle, in order.
+const BUNDLE_SECTIONS: [&str; 16] = [
+    "policy:",
+    "instructions:",
+    "cycles:",
+    "IPC:",
+    "ISPI:",
+    "  branch_full",
+    "  branch ",
+    "  force_resolve",
+    "  rt_icache",
+    "  wrong_icache",
+    "  bus",
+    "miss rate:",
+    "branch events:",
+    "bpred:",
+    "traffic:",
+    "classification:",
+];
+
+fn assert_full_bundle(text: &str) {
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), BUNDLE_SECTIONS.len(), "{text}");
+    for (line, section) in lines.iter().zip(BUNDLE_SECTIONS) {
+        assert!(line.starts_with(section), "expected {section:?}, got {line:?} in:\n{text}");
+    }
+}
+
+/// Every bundle line prints for any point, classification included:
+/// `--explain` always classifies.
+#[test]
+fn explain_reports_every_section() {
+    for (spec, policy) in [
+        ("bench=li policy=Res", "Resume"),
+        ("bench=li policy=Opt", "Optimistic"),
+        ("bench=li policy=dynamic prefetch=stream", "Dynamic"),
+    ] {
+        let out = repro(&["--explain", spec, "--instrs", "30000"]);
+        assert_eq!(out.status.code(), Some(0), "{spec}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert_full_bundle(&text);
+        assert!(text.starts_with(&format!("policy:        {policy}\n")), "{text}");
+        assert!(text.lines().any(|l| l == "instructions:  30000"), "{text}");
+        let classes = text.lines().last().unwrap_or_default();
+        for class in ["BM", "SPo", "SPr", "WP", "TR"] {
+            assert!(classes.contains(class), "{class} missing in:\n{text}");
+        }
+    }
+}
+
+/// The explanation of a benchmark point is the sweep cell of the same
+/// configuration: one executor runs both.
+#[test]
+fn explain_ispi_is_the_sweep_cell() {
+    let point = "bench=li policy=Res prefetch=nl";
+    let explained = repro(&["--explain", point, "--instrs", "20000"]);
+    assert_eq!(explained.status.code(), Some(0), "{}", stderr(&explained));
+    let text = stdout(&explained);
+    let ispi: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("ISPI:"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no ISPI line in:\n{text}"));
+
+    let swept = repro(&["--sweep", point, "--instrs", "20000"]);
+    assert_eq!(swept.status.code(), Some(0), "{}", stderr(&swept));
+    let table = stdout(&swept);
+    let row = table.lines().find(|l| l.starts_with("li ")).unwrap_or_default();
+    assert_eq!(row.split_whitespace().nth(1), Some(format!("{ispi:.3}").as_str()), "{table}");
+}
+
+#[test]
+fn explain_shares_the_result_store() {
+    let dir = scratch("explain-store");
+    let args = ["--explain", "bench=li policy=Pess", "--instrs", "20000", "--result-dir"];
+    let args = [&args[..], &[dir.to_str().unwrap()]].concat();
+    let cold = repro(&args);
+    assert_eq!(cold.status.code(), Some(0), "{}", stderr(&cold));
+    assert_eq!(store_stats(&stderr(&cold)), (0, 1));
+    let warm = repro(&args);
+    assert_eq!(stdout(&warm), stdout(&cold), "a stored point explains identically");
+    assert_eq!(store_stats(&stderr(&warm)), (1, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn explain_spec_errors_exit_2_before_anything_runs() {
+    for (spec, needle) in [
+        ("bench=li policy=Res,Pess", "several values"),
+        ("policy=Res", "exactly one of bench="),
+        ("bench=li trace=t.sft", "exactly one of bench="),
+        ("bench=li metric=ispi", "metric="),
+        ("bench=li policy=yolo", "sweep policy \"yolo\" is unknown"),
+        ("bench=gccc", "did you mean \"gcc\"?"),
+    ] {
+        let out = repro(&["--explain", spec]);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "{spec:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{spec:?} must not run anything");
+    }
+    let out = repro(&["--explain", "bench=li", "--instrs", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--instrs must be positive"), "{}", stderr(&out));
+    let out = repro(&["--explain", "bench=li", "--sweep", "policy=Res"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--explain runs one point"), "{}", stderr(&out));
+}
+
+#[test]
+fn explain_failures_exit_1() {
+    let out =
+        repro(&["--explain", "bench=li", "--instrs", "2000", "--inject", "point=explain:0,err"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("error: li: FAILED(injected err)"), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty());
+
+    let out = repro(&["--explain", "trace=/nonexistent/run.sftb"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("error: open /nonexistent/run.sftb: "), "{}", stderr(&out));
+}
+
+#[test]
+fn explain_replays_a_trace_file_in_either_format() {
+    use specfetch_synth::{Workload, WorkloadSpec};
+    use specfetch_trace::{write_trace_binary, write_trace_text, Trace};
+
+    let w = Workload::generate(&WorkloadSpec::c_like("cli-trace", 3)).unwrap();
+    let trace = Trace::record(&mut w.executor(1), 20_000);
+    let dir = scratch("explain-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (text_path, bin_path, odd_path) =
+        (dir.join("t.sft"), dir.join("t.sftb"), dir.join("t.bin"));
+    write_trace_text(&trace, &mut std::fs::File::create(&text_path).unwrap()).unwrap();
+    write_trace_binary(&trace, &mut std::fs::File::create(&bin_path).unwrap()).unwrap();
+    std::fs::copy(&bin_path, &odd_path).unwrap();
+
+    let explain = |path: &std::path::Path| {
+        repro(&["--explain", &format!("trace={} policy=Pess", path.display())])
+    };
+    let text = explain(&text_path);
+    assert_eq!(text.status.code(), Some(0), "{}", stderr(&text));
+    assert_full_bundle(&stdout(&text));
+    assert!(stdout(&text).starts_with("policy:        Pessimistic\n"));
+    assert!(stdout(&text).lines().any(|l| l == "instructions:  20000"), "{}", stdout(&text));
+    assert_eq!(stdout(&explain(&bin_path)), stdout(&text), "both formats hold one path");
+
+    let odd = explain(&odd_path);
+    assert_eq!(odd.status.code(), Some(1));
+    assert!(
+        stderr(&odd).contains(&format!("unknown trace extension on {}", odd_path.display())),
+        "{}",
+        stderr(&odd)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -10,27 +10,16 @@
 //! Format is chosen by extension: `.sft` = text, `.sftb` = binary.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::Path;
 use std::process::ExitCode;
 
 use specfetch_trace::{
-    read_trace_binary, read_trace_text, write_trace_binary, write_trace_text, PathSource, Trace,
-    TraceError, TraceStats,
+    read_trace_file, write_trace_binary, write_trace_text, PathSource, Trace, TraceStats,
 };
 
 fn load(path: &Path) -> Result<Trace, String> {
-    let ext = path.extension().and_then(|e| e.to_str());
-    if !matches!(ext, Some("sft") | Some("sftb")) {
-        return Err(format!("unknown trace extension {ext:?} (expected .sft or .sftb)"));
-    }
-    let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let reader = BufReader::new(file);
-    let trace = match ext {
-        Some("sft") => read_trace_text(reader),
-        _ => read_trace_binary(reader),
-    };
-    trace.map_err(|e: TraceError| format!("parse {}: {e}", path.display()))
+    read_trace_file(path).map_err(|e| e.to_string())
 }
 
 fn store(trace: &Trace, path: &Path) -> Result<(), String> {

@@ -15,6 +15,7 @@
 //!   [`read_trace_binary`] / [`write_trace_binary`]: the portable `.sft`
 //!   trace file formats (human-readable text and compact binary), so traces
 //!   captured by external tools can be fed to the simulator.
+//!   [`read_trace_file`] picks between them by the file's extension.
 //! - [`RecordedTrace`] / [`RecordedSource`]: record-once / replay-many
 //!   sharing — one compact struct-of-arrays recording of a path that any
 //!   number of simulations replay concurrently without re-interpreting the
@@ -59,6 +60,7 @@
 
 mod binary;
 mod error;
+mod file;
 mod outcome;
 mod predicted;
 mod recorded;
@@ -69,6 +71,7 @@ mod text;
 
 pub use binary::{read_trace_binary, write_trace_binary};
 pub use error::TraceError;
+pub use file::{read_trace_file, TraceFileError};
 pub use outcome::Outcome;
 pub use predicted::{DecodeWindow, PredictedSource, PredictedTrace};
 pub use recorded::{RecordedSource, RecordedTrace};

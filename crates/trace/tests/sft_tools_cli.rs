@@ -98,7 +98,8 @@ fn rejects_unknown_extension_and_missing_file() {
 
     let out = sft_tools().args(["stats", "/tmp/whatever.xyz"]).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("extension"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown trace extension on /tmp/whatever.xyz"), "{err}");
 }
 
 /// Writes a valid binary trace into `dir` and returns its path + bytes.
