@@ -1,9 +1,12 @@
 //! Paper Table 2: benchmark inventory and dynamic branch density.
 
+use std::path::Path;
+
 use specfetch_core::SpecfetchError;
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::TraceStats;
+use specfetch_trace::{PathSource, TraceStats};
 
+use crate::result_store::{self, PathEntry};
 use crate::runner::{isolated_map, mean};
 use crate::{par_map, ExperimentReport, RunOptions, Table};
 
@@ -19,16 +22,26 @@ pub struct Row {
 }
 
 /// Characterises one benchmark, reporting workload/trace failures as
-/// typed errors instead of panicking.
-fn try_row(b: &'static Benchmark, opts: RunOptions) -> Result<Row, SpecfetchError> {
-    let mut src = crate::trace_cache::try_recorded_source(b, opts.instrs_per_benchmark)?;
-    let stats = TraceStats::from_source(&mut src);
-    let workload = b.workload().map_err(|e| SpecfetchError::Workload {
-        bench: b.name.to_owned(),
-        detail: e.to_string(),
-    })?;
-    let static_kb = workload.program().footprint_bytes() / 1024;
-    Ok(Row { benchmark: b, stats, static_kb })
+/// typed errors instead of panicking. With a store root (`--result-dir`)
+/// the row is read from, or on a miss written to, its path entries.
+fn try_row(
+    store: Option<&Path>,
+    b: &'static Benchmark,
+    instrs: u64,
+) -> Result<Row, SpecfetchError> {
+    let entry = match store.and_then(|dir| result_store::get_path_in(dir, b.name, instrs)) {
+        Some(entry) => entry,
+        None => {
+            let mut src = crate::trace_cache::try_recorded_source(b, instrs)?;
+            let footprint_bytes = src.program().footprint_bytes();
+            let entry = PathEntry { stats: TraceStats::from_source(&mut src), footprint_bytes };
+            if let Some(dir) = store {
+                result_store::put_path_in(dir, b.name, instrs, &entry);
+            }
+            entry
+        }
+    };
+    Ok(Row { benchmark: b, stats: entry.stats, static_kb: entry.footprint_bytes / 1024 })
 }
 
 /// Gathers the measured rows (no timing simulation needed — Table 2 is
@@ -37,7 +50,8 @@ pub fn data(opts: &RunOptions) -> Vec<Row> {
     let benches: Vec<&'static Benchmark> = Benchmark::all().iter().collect();
     let opts = *opts;
     par_map(benches, opts.parallel, |b| {
-        try_row(b, opts).unwrap_or_else(|e| panic!("characterising {}: {e}", b.name))
+        try_row(result_store::dir(), b, opts.instrs_per_benchmark)
+            .unwrap_or_else(|e| panic!("characterising {}: {e}", b.name))
     })
 }
 
@@ -46,7 +60,9 @@ pub fn data(opts: &RunOptions) -> Vec<Row> {
 /// columns (language, paper density) and every other row still appear.
 pub fn run(opts: &RunOptions) -> ExperimentReport {
     let benches: Vec<&'static Benchmark> = Benchmark::all().iter().collect();
-    let rows = isolated_map(benches.clone(), opts, |b| try_row(b, *opts));
+    let rows = isolated_map(benches.clone(), opts, |b| {
+        try_row(result_store::dir(), b, opts.instrs_per_benchmark)
+    });
     let mut table =
         Table::new(["bench", "lang", "instrs", "%br", "%br paper", "taken%", "static KB"]);
     for (b, row) in benches.iter().zip(&rows) {
@@ -113,6 +129,53 @@ mod tests {
                 r.benchmark.name
             );
         }
+    }
+
+    /// The row by definition: a fresh interpretation of the workload,
+    /// bypassing the shared recordings.
+    fn live_row(b: &'static Benchmark, instrs: u64) -> Row {
+        let w = b.workload().unwrap();
+        let stats = TraceStats::from_source(&mut w.executor(b.path_seed()).take_instrs(instrs));
+        Row { benchmark: b, stats, static_kb: w.program().footprint_bytes() / 1024 }
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("specfetch-table2-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn a_cold_row_is_the_live_row_and_is_stored() {
+        let b = Benchmark::by_name("tex").unwrap();
+        let dir = scratch("cold");
+        let row = try_row(Some(&dir), b, 1_999).unwrap();
+        assert_eq!(row, live_row(b, 1_999));
+        let stored = result_store::get_path_in(&dir, b.name, 1_999).expect("the row is stored");
+        assert_eq!(stored.stats, row.stats);
+        assert_eq!(stored.footprint_bytes / 1024, row.static_kb);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_warm_row_records_nothing() {
+        let b = Benchmark::by_name("gcc").unwrap();
+        let dir = scratch("warm");
+        let live = live_row(b, 1_777);
+        let footprint_bytes = b.workload().unwrap().program().footprint_bytes();
+        result_store::put_path_in(
+            &dir,
+            b.name,
+            1_777,
+            &PathEntry { stats: live.stats.clone(), footprint_bytes },
+        );
+        assert_eq!(try_row(Some(&dir), b, 1_777).unwrap(), live);
+        assert!(
+            !crate::trace_cache::has_recording(b, 1_777),
+            "a warm row must not record the workload"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,7 +8,14 @@
 //! `specfetch_core::canon` (`SimConfig::canonical_hash`), which is
 //! stable across processes and compile sessions, unlike `std::hash`.
 //!
-//! Layout: `<dir>/v1/<bench>-<instrs>-<confighash:016x>.sr`. Bumping
+//! A second entry kind, the **path entry**, keeps one Table 2 row per
+//! `(benchmark, window)`: the path's [`TraceStats`] and the image's
+//! static footprint. Table 2 runs no timing model, so the row needs no
+//! config in its key, and a warm run serves it without recording,
+//! interpreting or generating the workload.
+//!
+//! Layout: `<dir>/v1/<bench>-<instrs>-<confighash:016x>.sr` for results
+//! and `<dir>/v1/path/<bench>-<instrs>.sr` for path entries. Bumping
 //! either [`specfetch_core::CANON_VERSION`] (config encoding) or
 //! [`FORMAT_VERSION`] (file format) strands old entries harmlessly —
 //! the `v1` path segment and the header line both change, so stale
@@ -30,8 +37,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use specfetch_core::{fnv1a, SimConfig, SimResult, SpecfetchError};
+use specfetch_trace::TraceStats;
 
-use crate::codec::{decode_result, encode_result, json_escape, json_unescape};
+use crate::codec::{
+    decode_path, decode_result, encode_path, encode_result, json_escape, json_unescape,
+};
 
 /// Version of the store's file format (header line + path segment).
 pub const FORMAT_VERSION: u32 = 1;
@@ -50,9 +60,21 @@ pub enum StoredOutcome {
     Failed(String),
 }
 
+/// What the store remembers about a benchmark's correct path at one
+/// window: the measured columns of its Table 2 row.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PathEntry {
+    /// Dynamic path statistics over the window.
+    pub stats: TraceStats,
+    /// Static code footprint of the image, bytes.
+    pub footprint_bytes: u64,
+}
+
 static DIR: OnceLock<PathBuf> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static STORES: AtomicU64 = AtomicU64::new(0);
+static PATH_HITS: AtomicU64 = AtomicU64::new(0);
+static PATH_STORES: AtomicU64 = AtomicU64::new(0);
 
 /// Enables the result store, rooted at `dir` (created on first store).
 /// Called once by the CLI (`--result-dir`) before any experiment runs.
@@ -78,9 +100,19 @@ pub fn stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), STORES.load(Ordering::Relaxed))
 }
 
+/// Lifetime `(hits, stores)` counters of path entries, kept apart from
+/// [`stats`] so the result counters still count grid points only.
+pub fn path_stats() -> (u64, u64) {
+    (PATH_HITS.load(Ordering::Relaxed), PATH_STORES.load(Ordering::Relaxed))
+}
+
 fn entry_path(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig) -> PathBuf {
     dir.join(format!("v{FORMAT_VERSION}"))
         .join(format!("{bench}-{instrs}-{:016x}.sr", cfg.canonical_hash()))
+}
+
+fn path_entry_path(dir: &Path, bench: &str, instrs: u64) -> PathBuf {
+    dir.join(format!("v{FORMAT_VERSION}")).join("path").join(format!("{bench}-{instrs}.sr"))
 }
 
 /// Looks up the stored outcome for one grid point. `None` when the
@@ -110,17 +142,32 @@ pub(crate) fn put_failed(bench: &str, instrs: u64, cfg: &SimConfig, reason: &str
 /// [`get`] with an explicit root, so tests drive the disk paths without
 /// touching the process-wide configuration.
 pub fn get_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig) -> Option<StoredOutcome> {
-    let path = entry_path(dir, bench, instrs, cfg);
+    fetch(&entry_path(dir, bench, instrs, cfg), &HITS, |path| load(path, cfg))
+}
+
+/// The path entry for `bench` at `instrs` under `dir`. `None` when it is
+/// absent or failed verification (then it has been quarantined).
+pub fn get_path_in(dir: &Path, bench: &str, instrs: u64) -> Option<PathEntry> {
+    fetch(&path_entry_path(dir, bench, instrs), &PATH_HITS, |path| load_path(path, bench, instrs))
+}
+
+/// Loads one entry if it exists, counting a hit on `hits`; a failed
+/// load quarantines the file and misses.
+fn fetch<T>(
+    path: &Path,
+    hits: &AtomicU64,
+    load: impl FnOnce(&Path) -> Result<T, SpecfetchError>,
+) -> Option<T> {
     if !path.exists() {
         return None;
     }
-    match load(&path, cfg) {
-        Ok(r) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            Some(r)
+    match load(path) {
+        Ok(v) => {
+            hits.fetch_add(1, Ordering::Relaxed);
+            Some(v)
         }
         Err(e) => {
-            quarantine(&path, &e.to_string());
+            quarantine(path, &e.to_string());
             None
         }
     }
@@ -128,23 +175,33 @@ pub fn get_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig) -> Option<S
 
 /// [`put`] with an explicit root (see [`get_in`]).
 pub fn put_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig, result: &SimResult) {
-    write_entry(dir, bench, instrs, cfg, &render(cfg, result));
+    publish(&entry_path(dir, bench, instrs, cfg), &render(cfg, result), &STORES);
 }
 
 /// [`put_failed`] with an explicit root (see [`get_in`]).
 pub fn put_failed_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig, reason: &str) {
-    write_entry(dir, bench, instrs, cfg, &render_failed(cfg, reason));
+    publish(&entry_path(dir, bench, instrs, cfg), &render_failed(cfg, reason), &STORES);
 }
 
-fn write_entry(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig, text: &str) {
-    let path = entry_path(dir, bench, instrs, cfg);
-    if let Err(e) = store(&path, text) {
+/// Persists the path entry for `bench` at `instrs` under `dir`.
+pub fn put_path_in(dir: &Path, bench: &str, instrs: u64, entry: &PathEntry) {
+    let text = seal(format!(
+        "{}\n{}\npath={}\n",
+        path_header(),
+        path_key(bench, instrs),
+        encode_path(entry)
+    ));
+    publish(&path_entry_path(dir, bench, instrs), &text, &PATH_STORES);
+}
+
+fn publish(path: &Path, text: &str, stores: &AtomicU64) {
+    if let Err(e) = store(path, text) {
         eprintln!(
             "specfetch: warning: could not persist result {}: {e} (continuing unstored)",
             path.display()
         );
     } else {
-        STORES.fetch_add(1, Ordering::Relaxed);
+        stores.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -152,9 +209,22 @@ fn seal(body: String) -> String {
     format!("{body}checksum={:016x}\n", fnv1a(body.as_bytes()))
 }
 
+fn result_header() -> String {
+    format!("specfetch-result/{FORMAT_VERSION}")
+}
+
+fn path_header() -> String {
+    format!("specfetch-path/{FORMAT_VERSION}")
+}
+
+fn path_key(bench: &str, instrs: u64) -> String {
+    format!("bench={bench} instrs={instrs}")
+}
+
 fn render(cfg: &SimConfig, result: &SimResult) -> String {
     seal(format!(
-        "specfetch-result/{FORMAT_VERSION}\ncfg={}\nresult={}\n",
+        "{}\ncfg={}\nresult={}\n",
+        result_header(),
         cfg.canonical_string(),
         encode_result(result)
     ))
@@ -162,7 +232,8 @@ fn render(cfg: &SimConfig, result: &SimResult) -> String {
 
 fn render_failed(cfg: &SimConfig, reason: &str) -> String {
     seal(format!(
-        "specfetch-result/{FORMAT_VERSION}\ncfg={}\nfailed={}\n",
+        "{}\ncfg={}\nfailed={}\n",
+        result_header(),
         cfg.canonical_string(),
         json_escape(reason)
     ))
@@ -172,11 +243,9 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> SpecfetchError {
     SpecfetchError::CorruptStoreEntry { path: path.to_path_buf(), detail: detail.into() }
 }
 
-/// Reads and fully verifies one store entry. Any structural problem —
-/// unreadable file, bad header, checksum mismatch, config mismatch
-/// (hash collision or a renamed file), or an undecodable result — is a
-/// [`SpecfetchError::CorruptStoreEntry`].
-fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
+/// Reads one entry, checks its checksum footer and its `header` line,
+/// and returns the body after the header.
+fn read_sealed(path: &Path, header: &str) -> Result<String, SpecfetchError> {
     let text = std::fs::read_to_string(path).map_err(|source| SpecfetchError::Io {
         context: format!("opening result store entry {}", path.display()),
         source,
@@ -188,12 +257,20 @@ fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
     if want != got {
         return Err(corrupt(path, format!("checksum mismatch (footer {want}, computed {got})")));
     }
-    let mut lines = body.lines();
-    let header = lines.next().unwrap_or_default();
-    let expect_header = format!("specfetch-result/{FORMAT_VERSION}");
-    if header != expect_header {
-        return Err(corrupt(path, format!("bad header {header:?}, expected {expect_header:?}")));
+    let (first, rest) = body.split_once('\n').unwrap_or((body, ""));
+    if first != header {
+        return Err(corrupt(path, format!("bad header {first:?}, expected {header:?}")));
     }
+    Ok(rest.to_owned())
+}
+
+/// Reads and fully verifies one store entry. Any structural problem —
+/// unreadable file, bad header, checksum mismatch, config mismatch
+/// (hash collision or a renamed file), or an undecodable result — is a
+/// [`SpecfetchError::CorruptStoreEntry`].
+fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
+    let body = read_sealed(path, &result_header())?;
+    let mut lines = body.lines();
     let cfg_line = lines
         .next()
         .and_then(|l| l.strip_prefix("cfg="))
@@ -218,6 +295,25 @@ fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
             .ok_or_else(|| corrupt(path, "undecodable failure reason"));
     }
     Err(corrupt(path, "missing result line"))
+}
+
+/// Reads and fully verifies one path entry: checksum, header, the full
+/// `(bench, instrs)` key (a renamed file must not serve another key),
+/// and the stats line.
+fn load_path(path: &Path, bench: &str, instrs: u64) -> Result<PathEntry, SpecfetchError> {
+    let body = read_sealed(path, &path_header())?;
+    let mut lines = body.lines();
+    if lines.next() != Some(path_key(bench, instrs).as_str()) {
+        return Err(corrupt(path, "stored key does not match the requested benchmark and window"));
+    }
+    let line = lines
+        .next()
+        .and_then(|l| l.strip_prefix("path="))
+        .ok_or_else(|| corrupt(path, "missing path line"))?;
+    if lines.next().is_some() {
+        return Err(corrupt(path, "trailing data after path line"));
+    }
+    decode_path(line).map_err(|e| corrupt(path, format!("undecodable path entry: {e}")))
 }
 
 /// Persists one entry atomically: write to a per-process unique temp
@@ -277,7 +373,7 @@ mod tests {
     use super::*;
     use specfetch_core::Simulator;
     use specfetch_synth::suite::Benchmark;
-    use specfetch_trace::PathSource;
+    use specfetch_trace::{PathSource, TraceStats};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
@@ -432,6 +528,77 @@ mod tests {
             .filter(|n| n.starts_with(".tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn path_point() -> PathEntry {
+        let b = Benchmark::by_name("li").unwrap();
+        let w = b.workload().unwrap();
+        let stats = TraceStats::from_source(&mut w.executor(b.path_seed()).take_instrs(4_000));
+        PathEntry { stats, footprint_bytes: w.program().footprint_bytes() }
+    }
+
+    fn parked(path: &Path) -> PathBuf {
+        let mut os = path.as_os_str().to_owned();
+        os.push(".quarantined");
+        PathBuf::from(os)
+    }
+
+    #[test]
+    fn path_entries_round_trip_beside_the_result_entries() {
+        let dir = scratch("path-rt");
+        let p = path_point();
+        assert_eq!(get_path_in(&dir, "li", 4_000), None, "cold store must miss");
+        put_path_in(&dir, "li", 4_000, &p);
+        assert_eq!(get_path_in(&dir, "li", 4_000), Some(p));
+        assert_eq!(get_path_in(&dir, "tex", 4_000), None);
+        assert_eq!(get_path_in(&dir, "li", 5_000), None);
+        let text = std::fs::read_to_string(path_entry_path(&dir, "li", 4_000)).unwrap();
+        assert!(text.starts_with("specfetch-path/1\nbench=li instrs=4000\npath=instrs=4000 "));
+        // The subdirectory keeps path entries out of `v1/*.sr` listings.
+        let top: Vec<_> = std::fs::read_dir(dir.join("v1"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sr"))
+            .collect();
+        assert!(top.is_empty(), "path entries leaked into v1/: {top:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bad_path_entries_are_quarantined_and_miss() {
+        let dir = scratch("path-bad");
+        let p = path_point();
+        let path = path_entry_path(&dir, "li", 4_000);
+        let must_miss = |what: &str| {
+            assert_eq!(get_path_in(&dir, "li", 4_000), None, "{what} entry must miss");
+            assert!(parked(&path).exists(), "{what}: the bad file must be kept");
+            assert!(!path.exists(), "{what}: the bad file must be moved out of the way");
+            std::fs::remove_file(parked(&path)).unwrap();
+        };
+
+        put_path_in(&dir, "li", 4_000, &p);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        must_miss("truncated");
+
+        put_path_in(&dir, "li", 4_000, &p);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let idx = bytes.windows(3).position(|w| w == b"br=").unwrap() + 3;
+        bytes[idx] = if bytes[idx] == b'9' { b'8' } else { bytes[idx] + 1 };
+        std::fs::write(&path, &bytes).unwrap();
+        must_miss("checksum-flipped");
+
+        // Valid entries for another key, renamed onto this one.
+        for (bench, instrs) in [("tex", 4_000), ("li", 4_001)] {
+            put_path_in(&dir, bench, instrs, &p);
+            std::fs::rename(path_entry_path(&dir, bench, instrs), &path).unwrap();
+            must_miss(&format!("{bench}-{instrs}"));
+        }
+
+        // Self-heal: the recomputed entry lands and serves.
+        put_path_in(&dir, "li", 4_000, &p);
+        assert_eq!(get_path_in(&dir, "li", 4_000), Some(p));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

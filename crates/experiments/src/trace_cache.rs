@@ -140,6 +140,14 @@ pub fn try_shared_trace(
     })
 }
 
+/// Whether a recording of `bench` at `instrs` is held, without making
+/// one: lets tests check that a path served from the store recorded
+/// nothing.
+#[cfg(test)]
+pub(crate) fn has_recording(bench: &Benchmark, instrs: u64) -> bool {
+    lock_recovering(trace_map()).get(&(bench.name, instrs)).is_some_and(|c| c.get().is_some())
+}
+
 /// Infallible convenience over [`try_shared_trace`].
 ///
 /// # Panics

@@ -377,11 +377,14 @@ fn parse_args() -> Result<Args, String> {
 
 /// Prints the result-store hit/store counters once per process (via the
 /// stderr diagnostics sink, so `--quiet` can silence them), letting
-/// resume tests — and humans — see how much work the store saved.
+/// resume tests — and humans — see how much work the store saved. Grid
+/// points and Table 2's path entries are counted on separate lines.
 fn report_store_stats() {
     if result_store::dir().is_some() {
         let (hits, stores) = result_store::stats();
         diag::line(&format!("[result-store] hits={hits} stores={stores}"));
+        let (hits, stores) = result_store::path_stats();
+        diag::line(&format!("[path-store] hits={hits} stores={stores}"));
     }
 }
 

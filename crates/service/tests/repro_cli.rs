@@ -335,6 +335,37 @@ fn worker_stream_and_store_modes_render_byte_identical_reports() {
 }
 
 #[test]
+fn table2_replays_its_rows_from_path_entries() {
+    let dir = scratch("path-store");
+    let args =
+        ["--experiment", "table2", "--instrs", "2000", "--result-dir", dir.to_str().unwrap()];
+    let cold = repro(&args);
+    assert_eq!(cold.status.code(), Some(0), "{}", stderr(&cold));
+    let path_line = |out: &Output| {
+        stderr(out).lines().filter(|l| l.starts_with("[path-store]")).collect::<Vec<_>>().join("\n")
+    };
+    assert_eq!(path_line(&cold), "[path-store] hits=0 stores=13");
+    assert!(stderr(&cold).contains("[result-store] hits=0 stores=0"), "{}", stderr(&cold));
+    assert!(store_entries(&dir).is_empty(), "path entries stay out of v1/*.sr");
+
+    let warm = repro(&args);
+    assert_eq!(warm.status.code(), Some(0), "{}", stderr(&warm));
+    assert_eq!(stdout(&warm), stdout(&cold), "a warm Table 2 must render the same bytes");
+    assert_eq!(path_line(&warm), "[path-store] hits=13 stores=0");
+
+    // Fault guards run before the store lookup, so an injected error
+    // still fails its row on a warm store.
+    let injected = repro(&[&args[..], &["--inject", "point=table2:0,err"]].concat());
+    assert_eq!(injected.status.code(), Some(1), "{}", stderr(&injected));
+    let text = stdout(&injected);
+    let failed: Vec<&str> = text.lines().filter(|l| l.contains("FAILED(injected err)")).collect();
+    assert_eq!(failed.len(), 1, "exactly one row fails: {text}");
+    assert!(failed[0].starts_with("doduc"), "point 0 is doduc's row: {text}");
+    assert!(text.contains("porky"), "the other rows still render: {text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn an_interrupted_run_resumes_from_the_store_without_recomputing() {
     let dir = scratch("resume");
     let dir_s = dir.to_str().unwrap();
