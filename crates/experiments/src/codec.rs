@@ -11,10 +11,6 @@
 //!   error here until the codec learns it; decoding requires every field
 //!   exactly once, so a truncated or stale line can never half-fill a
 //!   result.
-//! - [`encode_path`]/[`decode_path`] do the same for a path entry (a
-//!   benchmark's [`TraceStats`] and static footprint): fixed keys in a
-//!   fixed order, each exactly once, with the struct destructured on both
-//!   sides.
 //! - [`json_escape`]/[`json_string_field`]/[`json_u64_field`] are the
 //!   minimal flat-JSON helpers the worker protocol's one-object-per-line
 //!   pipe format needs (arbitrary panic messages cross the pipe, so
@@ -23,9 +19,6 @@
 use specfetch_bpred::BpredStats;
 use specfetch_cache::CacheStats;
 use specfetch_core::{FetchPolicy, IspiBreakdown, MissClass, SimResult, SpecfetchError};
-use specfetch_trace::TraceStats;
-
-use crate::result_store::PathEntry;
 
 fn bad(detail: String) -> SpecfetchError {
     SpecfetchError::InvalidSpec { detail }
@@ -280,83 +273,6 @@ const KNOWN_INT_KEYS: [&str; 38] = [
     "cl.spr",
 ];
 
-/// The keys of a path line, in order.
-const PATH_KEYS: [&str; 10] =
-    ["instrs", "br", "cond", "taken", "jumps", "calls", "rets", "ind", "lines32", "static"];
-
-/// Renders a [`PathEntry`] as one deterministic `key=value` line.
-pub fn encode_path(p: &PathEntry) -> String {
-    // Exhaustive destructuring, as in `encode_result`.
-    let PathEntry {
-        stats:
-            TraceStats {
-                instrs,
-                branches,
-                cond_branches,
-                taken_conds,
-                jumps,
-                calls,
-                returns,
-                indirects,
-                touched_lines_32b,
-            },
-        footprint_bytes,
-    } = *p;
-    let values = [
-        instrs,
-        branches,
-        cond_branches,
-        taken_conds,
-        jumps,
-        calls,
-        returns,
-        indirects,
-        touched_lines_32b,
-        footprint_bytes,
-    ];
-    let terms: Vec<String> =
-        PATH_KEYS.iter().zip(values).map(|(k, v)| format!("{k}={v}")).collect();
-    terms.join(" ")
-}
-
-/// Parses an [`encode_path`] line: every key, in order, exactly once.
-///
-/// # Errors
-///
-/// [`SpecfetchError::InvalidSpec`] for a missing, extra, reordered or
-/// non-integer term.
-pub fn decode_path(s: &str) -> Result<PathEntry, SpecfetchError> {
-    let mut terms = s.split_ascii_whitespace();
-    let mut values = [0u64; PATH_KEYS.len()];
-    for (key, slot) in PATH_KEYS.iter().zip(&mut values) {
-        let term = terms.next().ok_or_else(|| bad(format!("path line is missing key {key:?}")))?;
-        let value = term
-            .strip_prefix(key)
-            .and_then(|t| t.strip_prefix('='))
-            .ok_or_else(|| bad(format!("bad path term {term:?} (expected {key}=<n>)")))?;
-        *slot = value.parse().map_err(|_| bad(format!("bad integer {value:?} for key {key:?}")))?;
-    }
-    if let Some(extra) = terms.next() {
-        return Err(bad(format!("path line has trailing term {extra:?}")));
-    }
-    let [instrs, branches, cond_branches, taken_conds, jumps, calls, returns, indirects, touched_lines_32b, footprint_bytes] =
-        values;
-    Ok(PathEntry {
-        stats: TraceStats {
-            instrs,
-            branches,
-            cond_branches,
-            taken_conds,
-            jumps,
-            calls,
-            returns,
-            indirects,
-            touched_lines_32b,
-        },
-        footprint_bytes,
-    })
-}
-
 /// Escapes a string for embedding in a JSON double-quoted literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -459,26 +375,6 @@ mod tests {
             let line = encode_result(&r);
             let back = decode_result(&line).unwrap();
             assert_eq!(back, r, "round trip diverged for {line:?}");
-        }
-    }
-
-    #[test]
-    fn path_round_trips_and_rejects_malformed_lines() {
-        let b = Benchmark::by_name("li").unwrap();
-        let w = b.workload().unwrap();
-        let stats = TraceStats::from_source(&mut w.executor(b.path_seed()).take_instrs(5_000));
-        let p = PathEntry { stats, footprint_bytes: w.program().footprint_bytes() };
-        let line = encode_path(&p);
-        assert_eq!(decode_path(&line).unwrap(), p, "round trip diverged for {line:?}");
-        let (head, last) = line.rsplit_once(' ').unwrap();
-        for bad in [
-            head.to_owned(),
-            format!("{line} extra=1"),
-            format!("{last} {head}"),
-            line.replacen("br=", "br=x", 1),
-            line.replacen("cond=", "cnd=", 1),
-        ] {
-            assert!(decode_path(&bad).is_err(), "accepted {bad:?}");
         }
     }
 

@@ -39,9 +39,7 @@ use std::sync::OnceLock;
 use specfetch_core::{fnv1a, SimConfig, SimResult, SpecfetchError};
 use specfetch_trace::TraceStats;
 
-use crate::codec::{
-    decode_path, decode_result, encode_path, encode_result, json_escape, json_unescape,
-};
+use crate::codec::{decode_result, encode_result, json_escape, json_unescape};
 
 /// Version of the store's file format (header line + path segment).
 pub const FORMAT_VERSION: u32 = 1;
@@ -237,6 +235,81 @@ fn render_failed(cfg: &SimConfig, reason: &str) -> String {
         cfg.canonical_string(),
         json_escape(reason)
     ))
+}
+
+/// The keys of a `path=` line, in order.
+const PATH_KEYS: [&str; 10] =
+    ["instrs", "br", "cond", "taken", "jumps", "calls", "rets", "ind", "lines32", "static"];
+
+/// Renders a [`PathEntry`] as one deterministic `key=value` line.
+fn encode_path(p: &PathEntry) -> String {
+    // Exhaustive destructuring, as in `codec::encode_result`: a new
+    // field is a compile error here until the line learns it.
+    let PathEntry {
+        stats:
+            TraceStats {
+                instrs,
+                branches,
+                cond_branches,
+                taken_conds,
+                jumps,
+                calls,
+                returns,
+                indirects,
+                touched_lines_32b,
+            },
+        footprint_bytes,
+    } = *p;
+    let values = [
+        instrs,
+        branches,
+        cond_branches,
+        taken_conds,
+        jumps,
+        calls,
+        returns,
+        indirects,
+        touched_lines_32b,
+        footprint_bytes,
+    ];
+    let terms: Vec<String> =
+        PATH_KEYS.iter().zip(values).map(|(k, v)| format!("{k}={v}")).collect();
+    terms.join(" ")
+}
+
+/// Parses an [`encode_path`] line: every key, in order, exactly once.
+/// The error names the first missing, extra, reordered or non-integer
+/// term.
+fn decode_path(s: &str) -> Result<PathEntry, String> {
+    let mut terms = s.split_ascii_whitespace();
+    let mut values = [0u64; PATH_KEYS.len()];
+    for (key, slot) in PATH_KEYS.iter().zip(&mut values) {
+        let term = terms.next().ok_or_else(|| format!("missing key {key:?}"))?;
+        let value = term
+            .strip_prefix(key)
+            .and_then(|t| t.strip_prefix('='))
+            .ok_or_else(|| format!("bad term {term:?} (expected {key}=<n>)"))?;
+        *slot = value.parse().map_err(|_| format!("bad integer {value:?} for key {key:?}"))?;
+    }
+    if let Some(extra) = terms.next() {
+        return Err(format!("trailing term {extra:?}"));
+    }
+    let [instrs, branches, cond_branches, taken_conds, jumps, calls, returns, indirects, touched_lines_32b, footprint_bytes] =
+        values;
+    Ok(PathEntry {
+        stats: TraceStats {
+            instrs,
+            branches,
+            cond_branches,
+            taken_conds,
+            jumps,
+            calls,
+            returns,
+            indirects,
+            touched_lines_32b,
+        },
+        footprint_bytes,
+    })
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> SpecfetchError {
@@ -563,6 +636,23 @@ mod tests {
             .collect();
         assert!(top.is_empty(), "path entries leaked into v1/: {top:?}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn path_line_round_trips_and_rejects_malformed_lines() {
+        let p = path_point();
+        let line = encode_path(&p);
+        assert_eq!(decode_path(&line).unwrap(), p, "round trip diverged for {line:?}");
+        let (head, last) = line.rsplit_once(' ').unwrap();
+        for bad in [
+            head.to_owned(),
+            format!("{line} extra=1"),
+            format!("{last} {head}"),
+            line.replacen("br=", "br=x", 1),
+            line.replacen("cond=", "cnd=", 1),
+        ] {
+            assert!(decode_path(&bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

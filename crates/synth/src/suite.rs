@@ -607,20 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_count_equals_the_hash_set_definition() {
-        let b = Benchmark::by_name("gcc").unwrap();
-        let w = b.workload().unwrap();
-        let stats = TraceStats::from_source(&mut w.executor(b.path_seed()).take_instrs(100_000));
-        let mut e = w.executor(b.path_seed()).take_instrs(100_000);
-        let mut lines = std::collections::HashSet::new();
-        while let Some(d) = e.next_instr() {
-            lines.insert(d.pc.line(TraceStats::FOOTPRINT_LINE_BYTES).index());
-        }
-        assert_eq!(stats.touched_lines_32b, lines.len() as u64);
-        assert!(stats.touched_lines_32b > 100, "gcc touches a real footprint");
-    }
-
-    #[test]
     fn display_includes_lang() {
         assert_eq!(Benchmark::by_name("gcc").unwrap().to_string(), "gcc (C)");
     }

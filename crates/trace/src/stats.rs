@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use specfetch_isa::{DynInstr, InstrKind, Program};
+use specfetch_isa::{DynInstr, InstrKind};
 
 use crate::PathSource;
 
@@ -63,10 +63,12 @@ impl TraceStats {
     /// I-cache line size).
     pub const FOOTPRINT_LINE_BYTES: u64 = 32;
 
-    /// Accumulates one retired instruction's kind and outcome (the
-    /// footprint is counted by [`TraceStats::from_source`]).
-    fn observe(&mut self, d: &DynInstr) {
+    /// Accumulates one retired instruction.
+    fn observe(&mut self, d: &DynInstr, touched: &mut HashSet<u64>) {
         self.instrs += 1;
+        if touched.insert(d.pc.line(Self::FOOTPRINT_LINE_BYTES).index()) {
+            self.touched_lines_32b += 1;
+        }
         match d.kind {
             InstrKind::Seq => {}
             InstrKind::CondBranch { .. } => {
@@ -98,12 +100,9 @@ impl TraceStats {
     /// Drains a source and summarises it.
     pub fn from_source<S: PathSource>(source: &mut S) -> Self {
         let mut stats = TraceStats::default();
-        let mut touched = TouchedLines::over(source.program());
+        let mut touched = HashSet::new();
         while let Some(d) = source.next_instr() {
-            stats.observe(&d);
-            if touched.insert(d.pc.line(Self::FOOTPRINT_LINE_BYTES).index()) {
-                stats.touched_lines_32b += 1;
-            }
+            stats.observe(&d, &mut touched);
         }
         stats
     }
@@ -131,40 +130,6 @@ impl TraceStats {
     /// Dynamic code footprint in bytes (touched 32-byte lines × 32).
     pub fn dynamic_footprint_bytes(&self) -> u64 {
         self.touched_lines_32b * Self::FOOTPRINT_LINE_BYTES
-    }
-}
-
-/// The set of footprint lines a path has touched: one bit per line the
-/// static image spans, so the per-instruction test is a shift and a mask
-/// rather than a hash. A PC outside the image (a hand-written trace may
-/// carry one) falls back to a hash set, keeping the count exact.
-struct TouchedLines {
-    base: u64,
-    bits: Vec<u64>,
-    outside: HashSet<u64>,
-}
-
-impl TouchedLines {
-    fn over(program: &Program) -> Self {
-        let line_bytes = TraceStats::FOOTPRINT_LINE_BYTES;
-        let base = program.base().line(line_bytes).index();
-        let end = program.end().raw().div_ceil(line_bytes);
-        let words = (end - base).div_ceil(64) as usize;
-        TouchedLines { base, bits: vec![0; words], outside: HashSet::new() }
-    }
-
-    /// Marks `line` touched; `true` if it was not already.
-    fn insert(&mut self, line: u64) -> bool {
-        let i = line.wrapping_sub(self.base);
-        match usize::try_from(i / 64).ok().and_then(|w| self.bits.get_mut(w)) {
-            Some(word) => {
-                let bit = 1 << (i % 64);
-                let fresh = *word & bit == 0;
-                *word |= bit;
-                fresh
-            }
-            None => self.outside.insert(line),
-        }
     }
 }
 
@@ -232,33 +197,6 @@ mod tests {
         // PCs: 0x0,0x4 (line 0), 0x20,0x24 (line 1), 0x40 (line 2)
         assert_eq!(stats.touched_lines_32b, 3);
         assert_eq!(stats.dynamic_footprint_bytes(), 96);
-    }
-
-    /// The footprint by its definition: distinct 32-byte lines, counted
-    /// with a hash set.
-    fn reference_lines(mut source: impl PathSource) -> u64 {
-        let mut set = HashSet::new();
-        while let Some(d) = source.next_instr() {
-            set.insert(d.pc.line(TraceStats::FOOTPRINT_LINE_BYTES).index());
-        }
-        set.len() as u64
-    }
-
-    #[test]
-    fn bitset_footprint_equals_the_hash_set_definition() {
-        let stats = TraceStats::from_source(&mut mixed_path());
-        assert_eq!(stats.touched_lines_32b, reference_lines(mixed_path()));
-
-        // An image that starts mid-line, and PCs on both sides of it.
-        let mut b = ProgramBuilder::new(Addr::new(0x1014));
-        b.push_seq(40);
-        b.set_entry(Addr::new(0x1014));
-        let p = b.finish().unwrap();
-        let pcs = [0x1014, 0x1018, 0x1020, 0x10b0, 0x0, 0x1000, 0x10c0, 0x9000, 0x1020, 0x9004];
-        let path: Vec<DynInstr> = pcs.iter().map(|&pc| DynInstr::seq(Addr::new(pc))).collect();
-        let stats = TraceStats::from_source(&mut VecSource::new(p.clone(), path.clone()));
-        assert_eq!(stats.touched_lines_32b, reference_lines(VecSource::new(p, path)));
-        assert_eq!(stats.touched_lines_32b, 6);
     }
 
     #[test]
