@@ -58,7 +58,7 @@ impl<S: PathSource> Engine<S> {
                         slot += batch;
                         if let Some(c) = self.overlay.as_mut() {
                             c.idx += batch as usize;
-                            self.next_correct = c.materialize_in(self.decode_window.as_ref());
+                            self.next_correct = c.materialize();
                         }
                         continue;
                     }
@@ -100,13 +100,37 @@ impl<S: PathSource> Engine<S> {
                         self.lose(width - slot, cause);
                         return (slot == 0).then_some(cause);
                     }
-                    self.lose(1, Cause::Branch(trigger));
                     self.last_fetch_cycle = Some(self.cycle);
-                    slot += 1;
                     if kind.is_branch() {
+                        self.lose(1, Cause::Branch(trigger));
+                        slot += 1;
                         self.branch_wrong(pc, kind);
-                    } else if let Mode::Wrong { walk, .. } = &mut self.mode {
-                        *walk = Some(pc.next());
+                        continue;
+                    }
+                    // Wrong-path batch: the non-transfer instructions that
+                    // follow in the same line are fetched with this access,
+                    // by the correct-path batch's argument (guaranteed hits
+                    // on the line just touched; wrong-path hits touch no
+                    // classification counter).
+                    let mut run = 1;
+                    if self.batch_ok {
+                        let in_line =
+                            self.line_word_mask + 1 - (pc.word_index() & self.line_word_mask);
+                        let limit = in_line.min(width - slot);
+                        while run < limit
+                            && matches!(
+                                self.program.fetch(Addr::from_word(pc.word_index() + run)),
+                                Some(InstrKind::Seq)
+                            )
+                        {
+                            run += 1;
+                        }
+                        self.cache_wrong.accesses += run - 1;
+                    }
+                    self.lose(run, Cause::Branch(trigger));
+                    slot += run;
+                    if let Mode::Wrong { walk, .. } = &mut self.mode {
+                        *walk = Some(Addr::from_word(pc.word_index() + run));
                     }
                 }
             }
@@ -123,7 +147,7 @@ impl<S: PathSource> Engine<S> {
             if d.kind.is_branch() {
                 c.branch_ord += 1;
             }
-            self.next_correct = c.materialize_in(self.decode_window.as_ref());
+            self.next_correct = c.materialize();
         } else {
             self.next_correct = self.source.next_instr();
         }
@@ -145,7 +169,7 @@ impl<S: PathSource> Engine<S> {
             let decode_recovers = decode_pred == Some(actual);
             record.decode_recovers = decode_recovers;
             if !decode_recovers {
-                record.resolve_redirect = Some(actual);
+                record.resolve_redirect = Some(actual).into();
             }
             let trigger = if decode_recovers {
                 self.misfetches += 1;
@@ -177,6 +201,15 @@ impl<S: PathSource> Engine<S> {
     }
 
     fn push_inflight(&mut self, record: Inflight) {
+        // `process_events` stops its scan at the first undecoded record
+        // that is not yet due, which is sound only while both event times
+        // are nondecreasing along the queue.
+        debug_assert!(
+            self.inflight.back().is_none_or(
+                |b| b.decode_at <= record.decode_at && b.resolve_at <= record.resolve_at
+            ),
+            "in-flight event times must be nondecreasing in fetch order"
+        );
         if record.is_cond {
             self.cond_in_flight += 1;
         }
@@ -277,12 +310,12 @@ impl<S: PathSource> Engine<S> {
             is_cond,
             on_correct,
             pred_taken,
-            insert_target,
-            decode_redirect,
+            insert_target: insert_target.into(),
+            decode_redirect: decode_redirect.into(),
             decode_recovers: false,
             halt_at_decode: decode_pred.is_none(),
-            resolve_redirect: None,
-            resolve_insert_target,
+            resolve_redirect: None.into(),
+            resolve_insert_target: resolve_insert_target.into(),
             actual_taken: actual.map(|d| d.taken).unwrap_or(pred_taken),
             ghr_snapshot,
         };

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use specfetch_bpred::{BranchUnit, OutcomeReplay};
 use specfetch_cache::{Bus, ICache, ResumeBuffer};
 use specfetch_isa::{Addr, DynInstr, InstrKind, LineAddr, Program};
-use specfetch_trace::{DecodeWindow, PathSource, PredictedTrace};
+use specfetch_trace::{PathSource, PredictedTrace};
 
 use crate::{IspiBreakdown, MissClass, SimConfig, SimResult};
 use gate::MissGate;
@@ -91,22 +91,42 @@ pub(crate) struct Inflight {
     on_correct: bool,
     pred_taken: bool,
     /// Speculative BTB insert performed at decode.
-    insert_target: Option<Addr>,
+    insert_target: PackedAddr,
     /// Believed-path change at decode (`decode_pred != fetch_guess`).
-    decode_redirect: Option<Addr>,
+    decode_redirect: PackedAddr,
     /// The decode redirect returns fetch to the correct path.
     decode_recovers: bool,
     /// No target computable at decode: the walk halts there.
     halt_at_decode: bool,
     /// Correct-path recovery at resolve (ground-truth successor).
-    resolve_redirect: Option<Addr>,
+    resolve_redirect: PackedAddr,
     /// BTB learns the actual target at resolve (returns/indirects).
-    resolve_insert_target: Option<Addr>,
+    resolve_insert_target: PackedAddr,
     /// Ground-truth direction (correct-path conditionals).
     actual_taken: bool,
     /// GHR snapshot before this branch's speculative shift (speculative
     /// GHR ablation only).
     ghr_snapshot: u32,
+}
+
+/// An `Option<Addr>` in 8 bytes instead of 16. [`Inflight`] is copied on
+/// every push and every fired event, and carries four of these. The
+/// sentinel is never a valid address: addresses are word-aligned.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct PackedAddr(u64);
+
+impl PackedAddr {
+    const NONE: u64 = u64::MAX;
+
+    fn get(self) -> Option<Addr> {
+        (self.0 != Self::NONE).then(|| Addr::new(self.0))
+    }
+}
+
+impl From<Option<Addr>> for PackedAddr {
+    fn from(a: Option<Addr>) -> Self {
+        PackedAddr(a.map_or(Self::NONE, Addr::raw))
+    }
 }
 
 /// Does this instruction kind carry a resolve event?
@@ -147,6 +167,12 @@ struct PendingMiss {
 /// indexed by ordinal, not by instruction index). Reading the overlay's
 /// run lengths lets the fetch phase issue whole sequential runs per step
 /// instead of materialising one [`DynInstr`] per slot.
+///
+/// Each lockstep lane owns one cursor over the shared overlay and
+/// materialises its own next instruction with
+/// [`PredictedTrace::instr_at`], which reads about 5 bytes of overlay.
+/// That is cheaper than copying a pre-decoded 40-byte record out of a
+/// window shared by the batch.
 #[derive(Clone, Debug)]
 struct OverlayCursor {
     trace: Arc<PredictedTrace>,
@@ -157,20 +183,6 @@ struct OverlayCursor {
 impl OverlayCursor {
     fn materialize(&self) -> Option<DynInstr> {
         (self.idx < self.trace.len()).then(|| self.trace.instr_at(self.idx, self.branch_ord))
-    }
-
-    /// Like [`OverlayCursor::materialize`], but serves the instruction
-    /// from a shared pre-materialised [`DecodeWindow`] when it covers the
-    /// cursor — the lockstep executor decodes each window once and every
-    /// lane copies from it instead of re-deriving the `DynInstr`.
-    fn materialize_in(&self, window: Option<&Arc<DecodeWindow>>) -> Option<DynInstr> {
-        if let Some(w) = window {
-            if let Some(d) = w.get(self.idx) {
-                debug_assert_eq!(Some(*d), self.materialize(), "decode window out of sync");
-                return Some(*d);
-            }
-        }
-        self.materialize()
     }
 }
 
@@ -214,11 +226,6 @@ pub(crate) struct Engine<S: PathSource> {
     /// Cursor into the shared overlay when the source advertises one;
     /// while set, the engine never calls `source.next_instr`.
     overlay: Option<OverlayCursor>,
-    /// Shared pre-materialised decode window (lockstep batches only):
-    /// one decode pass feeds every lane in the batch. Byte-identical to
-    /// per-lane materialisation — the window holds exactly what
-    /// [`OverlayCursor::materialize`] would produce.
-    decode_window: Option<Arc<DecodeWindow>>,
     /// Overlay batching is byte-identical only while per-access side
     /// effects are limited to the cache itself (no prefetch triggers).
     batch_ok: bool,
@@ -318,7 +325,6 @@ impl<S: PathSource> Engine<S> {
             gate,
             prefetchers,
             overlay,
-            decode_window: None,
             batch_ok,
             line_word_mask: cfg.icache.line_bytes / specfetch_isa::INSTR_BYTES - 1,
             ghr_check,
@@ -393,15 +399,9 @@ impl<S: PathSource> Engine<S> {
 
     /// The engine's position in its shared overlay (0 without one): the
     /// index of the next correct-path instruction to fetch. The lockstep
-    /// scheduler advances lanes in bounded windows of this position.
+    /// scheduler advances lanes in bounded rounds of this position.
     pub(crate) fn trace_idx(&self) -> usize {
         self.overlay.as_ref().map_or(0, |c| c.idx)
-    }
-
-    /// Installs the shared pre-materialised decode window for the current
-    /// lockstep round (see [`DecodeWindow`]).
-    pub(crate) fn set_decode_window(&mut self, window: Arc<DecodeWindow>) {
-        self.decode_window = Some(window);
     }
 
     /// Steps cycles until the overlay cursor reaches `idx_limit` or the

@@ -3,19 +3,20 @@
 //!
 //! A policy/parameter sweep replays the *same* correct path once per
 //! configuration. Sequential scheduling walks the multi-megabyte overlay
-//! arrays end-to-end N times — N cold passes through the trace for one
-//! logical decode. The lockstep executor instead advances all N lanes
-//! through the trace **window by window**: each round materialises one
-//! [`DecodeWindow`] (a few hundred KB — cache-resident) and steps every
-//! live lane until its overlay cursor reaches the round's watermark. The
-//! trace region and its decoded form stay hot while every lane crosses
-//! them, and the decode itself is done once instead of per lane.
+//! arrays end-to-end N times — N cold passes through the trace. The
+//! lockstep executor instead advances all N lanes through the trace
+//! **round by round**: each round steps every live lane until its overlay
+//! cursor reaches the round's watermark, so the overlay region the round
+//! covers (about 5 bytes per instruction) stays cache-hot while every lane
+//! crosses it. Each lane decodes its own instructions straight from the
+//! overlay ([`PredictedTrace::instr_at`]): reading those few bytes costs
+//! less than copying a 40-byte record out of a window decoded once per
+//! round (DESIGN §5h).
 //!
 //! What is shared and what is not (DESIGN §5d/§5h):
 //!
-//! - **Shared, read-only**: the overlay arrays (`Arc<PredictedTrace>`)
-//!   and the round's pre-materialised decode window. Both are pure
-//!   functions of the trace — never of a configuration.
+//! - **Shared, read-only**: the overlay arrays (`Arc<PredictedTrace>`), a
+//!   pure function of the trace — never of a configuration.
 //! - **Per-lane, private**: everything timing- or policy-dependent —
 //!   I-cache tags, miss-gate state, BTB/PHT/RAS/GHR contents, the bus,
 //!   in-flight branch events, and all accounting. Lanes stall and resume
@@ -46,17 +47,19 @@ pub type LanePanic = Box<dyn std::any::Any + Send + 'static>;
 /// One lane's outcome: its measurements, or the panic that killed it.
 pub type LaneOutcome = Result<SimResult, LanePanic>;
 
-/// Trace-index quantum per round. Large enough to amortise the window
-/// decode and keep per-round scheduling overhead negligible, small
-/// enough that a window (~32 bytes per instruction) stays L2-resident
-/// while N lanes cross it.
+/// Trace-index quantum per round: how far every lane advances before the
+/// next lane takes its turn. Rounds cost almost nothing to schedule, so
+/// the quantum only sets how much overlay the lanes of a batch share in
+/// cache — about 80 KB at 16K instructions. On the paper grid at 200k
+/// instructions on a 2-vCPU host, 4K, 16K and 64K measured within noise
+/// of each other.
 const QUANTUM: usize = 16 * 1024;
 
 /// Runs one front end per lane over a shared overlay, in lockstep.
 ///
 /// Returns one [`LaneOutcome`] per front end, in input order. Lane `i`'s
 /// result is byte-identical to `fronts[i].run(PredictedTrace::source(overlay))`
-/// — the executor changes scheduling and decode sharing, never behaviour.
+/// — the executor changes scheduling, never behaviour.
 ///
 /// A lane that panics (during construction, stepping, or final
 /// accounting) yields `Err` with the captured payload; all other lanes
@@ -69,7 +72,7 @@ pub fn run_lockstep(overlay: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec
     // Lane state, flat: engines are stored contiguously and addressed by
     // index; a dead lane's slot is `None`. The scheduler's own state is
     // just these slots plus the shared watermark — no per-round
-    // allocation beyond the decode window.
+    // allocation.
     let cursor = PredictedTrace::source(overlay);
     let mut lanes: Vec<Option<Engine<PredictedSource>>> = cursor
         .fan_out(n_lanes)
@@ -89,21 +92,11 @@ pub fn run_lockstep(overlay: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec
         .collect();
 
     let mut watermark = 0usize;
-    let mut window_ord = 0usize; // transfers before `watermark`
     loop {
-        let start = watermark;
         watermark = (watermark + QUANTUM).min(n_instrs);
-        // The window covers the round's reachable indices: a lane may
-        // overshoot the watermark by one fetch batch, so extend the tail
-        // a little. Indices outside any window fall back to direct
-        // overlay decoding — coverage is a performance property only.
-        let window = Arc::new(overlay.decode_window(start, watermark + 64, window_ord));
-        window_ord += overlay.branches_in(start, watermark);
-
         let mut any_live = false;
         for (i, slot) in lanes.iter_mut().enumerate() {
             let Some(engine) = slot else { continue };
-            engine.set_decode_window(Arc::clone(&window));
             let stepped = panic::catch_unwind(AssertUnwindSafe(|| engine.advance_to(watermark)));
             match stepped {
                 Ok(()) if engine.finished() => {
@@ -224,8 +217,8 @@ mod tests {
 
     #[test]
     fn lanes_cross_quantum_boundaries() {
-        // A trace longer than several quanta, so the scheduler rounds and
-        // window hand-offs are actually exercised.
+        // A trace longer than several quanta, so the scheduler rounds are
+        // actually exercised.
         let ov = overlay(QUANTUM as u64 * 3 + 1_234);
         let cfg = SimConfig::paper_baseline();
         let fronts = vec![FrontEnd::build(cfg).unwrap(), FrontEnd::build(cfg).unwrap()];

@@ -237,9 +237,8 @@ impl PredictedTrace {
         self.seq_run[start..end].iter().filter(|&&r| r == 0).count()
     }
 
-    /// Materialises instructions `start..end` into a [`DecodeWindow`]:
-    /// one decode pass whose result fans out to any number of lockstep
-    /// lanes. `start_ord` must be [`PredictedTrace::branches_before`]
+    /// Materialises instructions `start..end` into a [`DecodeWindow`] in
+    /// one decode pass. `start_ord` must be [`PredictedTrace::branches_before`]
     /// `(start)` (callers advance it incrementally via
     /// [`PredictedTrace::branches_in`]).
     pub fn decode_window(&self, start: usize, end: usize, start_ord: usize) -> DecodeWindow {
@@ -307,9 +306,9 @@ impl PredictedSource {
     }
 
     /// Fans this cursor out into `n` independent lanes at the same
-    /// position — the entry point of config-lockstep batching: the trace
-    /// is walked (and decoded) once, while each lane keeps private fetch
-    /// state. Cursors are an `Arc` bump plus two indices, so fan-out is
+    /// position — the entry point of config-lockstep batching: the lanes
+    /// share the overlay, while each keeps its own position and private
+    /// fetch state. Cursors are an `Arc` bump plus two indices, so fan-out is
     /// O(n) regardless of trace length.
     pub fn fan_out(&self, n: usize) -> Vec<PredictedSource> {
         (0..n).map(|_| self.clone()).collect()
@@ -317,10 +316,10 @@ impl PredictedSource {
 }
 
 /// A contiguous pre-materialised window of a [`PredictedTrace`]: the
-/// instructions of `start..start + len`, decoded once and shared by every
-/// lane of a lockstep batch. Holds exactly what
-/// [`PredictedTrace::instr_at`] would produce, so serving a cursor from
-/// the window is byte-identical to per-lane decoding.
+/// instructions of `start..start + len`, decoded in one pass. Holds
+/// exactly what [`PredictedTrace::instr_at`] would produce. Only the
+/// benchmark ledger's decode probe builds one; lockstep lanes decode from
+/// the overlay directly.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DecodeWindow {
     start: usize,

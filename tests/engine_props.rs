@@ -20,6 +20,8 @@ struct Scenario {
     prefetch: bool,
     target_prefetch: bool,
     small_cache: bool,
+    decode_latency: u64,
+    resolve_latency: u64,
 }
 
 fn scenario(rng: &mut SynthRng) -> Scenario {
@@ -38,6 +40,8 @@ fn scenario(rng: &mut SynthRng) -> Scenario {
         prefetch: rng.gen_bool(0.5),
         target_prefetch: rng.gen_bool(0.5),
         small_cache: rng.gen_bool(0.5),
+        decode_latency: 2,
+        resolve_latency: 4,
     }
 }
 
@@ -80,6 +84,8 @@ fn structural_policy_orderings_hold_on_random_configs() {
             cfg.max_unresolved = sc.max_unresolved;
             cfg.prefetch = sc.prefetch;
             cfg.target_prefetch = sc.target_prefetch;
+            cfg.decode_latency = sc.decode_latency;
+            cfg.resolve_latency = sc.resolve_latency;
             if sc.small_cache {
                 cfg.icache.size_bytes = 1024;
             }
@@ -127,7 +133,12 @@ fn structural_policy_orderings_hold_on_random_configs() {
 fn engine_invariants_hold_for_any_scenario() {
     let mut rng = SynthRng::seed_from_u64(0xE16E);
     for case in 0..CASES {
-        let sc = scenario(&mut rng);
+        let mut sc = scenario(&mut rng);
+        // Vary both event latencies within `1 <= decode <= resolve` (what
+        // `SimConfig::validate` accepts). `decode == resolve` makes one
+        // in-flight record decode-due and resolve-due in the same cycle.
+        sc.resolve_latency = [1u64, 2, 4, 6][rng.gen_range(0usize..=3)];
+        sc.decode_latency = rng.gen_range(1u64..=sc.resolve_latency);
         let workload = Workload::generate(&sc.spec).expect("presets are valid");
         let mut cfg = SimConfig::paper_baseline();
         cfg.policy = sc.policy;
@@ -135,6 +146,8 @@ fn engine_invariants_hold_for_any_scenario() {
         cfg.max_unresolved = sc.max_unresolved;
         cfg.prefetch = sc.prefetch;
         cfg.target_prefetch = sc.target_prefetch;
+        cfg.decode_latency = sc.decode_latency;
+        cfg.resolve_latency = sc.resolve_latency;
         cfg.classify = true;
         if sc.small_cache {
             cfg.icache.size_bytes = 1024; // stress conflicts and eviction
