@@ -49,8 +49,6 @@ pub struct Btb {
     sets: Vec<Vec<Entry>>,
     assoc: usize,
     set_mask: u64,
-    /// Index bits (`set_mask.count_ones()`), hoisted out of every probe.
-    set_shift: u32,
     tick: u32,
 }
 
@@ -70,14 +68,13 @@ impl Btb {
             sets: vec![Vec::with_capacity(assoc); n_sets],
             assoc,
             set_mask: n_sets as u64 - 1,
-            set_shift: (n_sets as u64 - 1).count_ones(),
             tick: 0,
         }
     }
 
     fn index(&self, pc: Addr) -> (usize, u64) {
         let word = pc.word_index();
-        ((word & self.set_mask) as usize, word >> self.set_shift)
+        ((word & self.set_mask) as usize, word >> self.set_mask.count_ones())
     }
 
     /// Probes the BTB; a hit refreshes the entry's recency.

@@ -100,37 +100,13 @@ impl<S: PathSource> Engine<S> {
                         self.lose(width - slot, cause);
                         return (slot == 0).then_some(cause);
                     }
+                    self.lose(1, Cause::Branch(trigger));
                     self.last_fetch_cycle = Some(self.cycle);
+                    slot += 1;
                     if kind.is_branch() {
-                        self.lose(1, Cause::Branch(trigger));
-                        slot += 1;
                         self.branch_wrong(pc, kind);
-                        continue;
-                    }
-                    // Wrong-path batch: the non-transfer instructions that
-                    // follow in the same line are fetched with this access,
-                    // by the correct-path batch's argument (guaranteed hits
-                    // on the line just touched; wrong-path hits touch no
-                    // classification counter).
-                    let mut run = 1;
-                    if self.batch_ok {
-                        let in_line =
-                            self.line_word_mask + 1 - (pc.word_index() & self.line_word_mask);
-                        let limit = in_line.min(width - slot);
-                        while run < limit
-                            && matches!(
-                                self.program.fetch(Addr::from_word(pc.word_index() + run)),
-                                Some(InstrKind::Seq)
-                            )
-                        {
-                            run += 1;
-                        }
-                        self.cache_wrong.accesses += run - 1;
-                    }
-                    self.lose(run, Cause::Branch(trigger));
-                    slot += run;
-                    if let Mode::Wrong { walk, .. } = &mut self.mode {
-                        *walk = Some(Addr::from_word(pc.word_index() + run));
+                    } else if let Mode::Wrong { walk, .. } = &mut self.mode {
+                        *walk = Some(pc.next());
                     }
                 }
             }

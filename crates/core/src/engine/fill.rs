@@ -77,31 +77,10 @@ impl<S: PathSource> Engine<S> {
     /// Accesses the line under `pc`; returns `true` when fetch may
     /// proceed (hit, or satisfied by a buffer), `false` when it stalls
     /// (a pending miss was created or is outstanding).
-    ///
-    /// The common case — a hit with no blocked access to retry, no shadow
-    /// cache and no prefetch stage — only counts the access and stays
-    /// inline in the fetch loop; everything else is
-    /// [`Engine::access_slow`].
-    #[inline]
     pub(super) fn access(&mut self, pc: Addr, correct: bool) -> bool {
         let line = pc.line(self.cfg.icache.line_bytes);
         let hit = self.icache.access(line);
-        if hit && self.last_blocked.is_none() && self.shadow.is_none() && self.batch_ok {
-            if correct {
-                self.cache_correct.accesses += 1;
-            } else {
-                self.cache_wrong.accesses += 1;
-            }
-            return true;
-        }
-        self.access_slow(pc, line, hit, correct)
-    }
 
-    /// [`Engine::access`] after the I-cache lookup (`hit`): retry
-    /// detection, miss classification, prefetch triggers and the miss
-    /// path.
-    #[inline(never)]
-    fn access_slow(&mut self, pc: Addr, line: LineAddr, hit: bool, correct: bool) -> bool {
         // A retry of the access that stalled fetch (the fill just landed)
         // is the same architectural reference: don't count it twice.
         let retry = self.last_blocked == Some((pc, correct));
