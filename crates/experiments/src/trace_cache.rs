@@ -18,7 +18,9 @@
 //! 3. [`memoized_result`] caches the finished [`SimResult`] per
 //!    `(benchmark, window, config)`. The experiment grid revisits many
 //!    identical points (every table re-runs the Oracle/Resume baselines);
-//!    the engine is deterministic, so the second visit is a clone.
+//!    the engine is deterministic, so the second visit is a clone. The
+//!    memo lasts one run: a CLI process, or one busy period of the job
+//!    service, which empties it with [`clear_results`].
 //!
 //! Concurrency: each map is guarded by one mutex held only for key
 //! lookup; each entry is a [`OnceLock`], so parallel workers that race on
@@ -240,6 +242,15 @@ pub fn memoized_result(
 pub(crate) fn cached_result(bench: &Benchmark, instrs: u64, cfg: SimConfig) -> Option<SimResult> {
     let map = lock_recovering(result_map());
     map.get(&((bench.name, instrs), cfg)).and_then(|cell| cell.get().cloned())
+}
+
+/// Empties the result memo. Recordings and overlays stay. The memo
+/// deduplicates points within one run; a long-lived caller (the job
+/// service, between busy periods) calls this so the memo does not grow
+/// with every point the process has ever simulated.
+pub fn clear_results() {
+    // Taken out under the lock, freed after it.
+    let _results = std::mem::take(&mut *lock_recovering(result_map()));
 }
 
 /// Stores a finished result into the memo (the lockstep batch computes

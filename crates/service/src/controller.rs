@@ -8,14 +8,14 @@
 //! job runs, tracks its [`JobState`], and keeps what the HTTP layer
 //! needs to answer for it afterwards.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use specfetch_experiments::{
-    diag, journal, supervise, Driver, DriverOutcome, Format, JobSpec, Progress, RunOptions,
-    RunStore,
+    diag, journal, supervise, trace_cache, Driver, DriverOutcome, Format, JobSpec, Progress,
+    RunOptions, RunStore,
 };
 use specfetch_verify::{job_step, JobEvent, JobPhase, Step};
 
@@ -47,14 +47,57 @@ pub struct ControllerConfig {
     pub max_concurrent: usize,
 }
 
+/// One job's `[row]` lines, captured from its diagnostics row sink, and
+/// whether the buffer is closed (the job is terminal: no more rows will
+/// come). Stream readers wait on `changed` for the next row or the close
+/// instead of polling.
+#[derive(Default)]
+struct Rows {
+    buf: Mutex<(Vec<String>, bool)>,
+    changed: Condvar,
+}
+
+impl Rows {
+    /// Appends one streamed row and wakes the readers. Called from the
+    /// row sink, so the lock is a leaf taken under the diag sink
+    /// registry.
+    fn push_row(&self, row: &str) {
+        lock(&self.buf).0.push(row.to_owned());
+        self.changed.notify_all();
+    }
+
+    /// Marks the buffer complete and wakes the readers. Idempotent.
+    fn close(&self) {
+        lock(&self.buf).1 = true;
+        self.changed.notify_all();
+    }
+
+    fn len(&self) -> usize {
+        lock(&self.buf).0.len()
+    }
+
+    /// Blocks until there are more than `from` rows or the buffer is
+    /// closed, then returns the rows from index `from` on and whether
+    /// the buffer is closed.
+    fn after(&self, from: usize) -> (Vec<String>, bool) {
+        let mut buf = lock(&self.buf);
+        while buf.0.len() <= from && !buf.1 {
+            buf = match self.changed.wait(buf) {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+        }
+        (buf.0[from.min(buf.0.len())..].to_vec(), buf.1)
+    }
+}
+
 /// Everything the controller keeps about one job.
 struct JobRecord {
     spec: JobSpec,
     opts: RunOptions,
     state: JobState,
     cancel_requested: bool,
-    /// `[row]` lines captured from the job's diagnostics row sink.
-    rows: Arc<Mutex<Vec<String>>>,
+    rows: Arc<Rows>,
     /// The rendered reports, newline-terminated exactly as the CLI
     /// prints them. Present once terminal (empty for jobs cancelled
     /// before running).
@@ -65,10 +108,23 @@ struct JobRecord {
 }
 
 struct State {
-    next_id: u64,
     queue: VecDeque<u64>,
-    jobs: HashMap<u64, JobRecord>,
+    /// Job `id` is `jobs[id - 1]`: ids are dense from 1 (job 0 is the
+    /// CLI's ambient job) and records are never removed.
+    jobs: Vec<JobRecord>,
+    /// Jobs claimed by a driver and not yet finished.
+    running: usize,
     accepting: bool,
+}
+
+impl State {
+    fn job(&self, id: u64) -> Option<&JobRecord> {
+        self.jobs.get(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut JobRecord> {
+        self.jobs.get_mut(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
 }
 
 /// Applies one lifecycle event to `job` through the model's typed
@@ -76,7 +132,8 @@ struct State {
 /// state. Every state change the controller makes goes through here —
 /// the checked machine IS the shipped lifecycle logic. An event the
 /// model leaves undefined is a controller bug: reported loudly, state
-/// untouched.
+/// untouched. Landing in a terminal state closes the job's row buffer,
+/// which ends its streams.
 fn advance(job: &mut JobRecord, event: &JobEvent) -> JobState {
     let phase = JobPhase { state: job.state, cancel_requested: job.cancel_requested };
     match job_step(&phase, event) {
@@ -89,14 +146,10 @@ fn advance(job: &mut JobRecord, event: &JobEvent) -> JobState {
             diag::line(&format!("[controller] illegal transition {:?} -> {event:?}", job.state));
         }
     }
+    if job.state.is_terminal() {
+        job.rows.close();
+    }
     job.state
-}
-
-/// Appends one streamed row. Kept out of [`run_job`] so the row sink's
-/// lock acquisition is attributed to this leaf function, not textually
-/// interleaved with the driver's state-lock sites.
-fn push_row(rows: &Mutex<Vec<String>>, row: &str) {
-    lock(rows).push(row.to_owned());
 }
 
 struct Shared {
@@ -117,10 +170,9 @@ impl Controller {
     pub fn start(cfg: ControllerConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                // Job 0 is the CLI's ambient job; service jobs start at 1.
-                next_id: 1,
                 queue: VecDeque::new(),
-                jobs: HashMap::new(),
+                jobs: Vec::new(),
+                running: 0,
                 accepting: true,
             }),
             work: Condvar::new(),
@@ -147,25 +199,21 @@ impl Controller {
         if !st.accepting {
             return Err("server is draining and accepts no new jobs".to_owned());
         }
-        let id = st.next_id;
-        st.next_id += 1;
+        let id = st.jobs.len() as u64 + 1;
         let mut opts = self.shared.cfg.opts.with_job(id).with_stream(true);
         if let Some(n) = instrs {
             opts = opts.with_instrs(n);
         }
-        st.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                opts,
-                state: JobState::Queued,
-                cancel_requested: false,
-                rows: Arc::new(Mutex::new(Vec::new())),
-                result: None,
-                outcome: None,
-                final_progress: None,
-            },
-        );
+        st.jobs.push(JobRecord {
+            spec,
+            opts,
+            state: JobState::Queued,
+            cancel_requested: false,
+            rows: Arc::default(),
+            result: None,
+            outcome: None,
+            final_progress: None,
+        });
         st.queue.push_back(id);
         self.shared.work.notify_one();
         Ok(id)
@@ -174,20 +222,19 @@ impl Controller {
     /// The job's current status, or `None` for an unknown id.
     pub fn status(&self, id: u64) -> Option<JobSnapshot> {
         let st = lock(&self.shared.state);
-        let job = st.jobs.get(&id)?;
+        let job = st.job(id)?;
         let progress = if job.state.is_terminal() {
             job.final_progress
         } else {
             RunStore::for_job(id).progress()
         };
-        let rows = lock(&job.rows).len() as u64;
         Some(JobSnapshot {
             id,
             state: job.state,
             spec: job.spec.describe(),
             progress,
             outcome: job.outcome,
-            rows,
+            rows: job.rows.len() as u64,
         })
     }
 
@@ -195,17 +242,16 @@ impl Controller {
     /// `None`: not terminal yet.
     pub fn result(&self, id: u64) -> Option<Option<String>> {
         let st = lock(&self.shared.state);
-        let job = st.jobs.get(&id)?;
+        let job = st.job(id)?;
         Some(if job.state.is_terminal() { job.result.clone() } else { None })
     }
 
     /// Buffered stream rows from index `from` on, plus whether the job
-    /// is terminal (no more rows will come). `None` for an unknown id.
+    /// is terminal (no more rows will come). Blocks until there are more
+    /// than `from` rows or the job is terminal. `None` for an unknown id.
     pub fn rows_after(&self, id: u64, from: usize) -> Option<(Vec<String>, bool)> {
-        let st = lock(&self.shared.state);
-        let job = st.jobs.get(&id)?;
-        let rows = lock(&job.rows);
-        Some((rows[from.min(rows.len())..].to_vec(), job.state.is_terminal()))
+        let rows = Arc::clone(&lock(&self.shared.state).job(id)?.rows);
+        Some(rows.after(from))
     }
 
     /// Requests cancellation: a queued job goes straight to
@@ -214,7 +260,7 @@ impl Controller {
     /// points journalled). Idempotent; `None` for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let mut st = lock(&self.shared.state);
-        let job = st.jobs.get_mut(&id)?;
+        let job = st.job_mut(id)?;
         let before = job.state;
         let after = advance(job, &JobEvent::Cancel);
         // Side effects ride on the edge taken (Draining-or-terminal
@@ -229,13 +275,8 @@ impl Controller {
 
     /// Every known job, newest first (for listing endpoints and tests).
     pub fn snapshot_all(&self) -> Vec<JobSnapshot> {
-        let ids: Vec<u64> = {
-            let st = lock(&self.shared.state);
-            let mut ids: Vec<u64> = st.jobs.keys().copied().collect();
-            ids.sort_unstable_by(|a, b| b.cmp(a));
-            ids
-        };
-        ids.into_iter().filter_map(|id| self.status(id)).collect()
+        let n = lock(&self.shared.state).jobs.len() as u64;
+        (1..=n).rev().filter_map(|id| self.status(id)).collect()
     }
 
     /// Stops intake and blocks until every driver thread has finished
@@ -264,13 +305,15 @@ fn driver_loop(shared: &Arc<Shared>) {
             let mut st = lock(&shared.state);
             loop {
                 if let Some(id) = st.queue.pop_front() {
-                    let Some(job) = st.jobs.get_mut(&id) else { continue };
+                    let Some(job) = st.job_mut(id) else { continue };
                     if advance(job, &JobEvent::Dequeue) != JobState::Running {
                         // Cancelled while queued: the machine absorbs
                         // the stale queue entry (already terminal).
                         continue;
                     }
-                    break Some((id, job.spec.clone(), job.opts, Arc::clone(&job.rows)));
+                    let claimed = (id, job.spec.clone(), job.opts, Arc::clone(&job.rows));
+                    st.running += 1;
+                    break Some(claimed);
                 }
                 if !st.accepting {
                     break None;
@@ -288,15 +331,13 @@ fn driver_loop(shared: &Arc<Shared>) {
 
 /// Runs one claimed job start to finish: row sink, journal, driver,
 /// terminal bookkeeping.
-fn run_job(
-    shared: &Arc<Shared>,
-    id: u64,
-    spec: &JobSpec,
-    opts: RunOptions,
-    rows: Arc<Mutex<Vec<String>>>,
-) {
-    let sink_rows = Arc::clone(&rows);
-    diag::register_row_sink(id, move |row| push_row(&sink_rows, row));
+///
+/// The last job of a busy period to finish empties the result memo: it
+/// only deduplicates points within a run, and kept across jobs it
+/// would grow with every distinct point the server ever simulated.
+/// Reuse across jobs is the result store's (`--result-dir`).
+fn run_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, opts: RunOptions, rows: Arc<Rows>) {
+    diag::register_row_sink(id, move |row| rows.push_row(row));
 
     let store = RunStore::for_job(id);
     if let Some(root) = &shared.cfg.journal_root {
@@ -329,7 +370,9 @@ fn run_job(
     diag::clear_row_sink(id);
 
     let mut st = lock(&shared.state);
-    if let Some(job) = st.jobs.get_mut(&id) {
+    if let Some(job) = st.job_mut(id) {
+        // The result is in place before the transition closes the row
+        // buffer, so a stream that ends can fetch it at once.
         job.result = Some(body);
         job.outcome = Some(outcome);
         job.final_progress = final_progress;
@@ -337,6 +380,10 @@ fn run_job(
             job,
             &JobEvent::Finish { failed: outcome.failed(), interrupted: outcome.interrupted },
         );
+    }
+    st.running -= 1;
+    if st.running == 0 {
+        trace_cache::clear_results();
     }
 }
 
@@ -407,5 +454,24 @@ mod tests {
         let e = c.submit(JobSpec::Experiment("table2".into()), None).unwrap_err();
         assert!(e.contains("draining"), "{e}");
         assert!(c.cancel(999).is_none());
+    }
+
+    #[test]
+    fn cancelling_a_queued_job_ends_its_stream() {
+        let c = Arc::new(Controller::start(ci_config()));
+        let long = c.submit(JobSpec::Experiment("table5".into()), Some(50_000)).unwrap();
+        let queued = c.submit(JobSpec::Experiment("table2".into()), None).unwrap();
+        let reader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.rows_after(queued, 0))
+        };
+        // Let the reader block on the empty, open buffer first.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(c.cancel(queued), Some(JobState::Cancelled));
+        assert_eq!(reader.join().unwrap(), Some((vec![], true)), "the close wakes the reader");
+        // Cancelling `long` would cancel every job 1 in this process
+        // (job cancellation is keyed by id), so let it finish.
+        wait_terminal(&c, long);
+        c.drain();
     }
 }

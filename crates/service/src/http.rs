@@ -11,12 +11,17 @@
 //! GET    /experiments       the registry listing (same JSON as --list --json)
 //! ```
 //!
-//! The accept loop polls so it can notice a graceful shutdown: the
-//! first SIGINT stops intake and drains running jobs, the second (in
-//! the binary's signal handler) aborts.
+//! Nothing on the request path sleeps: the accept loop blocks in
+//! `accept`, and a stream waits on its job's row buffer. The first
+//! SIGINT stops intake and drains running jobs, the second (in the
+//! binary's signal handler) aborts. A signal alone does not wake a
+//! blocking `accept` (the handlers are installed with `SA_RESTART`, and
+//! std retries on `EINTR` anyway), so a waker thread watches for the
+//! shutdown request and connects once to the listener to let the loop
+//! see it.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,8 +30,12 @@ use specfetch_experiments::{diag, registry, supervise, JobSpec};
 
 use crate::controller::Controller;
 
-/// How often the accept loop and the stream endpoint look around.
+/// How often the shutdown waker checks for a shutdown request, and the
+/// back-off after a failed `accept` (e.g. `EMFILE`).
 const POLL: Duration = Duration::from_millis(25);
+
+/// Cap on a request's line plus headers.
+const HEAD_CAP: u64 = 32 * 1024;
 
 /// Serves `controller` on `addr` (e.g. `127.0.0.1:8077`; port `0`
 /// binds an ephemeral port) until a graceful shutdown is requested,
@@ -45,15 +54,18 @@ pub fn serve(addr: &str, controller: &Arc<Controller>) -> Result<(), String> {
     // Deliberately not routed through the quiet-able diagnostics sink:
     // this line is the service's one contract with whoever started it.
     eprintln!("[serve] listening on {local}");
-    listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
+    spawn_shutdown_waker(local);
 
-    while !supervise::shutdown_requested() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if supervise::shutdown_requested() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let controller = Arc::clone(controller);
                 std::thread::spawn(move || handle_connection(stream, &controller));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(e) => {
                 diag::line(&format!("[serve] accept: {e}"));
                 std::thread::sleep(POLL);
@@ -65,6 +77,27 @@ pub fn serve(addr: &str, controller: &Arc<Controller>) -> Result<(), String> {
     Ok(())
 }
 
+/// Waits for a graceful shutdown request, then connects once to the
+/// listener at `addr` so its blocking `accept` returns and the loop
+/// sees the request. An unspecified bind address is reached over
+/// loopback.
+fn spawn_shutdown_waker(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    std::thread::spawn(move || {
+        while !supervise::shutdown_requested() {
+            std::thread::sleep(POLL);
+        }
+        if let Err(e) = TcpStream::connect(addr) {
+            diag::line(&format!("[serve] shutdown wake-up: {e}"));
+        }
+    });
+}
+
 /// One parsed request: method, path, body.
 struct Request {
     method: String,
@@ -72,27 +105,28 @@ struct Request {
     body: String,
 }
 
-/// Reads one HTTP/1.1 request (headers capped at 32KiB, body at
-/// `Content-Length` up to 1MiB). `None` on a malformed or oversized
-/// request — the caller answers 400.
+/// Reads one HTTP/1.1 request (request line and headers capped at
+/// [`HEAD_CAP`] bytes, body at `Content-Length` up to 1MiB). `None` on
+/// a malformed or oversized request — the caller answers 400.
 fn read_request(stream: &mut TcpStream) -> Option<Request> {
     stream.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    // Every line is read through the cap, so an endless line stops at
+    // the cap instead of being buffered whole.
+    let mut head = (&mut reader).take(HEAD_CAP);
+    let mut next_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line).ok()?;
+        line.ends_with('\n').then_some(line)
+    };
+    let line = next_line()?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_owned();
     let path = parts.next()?.to_owned();
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
-        header_bytes += header.len();
-        if header_bytes > 32 * 1024 {
-            return None;
-        }
+        let header = next_line()?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -112,12 +146,16 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
 }
 
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, ctype: &str, body: &str) {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
+    response.push_str(body);
+    // One write: closing a connection with unread request bytes resets
+    // it, and a reset discards whatever the kernel has not sent yet (a
+    // second small write can still be waiting on the first one's ACK).
     // A peer that hung up mid-response is its own problem.
-    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
+    let _ = stream.write_all(response.as_bytes());
 }
 
 fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
@@ -231,7 +269,8 @@ fn handle_job_route(
 }
 
 /// `GET /jobs/<id>/stream`: chunked `[row]` lines as they are buffered,
-/// ending when the job reaches a terminal state.
+/// ending when the job reaches a terminal state. Each wait blocks on
+/// the job's row buffer until a row lands or the job ends.
 fn stream_rows(stream: &mut TcpStream, controller: &Arc<Controller>, id: u64) {
     if controller.status(id).is_none() {
         respond_json(stream, 404, "Not Found", &error_body("no such job"));
@@ -254,7 +293,6 @@ fn stream_rows(stream: &mut TcpStream, controller: &Arc<Controller>, id: u64) {
         if terminal {
             break;
         }
-        std::thread::sleep(POLL);
     }
     let _ = stream.write_all(b"0\r\n\r\n");
 }

@@ -224,6 +224,30 @@ fn bad_submissions_are_400s_with_hints() {
 }
 
 #[test]
+fn an_oversized_request_line_is_a_400() {
+    let server = Server::spawn(&[]);
+    let mut stream = TcpStream::connect(&server.addr).expect("connecting to server");
+    // 1 MiB with no newline: the server must stop reading at its 32 KiB
+    // cap and answer instead of buffering the whole line.
+    let line = format!("GET /{} HTTP/1.1", "a".repeat(1 << 20));
+    let start = Instant::now();
+    // The server closes after answering, so the tail of this write may
+    // be refused, and the read may end in a reset after the response.
+    let _ = stream.write_all(line.as_bytes());
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("malformed HTTP request"), "{response}");
+    // A server that buffered the whole line would still be waiting for
+    // its newline, and would answer only at its 10 s read timeout.
+    assert!(start.elapsed() < Duration::from_secs(5), "answered after {:?}", start.elapsed());
+
+    let (status, _) = server.request("GET", "/experiments", None);
+    assert_eq!(status, 200, "the server keeps serving");
+}
+
+#[test]
 fn cancelling_a_running_job_drains_and_journals_interrupted_points() {
     let dir = scratch("cancel");
     let server = Server::spawn(&["--result-dir", dir.to_str().unwrap()]);

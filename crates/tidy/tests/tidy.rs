@@ -423,8 +423,7 @@ fn lock_scopes_reset_at_function_boundaries_and_bad_order_lines_surface() {
 fn the_committed_lock_order_actually_sees_the_workspace_locks() {
     // Reversing the committed class ranks must produce violations on
     // the real tree (the controller holds its state mutex while
-    // touching a job's row buffer) — otherwise a clean run would be
-    // vacuous.
+    // joining its drivers) — otherwise a clean run would be vacuous.
     let root = workspace_root();
     let committed =
         fs::read_to_string(root.join(LOCK_ORDER_FILE)).expect("committed lock order is readable");
