@@ -11,7 +11,6 @@
 
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
 
 use specfetch_isa::CfgReport;
 use specfetch_trace::TraceError;
@@ -47,14 +46,6 @@ pub enum SpecfetchError {
         /// What was wrong with it.
         detail: String,
     },
-    /// An on-disk result store entry was unusable (corrupt, truncated,
-    /// or inconsistent with its key) and has been quarantined.
-    CorruptStoreEntry {
-        /// The quarantined file.
-        path: PathBuf,
-        /// Why it was rejected.
-        detail: String,
-    },
     /// An I/O failure outside trace parsing (cache directory, file
     /// writes).
     Io {
@@ -85,7 +76,7 @@ pub enum SpecfetchError {
     /// before this point could finish; the point was drained, not
     /// failed, and a `--resume` rerun will recompute it.
     Interrupted,
-    /// The parent and a `--worker` child disagreed about the JSON-lines
+    /// The parent and a `--worker` child disagreed about the pipe
     /// protocol version (or the handshake was malformed).
     WorkerProtocol {
         /// What was wrong with the handshake.
@@ -125,7 +116,6 @@ impl SpecfetchError {
             SpecfetchError::Workload { bench, .. } => format!("workload {bench}"),
             SpecfetchError::Analysis { report, .. } => format!("analysis: {}", report.headline()),
             SpecfetchError::InvalidSpec { .. } => "invalid spec".to_owned(),
-            SpecfetchError::CorruptStoreEntry { .. } => "corrupt store entry".to_owned(),
             SpecfetchError::Io { context, .. } => format!("io: {context}"),
             SpecfetchError::PointPanic { reason } => reason.clone(),
             SpecfetchError::Injected { action } => format!("injected {action}"),
@@ -150,9 +140,6 @@ impl fmt::Display for SpecfetchError {
                 write!(f, "static analysis failed for {bench:?}: {report}")
             }
             SpecfetchError::InvalidSpec { detail } => write!(f, "{detail}"),
-            SpecfetchError::CorruptStoreEntry { path, detail } => {
-                write!(f, "corrupt result store entry {}: {detail}", path.display())
-            }
             SpecfetchError::Io { context, source } => write!(f, "{context}: {source}"),
             SpecfetchError::PointPanic { reason } => {
                 write!(f, "grid point panicked: {reason}")
@@ -213,7 +200,6 @@ mod tests {
                 },
             },
             SpecfetchError::InvalidSpec { detail: "bad --inject".into() },
-            SpecfetchError::CorruptStoreEntry { path: "x.sr".into(), detail: "short".into() },
             SpecfetchError::Io { context: "create dir".into(), source: io::Error::other("d") },
             SpecfetchError::PointPanic { reason: "injected panic".into() },
             SpecfetchError::Injected { action: "err" },
@@ -250,14 +236,6 @@ mod tests {
         assert_eq!(e.cell_reason(), "injected panic", "negative-cache replay is verbatim");
         let e = SpecfetchError::WorkerProtocol { detail: "proto 1 != 2".into() };
         assert!(e.to_string().contains("proto 1 != 2"));
-    }
-
-    #[test]
-    fn a_corrupt_store_entry_names_the_store_not_a_trace() {
-        let e =
-            SpecfetchError::CorruptStoreEntry { path: "v1/li.sr".into(), detail: "short".into() };
-        assert_eq!(e.to_string(), "corrupt result store entry v1/li.sr: short");
-        assert_eq!(e.cell_reason(), "corrupt store entry");
     }
 
     #[test]

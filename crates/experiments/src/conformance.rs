@@ -9,12 +9,12 @@
 
 use std::path::PathBuf;
 
-use specfetch_core::fnv1a;
 use specfetch_verify::{
     point_step, random_walk, replay_of, replay_step, Counters, PointEvent, PointState, ReplayClass,
     Step, SweepEvent, SweepMachine, MODEL_POINTS,
 };
 
+use crate::codec::Fields;
 use crate::journal::{self, Replayed};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -168,8 +168,8 @@ fn truncated_journal_prefixes_replay_like_the_model_fold() {
         activated.expect("torn-tail resume is total past the header");
         journal::begin_experiment(cjob, "conf");
 
-        // The reference fold: complete lines only, checksums verified,
-        // dispatched through the model's lenient reader transition.
+        // The reference fold: complete lines only, checksums verified by
+        // the codec's public decoder, dispatched through the model's lenient reader transition.
         let mut model = [PointState::Unscheduled; MODEL_POINTS];
         let mut last_fail: [Option<(u32, String)>; MODEL_POINTS] = [None, None, None];
         let text = String::from_utf8(wal[..cut].to_vec()).expect("utf8 prefix");
@@ -177,20 +177,15 @@ fn truncated_journal_prefixes_replay_like_the_model_fold() {
             if !line.ends_with('\n') {
                 break; // torn tail: the event never happened
             }
-            let payload = line.trim_end();
-            let (body, sum) = payload.rsplit_once('|').expect("sealed line");
-            assert_eq!(format!("{:016x}", fnv1a(body.as_bytes())), sum, "checksum");
-            let mut parts = body.splitn(5, ' ');
-            let Some(event) = specfetch_verify::parse_tag(parts.next().expect("tag")) else {
+            let mut f = Fields::unseal(line).expect("sealed record");
+            let Some(event) = specfetch_verify::parse_tag(f.take("kind").expect("kind")) else {
                 continue; // the header line
             };
-            assert_eq!(parts.next(), Some("conf"));
-            let idx: usize = parts.next().expect("idx").parse().expect("idx number");
+            assert_eq!(f.take_str("exp").expect("exp"), "conf");
+            let idx = f.take_u64("idx").expect("idx") as usize;
             if event == PointEvent::Fail {
-                let n: u32 = parts.next().expect("attempts").parse().expect("attempt count");
-                let reason = crate::codec::json_unescape(parts.next().expect("reason"))
-                    .expect("escaped reason");
-                last_fail[idx] = Some((n, reason));
+                let n = f.take_u64("attempts").expect("attempt count") as u32;
+                last_fail[idx] = Some((n, f.take_str("reason").expect("reason")));
             }
             model[idx] = replay_step(model[idx], &event);
         }

@@ -99,7 +99,7 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    fn parse(s: &str) -> Result<FaultAction, SpecfetchError> {
+    pub(crate) fn parse(s: &str) -> Result<FaultAction, SpecfetchError> {
         if let Some(code) = s.strip_prefix("exitcode=") {
             let code = code
                 .parse()
@@ -125,7 +125,9 @@ impl FaultAction {
         matches!(self, FaultAction::Abort | FaultAction::Hang | FaultAction::Exit(_))
     }
 
-    /// The wire spelling used in the worker protocol's `"fault"` field.
+    /// The `--inject` grammar's spelling of this action, which the
+    /// worker protocol's `fault` field carries and the child reads back
+    /// with [`FaultAction::parse`].
     pub(crate) fn wire_name(self) -> String {
         match self {
             FaultAction::Panic => "panic".to_owned(),
@@ -133,22 +135,7 @@ impl FaultAction {
             FaultAction::Slow => "slow".to_owned(),
             FaultAction::Abort => "abort".to_owned(),
             FaultAction::Hang => "hang".to_owned(),
-            FaultAction::Exit(n) => format!("exit:{n}"),
-        }
-    }
-
-    /// Parses [`FaultAction::wire_name`] output (worker child side).
-    pub(crate) fn parse_wire(s: &str) -> Option<FaultAction> {
-        if let Some(code) = s.strip_prefix("exit:") {
-            return code.parse().ok().map(FaultAction::Exit);
-        }
-        match s {
-            "panic" => Some(FaultAction::Panic),
-            "err" => Some(FaultAction::Err),
-            "slow" => Some(FaultAction::Slow),
-            "abort" => Some(FaultAction::Abort),
-            "hang" => Some(FaultAction::Hang),
-            _ => None,
+            FaultAction::Exit(n) => format!("exitcode={n}"),
         }
     }
 }
@@ -570,10 +557,10 @@ mod tests {
             FaultAction::Hang,
             FaultAction::Exit(17),
         ] {
-            assert_eq!(FaultAction::parse_wire(&action.wire_name()), Some(action));
+            assert_eq!(FaultAction::parse(&action.wire_name()).ok(), Some(action));
         }
-        assert_eq!(FaultAction::parse_wire("none"), None);
-        assert_eq!(FaultAction::parse_wire("exit:boom"), None);
+        assert!(FaultAction::parse("none").is_err());
+        assert!(FaultAction::parse("exitcode=boom").is_err());
     }
 
     #[test]

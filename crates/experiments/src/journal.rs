@@ -15,25 +15,25 @@
 //! One journal per run at `<result-dir>/journal/run-<key>.wal`, where
 //! `<key>` hashes the run's selection (experiments or sweep spec) and
 //! instruction window — a resume must describe the same run to find the
-//! same journal. Line-oriented text; every line is
-//! `<payload>|<fnv1a(payload):016x>`, so torn tail writes from a crash
-//! are detected and dropped (crash-exactness) while interior corruption
-//! is reported. The first payload is the header
-//! `specfetch-journal/1 run=<key>`; each subsequent payload is one
-//! space-separated event:
+//! same journal. Every line is one sealed [`crate::codec`] record, so
+//! torn tail writes from a crash are detected and dropped
+//! (crash-exactness) while interior corruption is reported. The first
+//! record is the header; each later one is a grid-point event whose
+//! `kind` is the model's event tag:
 //!
 //! ```text
-//! s <experiment> <idx> <bench> <instrs> <cfg-hash>   scheduled
-//! a <experiment> <idx> <attempt>                     attempt started
-//! c <experiment> <idx>                               completed OK
-//! f <experiment> <idx> <attempts> <reason>           terminal failure
-//! i <experiment> <idx>                               interrupted
+//! kind=journal format=2 run=<key>                                  header
+//! kind=s exp=<experiment> idx=<i> bench=<b> instrs=<n> cfg=<hash>  scheduled
+//! kind=a exp=<experiment> idx=<i> attempt=<n>                      attempt started
+//! kind=c exp=<experiment> idx=<i>                                  completed OK
+//! kind=f exp=<experiment> idx=<i> attempts=<n> reason=<text>       terminal failure
+//! kind=i exp=<experiment> idx=<i>                                  interrupted
 //! ```
 //!
-//! Events append with an explicit flush (write-ahead semantics); the
-//! reason field is JSON-escaped so it stays one line. Indices restart
-//! at 0 per experiment (mirroring `fault`'s input-order numbering), so
-//! replay keys are `(experiment, idx)`.
+//! (each line ends in the record's `sum=` checksum token). Events
+//! append with an explicit flush (write-ahead semantics). Indices
+//! restart at 0 per experiment (mirroring `fault`'s input-order
+//! numbering), so replay keys are `(experiment, idx)`.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -47,10 +47,10 @@ use specfetch_verify::{
     ReplayClass, Step,
 };
 
-use crate::codec::{json_escape, json_unescape};
+use crate::codec::{bad, Fields, Record};
 
 /// Bumped when the line grammar changes incompatibly.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// What a loaded journal says about a grid point.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -99,15 +99,41 @@ fn io_err(context: &str, source: std::io::Error) -> SpecfetchError {
     SpecfetchError::Io { context: context.to_owned(), source }
 }
 
-/// One checksummed journal line for `payload`.
-fn sealed(payload: &str) -> String {
-    format!("{payload}|{:016x}\n", fnv1a(payload.as_bytes()))
+/// The header record every journal opens with.
+fn header(run_key: u64) -> String {
+    let run = format!("{run_key:016x}");
+    Record::new("journal").u64("format", FORMAT_VERSION.into()).str("run", &run).seal()
 }
 
-/// Splits and verifies one journal line; `None` if torn or corrupt.
-fn unseal(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once('|')?;
-    (format!("{:016x}", fnv1a(payload.as_bytes())) == sum).then_some(payload)
+/// One journalled event as [`load`] decodes it: the point's key, the
+/// event, and a terminal failure's `(attempts, reason)`.
+type Logged = ((String, u64), PointEvent, Option<(u32, String)>);
+
+/// Decodes one verified event record, every field exactly once.
+fn decode_event(mut f: Fields<'_>) -> Result<Logged, SpecfetchError> {
+    let tag = f.take("kind")?;
+    let event = parse_tag(tag).ok_or_else(|| bad(format!("unknown journal event {tag:?}")))?;
+    let key = (f.take_str("exp")?, f.take_u64("idx")?);
+    // Fields replay has no use for are still taken, so that `finish`
+    // rejects only keys the writer never writes.
+    let unused: &[&str] = match event {
+        PointEvent::Schedule => &["bench", "instrs", "cfg"],
+        PointEvent::Attempt => &["attempt"],
+        _ => &[],
+    };
+    for key in unused {
+        f.take(key)?;
+    }
+    let failure = match event {
+        PointEvent::Fail => {
+            let attempts = u32::try_from(f.take_u64("attempts")?)
+                .map_err(|_| bad("attempt count overflows".to_owned()))?;
+            Some((attempts, f.take_str("reason")?))
+        }
+        _ => None,
+    };
+    f.finish()?;
+    Ok((key, event, failure))
 }
 
 /// The journal path a run key maps to under `dir`.
@@ -122,30 +148,17 @@ pub fn run_key(description: &str, instrs: u64) -> u64 {
     fnv1a(format!("{description}@{instrs}").as_bytes())
 }
 
-/// Parses loaded journal payloads into the replay map by folding each
-/// point's events through the model's lenient reader-side projection
-/// (`verify::replay_step`) — total over any prefix a crash can leave,
-/// with last-terminal-wins semantics. Failure details (attempt count,
-/// verbatim reason) ride alongside the fold and are attached to points
-/// that finish in the `Failed` class.
-fn replay_events(payloads: &[String]) -> HashMap<(String, u64), Replayed> {
+/// Folds loaded journal events into the replay map through the model's
+/// lenient reader-side projection (`verify::replay_step`) — total over
+/// any prefix a crash can leave, with last-terminal-wins semantics.
+/// Failure details (attempt count, verbatim reason) ride alongside the
+/// fold and are attached to points that finish in the `Failed` class.
+fn replay_events(events: Vec<Logged>) -> HashMap<(String, u64), Replayed> {
     let mut states: HashMap<(String, u64), PointState> = HashMap::new();
     let mut failures: HashMap<(String, u64), (u32, String)> = HashMap::new();
-    for p in payloads {
-        let mut parts = p.splitn(5, ' ');
-        let (Some(tag), Some(exp), Some(idx)) = (parts.next(), parts.next(), parts.next()) else {
-            continue;
-        };
-        let Some(event) = parse_tag(tag) else { continue };
-        let Ok(idx) = idx.parse::<u64>() else { continue };
-        let key = (exp.to_owned(), idx);
-        if event == PointEvent::Fail {
-            let attempts = parts.next().and_then(|a| a.parse().ok()).unwrap_or(1);
-            let reason = parts
-                .next()
-                .and_then(json_unescape)
-                .unwrap_or_else(|| "unrecorded failure".to_owned());
-            failures.insert(key.clone(), (attempts, reason));
+    for (key, event, failure) in events {
+        if let Some(failure) = failure {
+            failures.insert(key.clone(), failure);
         }
         let state = states.entry(key).or_insert(PointState::Unscheduled);
         *state = replay_step(*state, &event);
@@ -169,55 +182,62 @@ fn replay_events(payloads: &[String]) -> HashMap<(String, u64), Replayed> {
 }
 
 /// Reads an existing journal, tolerating a torn final line (the crash
-/// case) but rejecting interior corruption. Returns the payloads plus
-/// the byte length of the valid prefix — everything past it is the
-/// torn tail, which a resume truncates away before appending (an
-/// append onto a torn tail would weld the next record to the partial
-/// line and turn a tolerated crash artifact into interior corruption).
-fn load(path: &Path) -> Result<(Vec<String>, u64), SpecfetchError> {
+/// case) but rejecting interior corruption and a missing or foreign
+/// header. Returns the decoded events plus the byte length of the valid
+/// prefix — everything past it is the torn tail, which a resume
+/// truncates away before appending (an append onto a torn tail would
+/// weld the next record to the partial line and turn a tolerated crash
+/// artifact into interior corruption). A verified record that does not
+/// decode as an event is skipped, like any event the model ignores.
+fn load(path: &Path) -> Result<(Vec<Logged>, u64), SpecfetchError> {
     let mut text = String::new();
     File::open(path)
         .and_then(|mut f| f.read_to_string(&mut text))
         .map_err(|e| io_err("read journal", e))?;
+    let no_header = || bad(format!("journal {} has no valid header", path.display()));
     let chunks: Vec<&str> = text.split_inclusive('\n').collect();
-    let mut payloads = Vec::with_capacity(chunks.len());
+    let mut events = Vec::with_capacity(chunks.len());
     let mut valid_len = 0u64;
     for (i, chunk) in chunks.iter().enumerate() {
-        let last = i + 1 == chunks.len();
         // A chunk without its terminator is a write that never finished
         // — torn even when the checksum happens to verify.
-        let complete = chunk.ends_with('\n');
-        match unseal(chunk.trim_end_matches(['\n', '\r'])) {
-            Some(p) if complete => {
-                payloads.push(p.to_owned());
-                valid_len += chunk.len() as u64;
+        let verified = Fields::unseal(chunk.trim_end_matches(['\n', '\r']))
+            .ok()
+            .filter(|_| chunk.ends_with('\n'));
+        match verified {
+            Some(mut f) if i == 0 => {
+                let format = u64::from(FORMAT_VERSION);
+                if f.take("kind").unwrap_or_default() != "journal"
+                    || f.take_u64("format").ok() != Some(format)
+                {
+                    return Err(no_header());
+                }
             }
-            _ if last => {
+            Some(f) => events.extend(decode_event(f).ok()),
+            None if i + 1 == chunks.len() => {
                 // A torn tail is exactly what a WAL expects after a
                 // crash: the event never fully happened. Drop it.
                 crate::diag::line(&format!(
                     "[journal] dropping torn final line of {}",
                     path.display()
                 ));
+                break;
             }
-            _ => {
-                return Err(SpecfetchError::InvalidSpec {
-                    detail: format!(
-                        "journal {} is corrupt at line {} (bad checksum)",
-                        path.display(),
-                        i + 1
-                    ),
-                });
+            None if i == 0 => return Err(no_header()),
+            None => {
+                return Err(bad(format!(
+                    "journal {} is corrupt at line {} (bad checksum)",
+                    path.display(),
+                    i + 1
+                )));
             }
         }
+        valid_len += chunk.len() as u64;
     }
-    let header = format!("specfetch-journal/{FORMAT_VERSION}");
-    match payloads.first() {
-        Some(h) if h.starts_with(&header) => Ok((payloads, valid_len)),
-        _ => Err(SpecfetchError::InvalidSpec {
-            detail: format!("journal {} has no valid header", path.display()),
-        }),
+    if valid_len == 0 {
+        return Err(no_header());
     }
+    Ok((events, valid_len))
 }
 
 /// Opens (or, with `resume`, replays) the journal for `run_key` under
@@ -255,8 +275,8 @@ pub fn activate_job(
     let mut replay = HashMap::new();
     let mut valid_len = 0u64;
     if resume && path.metadata().is_ok_and(|m| m.len() > 0) {
-        let (payloads, len) = load(&path)?;
-        replay = replay_events(&payloads);
+        let (events, len) = load(&path)?;
+        replay = replay_events(events);
         valid_len = len;
     }
     let mut file = OpenOptions::new()
@@ -277,8 +297,7 @@ pub fn activate_job(
     // to pass `--resume` (nothing to replay, but the file must still be
     // loadable by the next resume).
     if file.metadata().map_or(true, |m| m.len() == 0) {
-        let header = format!("specfetch-journal/{FORMAT_VERSION} run={run_key:016x}");
-        file.write_all(sealed(&header).as_bytes()).map_err(|e| io_err("write journal", e))?;
+        file.write_all(header(run_key).as_bytes()).map_err(|e| io_err("write journal", e))?;
         file.flush().map_err(|e| io_err("flush journal", e))?;
     }
     let active = Active {
@@ -311,12 +330,12 @@ fn with_job<R>(job: u64, f: impl FnOnce(&mut Active) -> R) -> Option<R> {
     jobs.get_mut(&job).map(f)
 }
 
-fn append(job: u64, payload: &str) {
+fn append(job: u64, record: Record) {
     with_job(job, |s| {
         // WAL semantics: the event is on disk before the runner moves
         // on. Failure to journal is loud but not fatal — the sweep's
         // results still land in the store.
-        let line = sealed(payload);
+        let line = record.seal();
         if let Err(e) = s.file.write_all(line.as_bytes()).and_then(|()| s.file.flush()) {
             crate::diag::line(&format!("[journal] append failed: {e}"));
         }
@@ -337,15 +356,15 @@ pub fn begin_experiment(job: u64, id: &str) {
 
 /// Dispatches one lifecycle event for point `idx` of `job`'s current
 /// experiment through the model's strict writer-side transition
-/// function and folds it into the Progress counters. Returns the
-/// experiment name for the WAL payload; `None` when `job` has no
-/// active journal.
+/// function and folds it into the Progress counters. Returns the event
+/// record's leading fields (tag, experiment, index) for the caller to
+/// complete and append; `None` when `job` has no active journal.
 ///
 /// An event order `verify::point_step` calls illegal is a runner bug:
 /// it is reported loudly on the diagnostics stream (and still
 /// journalled — the lenient reader absorbs it on replay) rather than
 /// taking the sweep down.
-fn transition(job: u64, idx: u64, event: PointEvent) -> Option<String> {
+fn transition(job: u64, idx: u64, event: PointEvent) -> Option<Record> {
     with_job(job, |s| {
         let key = (s.experiment.clone(), idx);
         let state = s.points.entry(key).or_insert(PointState::Unscheduled);
@@ -357,7 +376,7 @@ fn transition(job: u64, idx: u64, event: PointEvent) -> Option<String> {
             )),
         }
         s.counters.apply(&event);
-        s.experiment.clone()
+        Record::new(event_tag(&event)).str("exp", &s.experiment).u64("idx", idx)
     })
 }
 
@@ -373,37 +392,38 @@ pub(crate) fn reserve(job: u64, n: usize) -> Option<u64> {
 
 /// Journals one scheduled grid point.
 pub(crate) fn record_scheduled(job: u64, idx: u64, bench: &str, instrs: u64, cfg_hash: u64) {
-    let event = PointEvent::Schedule;
-    let Some(exp) = transition(job, idx, event) else { return };
-    append(job, &format!("{} {exp} {idx} {bench} {instrs} {cfg_hash:016x}", event_tag(&event)));
+    if let Some(rec) = transition(job, idx, PointEvent::Schedule) {
+        let cfg = format!("{cfg_hash:016x}");
+        append(job, rec.str("bench", bench).u64("instrs", instrs).str("cfg", &cfg));
+    }
 }
 
 /// Journals the start of `attempt` (0-based) on a point.
 pub(crate) fn record_attempt(job: u64, idx: u64, attempt: u32) {
-    let event = PointEvent::Attempt;
-    let Some(exp) = transition(job, idx, event) else { return };
-    append(job, &format!("{} {exp} {idx} {attempt}", event_tag(&event)));
+    if let Some(rec) = transition(job, idx, PointEvent::Attempt) {
+        append(job, rec.u64("attempt", attempt.into()));
+    }
 }
 
 /// Journals a completed point.
 pub(crate) fn record_completed(job: u64, idx: u64) {
-    let event = PointEvent::Complete;
-    let Some(exp) = transition(job, idx, event) else { return };
-    append(job, &format!("{} {exp} {idx}", event_tag(&event)));
+    if let Some(rec) = transition(job, idx, PointEvent::Complete) {
+        append(job, rec);
+    }
 }
 
 /// Journals a terminal failure with its total attempt count.
 pub(crate) fn record_failed(job: u64, idx: u64, attempts: u32, reason: &str) {
-    let event = PointEvent::Fail;
-    let Some(exp) = transition(job, idx, event) else { return };
-    append(job, &format!("{} {exp} {idx} {attempts} {}", event_tag(&event), json_escape(reason)));
+    if let Some(rec) = transition(job, idx, PointEvent::Fail) {
+        append(job, rec.u64("attempts", attempts.into()).str("reason", reason));
+    }
 }
 
 /// Journals an interrupted point (drained by a shutdown request).
 pub(crate) fn record_interrupted(job: u64, idx: u64) {
-    let event = PointEvent::Interrupt;
-    let Some(exp) = transition(job, idx, event) else { return };
-    append(job, &format!("{} {exp} {idx}", event_tag(&event)));
+    if let Some(rec) = transition(job, idx, PointEvent::Interrupt) {
+        append(job, rec);
+    }
 }
 
 /// The replayed terminal outcome (if any) for point `idx` of `job`'s
@@ -411,13 +431,7 @@ pub(crate) fn record_interrupted(job: u64, idx: u64) {
 pub(crate) fn replayed(job: u64, idx: u64) -> Option<Replayed> {
     with_job(job, |s| {
         let key = (s.experiment.clone(), idx);
-        match s.replay.get(&key) {
-            Some(Replayed::Completed) => Some(Replayed::Completed),
-            Some(Replayed::Failed { attempts, reason }) => {
-                Some(Replayed::Failed { attempts: *attempts, reason: reason.clone() })
-            }
-            _ => None,
-        }
+        s.replay.get(&key).filter(|r| **r != Replayed::Pending).cloned()
     })
     .flatten()
 }
@@ -443,12 +457,9 @@ pub fn flush() {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sealed_lines_round_trip_and_detect_tampering() {
-        let line = sealed("c sweep 3");
-        assert_eq!(unseal(line.trim_end()), Some("c sweep 3"));
-        let tampered = line.replace("c sweep 3", "c sweep 4");
-        assert_eq!(unseal(tampered.trim_end()), None);
+    /// A sealed `kind=c` event line for point `idx` of `exp`.
+    fn completed(exp: &str, idx: u64) -> String {
+        Record::new("c").str("exp", exp).u64("idx", idx).seal()
     }
 
     #[test]
@@ -460,27 +471,40 @@ mod tests {
 
     #[test]
     fn replay_takes_the_last_terminal_event() {
-        let payloads: Vec<String> = [
-            "specfetch-journal/1 run=0",
-            "s sweep 0 li 100 00000000000000aa",
-            "a sweep 0 0",
-            "f sweep 0 2 injected\\u0020err", // escaped reason survives
-            "s sweep 1 gcc 100 00000000000000ab",
-            "a sweep 1 0",
-            "c sweep 1",
-            "s sweep 2 doduc 100 00000000000000ac",
-            "i sweep 2",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let replay = replay_events(&payloads);
+        let ev = |tag: &str, idx: u64| Record::new(tag).str("exp", "sweep").u64("idx", idx);
+        let sched = |idx: u64, bench: &str| {
+            ev("s", idx)
+                .str("bench", bench)
+                .u64("instrs", 100)
+                .str("cfg", "00000000000000aa")
+                .seal()
+        };
+        let lines = [
+            header(0),
+            sched(0, "li"),
+            ev("a", 0).u64("attempt", 0).seal(),
+            ev("f", 0).u64("attempts", 2).str("reason", "injected err").seal(),
+            sched(1, "gcc"),
+            ev("a", 1).u64("attempt", 0).seal(),
+            completed("sweep", 1),
+            sched(2, "doduc"),
+            ev("i", 2).seal(),
+        ];
+        let dir = std::env::temp_dir()
+            .join(format!("specfetch-journal-replay-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("replay.wal");
+        std::fs::write(&path, lines.concat()).unwrap();
+        let (events, _) = load(&path).unwrap();
+        assert_eq!(events.len(), lines.len() - 1, "every event decodes");
+        let replay = replay_events(events);
         assert_eq!(
             replay.get(&("sweep".to_owned(), 0)),
             Some(&Replayed::Failed { attempts: 2, reason: "injected err".to_owned() })
         );
         assert_eq!(replay.get(&("sweep".to_owned(), 1)), Some(&Replayed::Completed));
         assert_eq!(replay.get(&("sweep".to_owned(), 2)), Some(&Replayed::Pending));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -509,7 +533,7 @@ mod tests {
         assert_eq!(counters(b), Some((1, 0, 0, 1)));
 
         let text = std::fs::read_to_string(&path_a).unwrap();
-        assert!(text.lines().any(|l| l.starts_with("c sweep 0|")), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("kind=c exp=sweep idx=0 sum=")), "{text}");
         assert!(!text.contains("gcc"), "job b's events stay out of job a's file: {text}");
 
         release(a);
@@ -526,16 +550,22 @@ mod tests {
             std::env::temp_dir().join(format!("specfetch-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.wal");
-        let good = sealed("specfetch-journal/1 run=0000000000000000");
-        let event = sealed("c sweep 0");
-        std::fs::write(&path, format!("{good}{event}c sweep 1|deadbeef")).unwrap();
-        let (payloads, valid_len) = load(&path).unwrap();
-        assert_eq!(payloads.len(), 2, "torn tail dropped");
+        let good = header(0);
+        let event = completed("sweep", 0);
+        std::fs::write(&path, format!("{good}{event}kind=c exp=sweep idx=1 sum=deadbeef")).unwrap();
+        let (events, valid_len) = load(&path).unwrap();
+        assert_eq!(events.len(), 1, "torn tail dropped");
         assert_eq!(valid_len, (good.len() + event.len()) as u64, "valid prefix excludes the tail");
 
-        let interior = format!("{good}c sweep 1|deadbeefdeadbeef\n{event}");
+        let interior = format!("{good}kind=c exp=sweep idx=1 sum=deadbeefdeadbeef\n{event}");
         std::fs::write(&path, interior).unwrap();
         assert!(load(&path).is_err(), "interior corruption must be loud");
+
+        // A journal of the previous format has no header this one reads.
+        let v1 = "specfetch-journal/1 run=0000000000000000|0123456789abcdef\nc sweep 0|00\n";
+        std::fs::write(&path, v1).unwrap();
+        let err = load(&path).expect_err("a v1 journal must not replay").to_string();
+        assert!(err.contains("no valid header"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -545,12 +575,12 @@ mod tests {
             .join(format!("specfetch-journal-noterm-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("noterm.wal");
-        let good = sealed("specfetch-journal/1 run=0000000000000000");
-        let event = sealed("c sweep 0");
+        let good = header(0);
+        let event = completed("sweep", 0);
         // Checksum verifies, but the write never finished: no '\n'.
         std::fs::write(&path, format!("{good}{}", event.trim_end())).unwrap();
-        let (payloads, valid_len) = load(&path).unwrap();
-        assert_eq!(payloads.len(), 1, "only the header survives");
+        let (events, valid_len) = load(&path).unwrap();
+        assert!(events.is_empty(), "only the header survives");
         assert_eq!(valid_len, good.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -570,10 +600,10 @@ mod tests {
         let run = 7u64;
         let path = path_for(&dir, run);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let header = sealed(&format!("specfetch-journal/{FORMAT_VERSION} run={run:016x}"));
-        let event = sealed("c sweep 0");
-        // A crash tore the write of "s sweep 1 ..." mid-line.
-        std::fs::write(&path, format!("{header}{event}s sweep 1 gc")).unwrap();
+        let event = completed("sweep", 0);
+        // A crash tore the write of "kind=s ... idx=1 ..." mid-line.
+        std::fs::write(&path, format!("{}{event}kind=s exp=sweep idx=1 bench=gc", header(run)))
+            .unwrap();
 
         activate_job(job, &dir, run, true).unwrap();
         begin_experiment(job, "sweep");
@@ -584,9 +614,11 @@ mod tests {
 
         // The journal must replay clean: torn tail gone, both points'
         // events intact and checksummed.
-        let (payloads, _) = load(&path).unwrap();
-        assert_eq!(payloads.len(), 5, "header + c + s/a/c, no welded garbage: {payloads:?}");
-        let replay = replay_events(&payloads);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 5, "header + c + s/a/c, no welded garbage: {text}");
+        let (events, _) = load(&path).unwrap();
+        assert_eq!(events.len(), 4, "{text}");
+        let replay = replay_events(events);
         assert_eq!(replay.get(&("sweep".to_owned(), 0)), Some(&Replayed::Completed));
         assert_eq!(replay.get(&("sweep".to_owned(), 1)), Some(&Replayed::Completed));
         std::fs::remove_dir_all(&dir).ok();

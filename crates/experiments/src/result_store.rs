@@ -14,18 +14,27 @@
 //! config in its key, and a warm run serves it without recording,
 //! interpreting or generating the workload.
 //!
-//! Layout: `<dir>/v1/<bench>-<instrs>-<confighash:016x>.sr` for results
-//! and `<dir>/v1/path/<bench>-<instrs>.sr` for path entries. Bumping
-//! either [`specfetch_core::CANON_VERSION`] (config encoding) or
-//! [`FORMAT_VERSION`] (file format) strands old entries harmlessly —
-//! the `v1` path segment and the header line both change, so stale
+//! Layout: `<dir>/v2/<bench>-<instrs>-<confighash:016x>.sr` for results
+//! and `<dir>/v2/path/<bench>-<instrs>.sr` for path entries. Each file
+//! is one sealed [`crate::codec`] record:
+//!
+//! ```text
+//! kind=result cfg=<canonical config> policy=Res instrs=... sum=<fnv1a>
+//! kind=failed cfg=<canonical config> reason=<FAILED reason> sum=<fnv1a>
+//! kind=path bench=li window=2000000 instrs=... static=... sum=<fnv1a>
+//! ```
+//!
+//! Bumping either [`specfetch_core::CANON_VERSION`] (config encoding) or
+//! [`FORMAT_VERSION`] (file format) strands old entries harmlessly: the
+//! `v<N>` path segment or the stored canonical config changes, so stale
 //! results are never *read*, merely ignored.
 //!
-//! Every load is verified end to end (header, full canonical config
-//! match — not just the hash — result decode, FNV-1a footer checksum)
-//! and any failure quarantines the file (`*.quarantined`) and reports a
-//! miss, so a corrupt entry costs one warning and one recompute, never
-//! a wrong number or a failed cell.
+//! Every load is verified end to end (record checksum, full canonical
+//! config match — not just the hash — or the full bench and window key,
+//! and every field decoded exactly once) and any failure quarantines
+//! the file (`*.quarantined`) and reports a miss, so a corrupt entry
+//! costs one warning and one recompute, never a wrong number or a
+//! failed cell.
 //! Writes go through a per-process unique temp file + atomic rename:
 //! two processes racing on one key both land a complete, valid file,
 //! and readers never observe a half-written entry. Failure to write
@@ -36,13 +45,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use specfetch_core::{fnv1a, SimConfig, SimResult, SpecfetchError};
+use specfetch_core::{SimConfig, SimResult, SpecfetchError};
 use specfetch_trace::TraceStats;
 
-use crate::codec::{decode_result, encode_result, json_escape, json_unescape};
+use crate::codec::{bad, put_result, take_result, Fields, Record};
 
-/// Version of the store's file format (header line + path segment).
-pub const FORMAT_VERSION: u32 = 1;
+/// Version of the store's file format (the `v<N>` path segment).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// What the store remembers about a grid point: a finished result, or —
 /// the negative cache (DESIGN §5j) — a *terminal* failure whose reason
@@ -140,32 +149,35 @@ pub(crate) fn put_failed(bench: &str, instrs: u64, cfg: &SimConfig, reason: &str
 /// [`get`] with an explicit root, so tests drive the disk paths without
 /// touching the process-wide configuration.
 pub fn get_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig) -> Option<StoredOutcome> {
-    fetch(&entry_path(dir, bench, instrs, cfg), &HITS, |path| load(path, cfg))
+    fetch(&entry_path(dir, bench, instrs, cfg), &HITS, |text| decode_entry(text, cfg))
 }
 
 /// The path entry for `bench` at `instrs` under `dir`. `None` when it is
 /// absent or failed verification (then it has been quarantined).
 pub fn get_path_in(dir: &Path, bench: &str, instrs: u64) -> Option<PathEntry> {
-    fetch(&path_entry_path(dir, bench, instrs), &PATH_HITS, |path| load_path(path, bench, instrs))
+    fetch(&path_entry_path(dir, bench, instrs), &PATH_HITS, |text| decode_path(text, bench, instrs))
 }
 
-/// Loads one entry if it exists, counting a hit on `hits`; a failed
-/// load quarantines the file and misses.
+/// Reads and decodes one entry if it exists, counting a hit on `hits`;
+/// an unreadable or undecodable entry is quarantined and misses.
 fn fetch<T>(
     path: &Path,
     hits: &AtomicU64,
-    load: impl FnOnce(&Path) -> Result<T, SpecfetchError>,
+    decode: impl FnOnce(&str) -> Result<T, SpecfetchError>,
 ) -> Option<T> {
     if !path.exists() {
         return None;
     }
-    match load(path) {
+    let loaded = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| decode(&text).map_err(|e| e.to_string()));
+    match loaded {
         Ok(v) => {
             hits.fetch_add(1, Ordering::Relaxed);
             Some(v)
         }
         Err(e) => {
-            quarantine(path, &e.to_string());
+            quarantine(path, &e);
             None
         }
     }
@@ -173,23 +185,19 @@ fn fetch<T>(
 
 /// [`put`] with an explicit root (see [`get_in`]).
 pub fn put_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig, result: &SimResult) {
-    publish(&entry_path(dir, bench, instrs, cfg), &render(cfg, result), &STORES);
+    let entry = Record::new("result").str("cfg", &cfg.canonical_string());
+    publish(&entry_path(dir, bench, instrs, cfg), &put_result(entry, result).seal(), &STORES);
 }
 
 /// [`put_failed`] with an explicit root (see [`get_in`]).
 pub fn put_failed_in(dir: &Path, bench: &str, instrs: u64, cfg: &SimConfig, reason: &str) {
-    publish(&entry_path(dir, bench, instrs, cfg), &render_failed(cfg, reason), &STORES);
+    let entry = Record::new("failed").str("cfg", &cfg.canonical_string()).str("reason", reason);
+    publish(&entry_path(dir, bench, instrs, cfg), &entry.seal(), &STORES);
 }
 
 /// Persists the path entry for `bench` at `instrs` under `dir`.
 pub fn put_path_in(dir: &Path, bench: &str, instrs: u64, entry: &PathEntry) {
-    let text = seal(format!(
-        "{}\n{}\npath={}\n",
-        path_header(),
-        path_key(bench, instrs),
-        encode_path(entry)
-    ));
-    publish(&path_entry_path(dir, bench, instrs), &text, &PATH_STORES);
+    publish(&path_entry_path(dir, bench, instrs), &render_path(bench, instrs, entry), &PATH_STORES);
 }
 
 fn publish(path: &Path, text: &str, stores: &AtomicU64) {
@@ -203,48 +211,10 @@ fn publish(path: &Path, text: &str, stores: &AtomicU64) {
     }
 }
 
-fn seal(body: String) -> String {
-    format!("{body}checksum={:016x}\n", fnv1a(body.as_bytes()))
-}
-
-fn result_header() -> String {
-    format!("specfetch-result/{FORMAT_VERSION}")
-}
-
-fn path_header() -> String {
-    format!("specfetch-path/{FORMAT_VERSION}")
-}
-
-fn path_key(bench: &str, instrs: u64) -> String {
-    format!("bench={bench} instrs={instrs}")
-}
-
-fn render(cfg: &SimConfig, result: &SimResult) -> String {
-    seal(format!(
-        "{}\ncfg={}\nresult={}\n",
-        result_header(),
-        cfg.canonical_string(),
-        encode_result(result)
-    ))
-}
-
-fn render_failed(cfg: &SimConfig, reason: &str) -> String {
-    seal(format!(
-        "{}\ncfg={}\nfailed={}\n",
-        result_header(),
-        cfg.canonical_string(),
-        json_escape(reason)
-    ))
-}
-
-/// The keys of a `path=` line, in order.
-const PATH_KEYS: [&str; 10] =
-    ["instrs", "br", "cond", "taken", "jumps", "calls", "rets", "ind", "lines32", "static"];
-
-/// Renders a [`PathEntry`] as one deterministic `key=value` line.
-fn encode_path(p: &PathEntry) -> String {
-    // Exhaustive destructuring, as in `codec::encode_result`: a new
-    // field is a compile error here until the line learns it.
+/// Renders a path entry as one sealed record keyed by bench and window.
+fn render_path(bench: &str, window: u64, p: &PathEntry) -> String {
+    // Exhaustive destructuring, as in `codec::put_result`: a new field
+    // is a compile error here until the record learns it.
     let PathEntry {
         stats:
             TraceStats {
@@ -260,133 +230,71 @@ fn encode_path(p: &PathEntry) -> String {
             },
         footprint_bytes,
     } = *p;
-    let values = [
-        instrs,
-        branches,
-        cond_branches,
-        taken_conds,
-        jumps,
-        calls,
-        returns,
-        indirects,
-        touched_lines_32b,
-        footprint_bytes,
-    ];
-    let terms: Vec<String> =
-        PATH_KEYS.iter().zip(values).map(|(k, v)| format!("{k}={v}")).collect();
-    terms.join(" ")
+    Record::new("path")
+        .str("bench", bench)
+        .u64("window", window)
+        .u64("instrs", instrs)
+        .u64("br", branches)
+        .u64("cond", cond_branches)
+        .u64("taken", taken_conds)
+        .u64("jumps", jumps)
+        .u64("calls", calls)
+        .u64("rets", returns)
+        .u64("ind", indirects)
+        .u64("lines32", touched_lines_32b)
+        .u64("static", footprint_bytes)
+        .seal()
 }
 
-/// Parses an [`encode_path`] line: every key, in order, exactly once.
-/// The error names the first missing, extra, reordered or non-integer
-/// term.
-fn decode_path(s: &str) -> Result<PathEntry, String> {
-    let mut terms = s.split_ascii_whitespace();
-    let mut values = [0u64; PATH_KEYS.len()];
-    for (key, slot) in PATH_KEYS.iter().zip(&mut values) {
-        let term = terms.next().ok_or_else(|| format!("missing key {key:?}"))?;
-        let value = term
-            .strip_prefix(key)
-            .and_then(|t| t.strip_prefix('='))
-            .ok_or_else(|| format!("bad term {term:?} (expected {key}=<n>)"))?;
-        *slot = value.parse().map_err(|_| format!("bad integer {value:?} for key {key:?}"))?;
+/// Fully verifies one store entry: the record's checksum, the full
+/// canonical config (not just the hash the filename encodes: this
+/// catches hash collisions and hand-renamed files), and every field
+/// exactly once.
+fn decode_entry(text: &str, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
+    let mut f = Fields::unseal(text)?;
+    let completed = match f.take("kind")? {
+        "result" => true,
+        "failed" => false,
+        other => return Err(bad(format!("not a result entry (kind {other:?})"))),
+    };
+    if f.take_str("cfg")? != cfg.canonical_string() {
+        return Err(bad("stored config does not match the requested grid point".into()));
     }
-    if let Some(extra) = terms.next() {
-        return Err(format!("trailing term {extra:?}"));
+    let outcome = if completed {
+        StoredOutcome::Completed(take_result(&mut f)?)
+    } else {
+        StoredOutcome::Failed(f.take_str("reason")?)
+    };
+    f.finish()?;
+    Ok(outcome)
+}
+
+/// Fully verifies one path entry: checksum, the full `(bench, window)`
+/// key (a renamed file must not serve another key), and every stats
+/// field exactly once.
+fn decode_path(text: &str, bench: &str, window: u64) -> Result<PathEntry, SpecfetchError> {
+    let mut f = Fields::unseal(text)?;
+    if f.take("kind")? != "path" || f.take_str("bench")? != bench || f.take_u64("window")? != window
+    {
+        return Err(bad("stored key does not match the requested benchmark and window".into()));
     }
-    let [instrs, branches, cond_branches, taken_conds, jumps, calls, returns, indirects, touched_lines_32b, footprint_bytes] =
-        values;
-    Ok(PathEntry {
+    let mut u = |key: &str| f.take_u64(key);
+    let entry = PathEntry {
         stats: TraceStats {
-            instrs,
-            branches,
-            cond_branches,
-            taken_conds,
-            jumps,
-            calls,
-            returns,
-            indirects,
-            touched_lines_32b,
+            instrs: u("instrs")?,
+            branches: u("br")?,
+            cond_branches: u("cond")?,
+            taken_conds: u("taken")?,
+            jumps: u("jumps")?,
+            calls: u("calls")?,
+            returns: u("rets")?,
+            indirects: u("ind")?,
+            touched_lines_32b: u("lines32")?,
         },
-        footprint_bytes,
-    })
-}
-
-fn corrupt(path: &Path, detail: impl Into<String>) -> SpecfetchError {
-    SpecfetchError::CorruptStoreEntry { path: path.to_path_buf(), detail: detail.into() }
-}
-
-/// Reads one entry, checks its checksum footer and its `header` line,
-/// and returns the body after the header.
-fn read_sealed(path: &Path, header: &str) -> Result<String, SpecfetchError> {
-    let text = std::fs::read_to_string(path).map_err(|source| SpecfetchError::Io {
-        context: format!("opening result store entry {}", path.display()),
-        source,
-    })?;
-    let (body, footer) =
-        text.rsplit_once("checksum=").ok_or_else(|| corrupt(path, "missing checksum footer"))?;
-    let want = footer.trim_end_matches('\n').trim();
-    let got = format!("{:016x}", fnv1a(body.as_bytes()));
-    if want != got {
-        return Err(corrupt(path, format!("checksum mismatch (footer {want}, computed {got})")));
-    }
-    let (first, rest) = body.split_once('\n').unwrap_or((body, ""));
-    if first != header {
-        return Err(corrupt(path, format!("bad header {first:?}, expected {header:?}")));
-    }
-    Ok(rest.to_owned())
-}
-
-/// Reads and fully verifies one store entry. Any structural problem —
-/// unreadable file, bad header, checksum mismatch, config mismatch
-/// (hash collision or a renamed file), or an undecodable result — is a
-/// [`SpecfetchError::CorruptStoreEntry`].
-fn load(path: &Path, cfg: &SimConfig) -> Result<StoredOutcome, SpecfetchError> {
-    let body = read_sealed(path, &result_header())?;
-    let mut lines = body.lines();
-    let cfg_line = lines
-        .next()
-        .and_then(|l| l.strip_prefix("cfg="))
-        .ok_or_else(|| corrupt(path, "missing cfg line"))?;
-    // Compare the full canonical string, not just the hash the filename
-    // encodes: this catches hash collisions and hand-renamed files.
-    if cfg_line != cfg.canonical_string() {
-        return Err(corrupt(path, "stored config does not match the requested grid point"));
-    }
-    let outcome_line = lines.next().ok_or_else(|| corrupt(path, "missing result line"))?;
-    if lines.next().is_some() {
-        return Err(corrupt(path, "trailing data after result line"));
-    }
-    if let Some(result_line) = outcome_line.strip_prefix("result=") {
-        return decode_result(result_line)
-            .map(StoredOutcome::Completed)
-            .map_err(|e| corrupt(path, format!("undecodable result: {e}")));
-    }
-    if let Some(reason) = outcome_line.strip_prefix("failed=") {
-        return json_unescape(reason)
-            .map(StoredOutcome::Failed)
-            .ok_or_else(|| corrupt(path, "undecodable failure reason"));
-    }
-    Err(corrupt(path, "missing result line"))
-}
-
-/// Reads and fully verifies one path entry: checksum, header, the full
-/// `(bench, instrs)` key (a renamed file must not serve another key),
-/// and the stats line.
-fn load_path(path: &Path, bench: &str, instrs: u64) -> Result<PathEntry, SpecfetchError> {
-    let body = read_sealed(path, &path_header())?;
-    let mut lines = body.lines();
-    if lines.next() != Some(path_key(bench, instrs).as_str()) {
-        return Err(corrupt(path, "stored key does not match the requested benchmark and window"));
-    }
-    let line = lines
-        .next()
-        .and_then(|l| l.strip_prefix("path="))
-        .ok_or_else(|| corrupt(path, "missing path line"))?;
-    if lines.next().is_some() {
-        return Err(corrupt(path, "trailing data after path line"));
-    }
-    decode_path(line).map_err(|e| corrupt(path, format!("undecodable path entry: {e}")))
+        footprint_bytes: u("static")?,
+    };
+    f.finish()?;
+    Ok(entry)
 }
 
 /// Persists one entry atomically: write to a per-process unique temp
@@ -394,7 +302,7 @@ fn load_path(path: &Path, bench: &str, instrs: u64) -> Result<PathEntry, Specfet
 /// writers both produce complete files; the last rename wins and both
 /// contents are identical for a deterministic simulator.
 fn store(path: &Path, text: &str) -> Result<(), SpecfetchError> {
-    let parent = path.parent().ok_or_else(|| corrupt(path, "entry path has no parent"))?;
+    let parent = path.parent().ok_or_else(|| bad(format!("{} has no parent", path.display())))?;
     std::fs::create_dir_all(parent).map_err(|source| SpecfetchError::Io {
         context: format!("creating result store directory {}", parent.display()),
         source,
@@ -444,7 +352,8 @@ fn quarantine(path: &Path, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfetch_core::Simulator;
+    use crate::codec::encode_result;
+    use specfetch_core::{fnv1a, Simulator};
     use specfetch_synth::suite::Benchmark;
     use specfetch_trace::{PathSource, TraceStats};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -565,22 +474,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A directory written by the previous format (`v1/`, multi-line
+    /// files with a `checksum=` footer) reads as a cold store: every
+    /// lookup misses, and nothing is quarantined or touched.
     #[test]
-    fn future_format_version_is_ignored_not_trusted() {
-        let dir = scratch("future");
+    fn v1_entries_read_as_a_cold_store() {
+        let dir = scratch("v1");
         let (cfg, r) = point(false);
-        put_in(&dir, "li", 4_000, &cfg, &r);
-        let path = entry_path(&dir, "li", 4_000, &cfg);
-        // Rewrite as a "version 2" file with a correct checksum: the
-        // header check must still reject it.
-        let body = std::fs::read_to_string(&path)
-            .unwrap()
-            .rsplit_once("checksum=")
-            .unwrap()
-            .0
-            .replacen("specfetch-result/1", "specfetch-result/2", 1);
-        std::fs::write(&path, format!("{body}checksum={:016x}\n", fnv1a(body.as_bytes()))).unwrap();
+        let old = dir.join("v1");
+        std::fs::create_dir_all(old.join("path")).unwrap();
+        let result = old.join(format!("li-4000-{:016x}.sr", cfg.canonical_hash()));
+        let body = format!(
+            "specfetch-result/1\ncfg={}\nresult={}\n",
+            cfg.canonical_string(),
+            encode_result(&r)
+        );
+        std::fs::write(&result, format!("{body}checksum={:016x}\n", fnv1a(body.as_bytes())))
+            .unwrap();
+        let path = old.join("path").join("li-4000.sr");
+        std::fs::write(&path, "specfetch-path/1\nbench=li instrs=4000\npath=instrs=4000\n")
+            .unwrap();
+
         assert_eq!(get_in(&dir, "li", 4_000, &cfg), None);
+        assert_eq!(get_path_in(&dir, "li", 4_000), None);
+        assert!(result.exists() && path.exists(), "v1 entries are left alone");
+        assert!(!parked(&result).exists() && !parked(&path).exists(), "nothing is quarantined");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -595,7 +513,7 @@ mod tests {
         });
         assert_eq!(get_in(&dir, "li", 4_000, &cfg), Some(StoredOutcome::Completed(r)));
         // No temp droppings left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(dir.join("v1"))
+        let leftovers: Vec<_> = std::fs::read_dir(dir.join(format!("v{FORMAT_VERSION}")))
             .unwrap()
             .filter_map(|e| e.unwrap().file_name().into_string().ok())
             .filter(|n| n.starts_with(".tmp-"))
@@ -627,32 +545,16 @@ mod tests {
         assert_eq!(get_path_in(&dir, "tex", 4_000), None);
         assert_eq!(get_path_in(&dir, "li", 5_000), None);
         let text = std::fs::read_to_string(path_entry_path(&dir, "li", 4_000)).unwrap();
-        assert!(text.starts_with("specfetch-path/1\nbench=li instrs=4000\npath=instrs=4000 "));
-        // The subdirectory keeps path entries out of `v1/*.sr` listings.
-        let top: Vec<_> = std::fs::read_dir(dir.join("v1"))
+        assert!(text.starts_with("kind=path bench=li window=4000 instrs=4000 "), "{text}");
+        assert_eq!(text.lines().count(), 1, "one record per entry");
+        // The subdirectory keeps path entries out of `v2/*.sr` listings.
+        let top: Vec<_> = std::fs::read_dir(dir.join(format!("v{FORMAT_VERSION}")))
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|x| x == "sr"))
             .collect();
-        assert!(top.is_empty(), "path entries leaked into v1/: {top:?}");
+        assert!(top.is_empty(), "path entries leaked into v2/: {top:?}");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn path_line_round_trips_and_rejects_malformed_lines() {
-        let p = path_point();
-        let line = encode_path(&p);
-        assert_eq!(decode_path(&line).unwrap(), p, "round trip diverged for {line:?}");
-        let (head, last) = line.rsplit_once(' ').unwrap();
-        for bad in [
-            head.to_owned(),
-            format!("{line} extra=1"),
-            format!("{last} {head}"),
-            line.replacen("br=", "br=x", 1),
-            line.replacen("cond=", "cnd=", 1),
-        ] {
-            assert!(decode_path(&bad).is_err(), "accepted {bad:?}");
-        }
     }
 
     #[test]
@@ -678,6 +580,20 @@ mod tests {
         bytes[idx] = if bytes[idx] == b'9' { b'8' } else { bytes[idx] + 1 };
         std::fs::write(&path, &bytes).unwrap();
         must_miss("checksum-flipped");
+
+        // Resealed records that verify but are not a whole path entry.
+        let good = render_path("li", 4_000, &p);
+        let body = good.trim_end().rsplit_once(" sum=").unwrap().0.to_owned();
+        let (head, _) = body.rsplit_once(' ').unwrap();
+        for (what, bad) in [
+            ("missing-key", head.to_owned()),
+            ("extra-key", format!("{body} extra=1")),
+            ("non-integer", body.replacen("br=", "br=x", 1)),
+            ("renamed-key", body.replacen("cond=", "cnd=", 1)),
+        ] {
+            std::fs::write(&path, format!("{bad} sum={:016x}\n", fnv1a(bad.as_bytes()))).unwrap();
+            must_miss(what);
+        }
 
         // Valid entries for another key, renamed onto this one.
         for (bench, instrs) in [("tex", 4_000), ("li", 4_001)] {

@@ -7,19 +7,20 @@
 //! settling every finished cell into the memo and the store — and ships
 //! only the *unresolved, config-deduplicated* configurations of each
 //! benchmark group to a pool of `specfetch-repro --worker` child
-//! processes over a JSON-lines pipe protocol (version
-//! [`PROTO_VERSION`]):
+//! processes over a pipe protocol (version [`PROTO_VERSION`]) of
+//! [`crate::codec`] line records, one per message, each ending in its
+//! `sum=<fnv1a>` checksum token (left out below):
 //!
 //! ```text
-//! parent → child   {"kind":"hello","proto":2}
-//! child → parent   {"kind":"hello","proto":2}
-//! parent → child   {"kind":"group","bench":"li","instrs":2000000,"points":2}
-//!                  {"kind":"point","idx":0,"fault":"none","cfg":"v=1 policy=Res ..."}
-//!                  {"kind":"point","idx":1,"fault":"none","cfg":"v=1 policy=Pess ..."}
-//! child → parent   {"kind":"hb"}                      (every ~100ms, always)
-//!                  {"kind":"cell","idx":0,"ok":1,"result":"policy=Res instrs=..."}
-//!                  {"kind":"cell","idx":1,"ok":0,"fail":"terminal","reason":"..."}
-//!                  {"kind":"done"}
+//! parent → child   kind=hello proto=3
+//! child → parent   kind=hello proto=3
+//! parent → child   kind=group bench=li instrs=2000000 points=2
+//!                  kind=point idx=0 fault=none cfg=v=1\spolicy=Res\s...
+//!                  kind=point idx=1 fault=none cfg=v=1\spolicy=Pess\s...
+//! child → parent   kind=hb                           (every ~100ms, always)
+//!                  kind=cell idx=0 ok=1 policy=Res instrs=... (every result field)
+//!                  kind=cell idx=1 ok=0 fail=terminal reason=...
+//!                  kind=done
 //! ```
 //!
 //! Children are pure compute: a child answers a group with the static
@@ -36,11 +37,13 @@
 //! worker-death fills (no cell at all) resolve to.
 //!
 //! The **hello handshake** runs once per child: a version mismatch is a
-//! typed [`SpecfetchError::WorkerProtocol`] on either side, never
-//! garbled JSON-lines. Configs cross the pipe in the canonical encoding
-//! of `specfetch_core::canon` and results in the [`crate::codec`] line
-//! format — both strict, versioned, and byte-exact, so a sharded run is
-//! **byte-identical** to an in-process run.
+//! typed [`SpecfetchError::WorkerProtocol`] on either side, never a
+//! garbled stream. Configs cross the pipe in the canonical encoding of
+//! `specfetch_core::canon` and results as the [`crate::codec`] result
+//! fields — both strict, versioned, and byte-exact, so a sharded run is
+//! **byte-identical** to an in-process run. A line whose checksum fails
+//! or whose record does not decode is a protocol violation: the child
+//! is killed and its unfinished points are retried.
 //!
 //! **Supervision** (DESIGN §5j): children heartbeat every ~100ms; the
 //! parent drains each child's pipe on a reader thread and declares the
@@ -69,15 +72,15 @@ use specfetch_core::{SimConfig, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
 use specfetch_verify::{worker_step, DeadReason, Step, WorkerEvent, WorkerState};
 
-use crate::codec::{decode_result, encode_result, json_escape, json_string_field, json_u64_field};
+use crate::codec::{bad, put_result, take_result, Fields, Record};
 use crate::fault::{self, FaultAction};
 use crate::runner::{isolate, simulate_configs, CellFailure, FailKind, GridCell};
 use crate::RunOptions;
 
-/// Version of the parent↔worker JSON-lines protocol. Bumped by the
-/// supervision layer (v2: hello handshake, heartbeats, per-point fault
-/// forwarding replaced the v1 `abort` flag).
-pub const PROTO_VERSION: u64 = 2;
+/// Version of the parent↔worker pipe protocol. v2 added the hello
+/// handshake, heartbeats and per-point fault forwarding (replacing the
+/// v1 `abort` flag); v3 replaced JSON lines with codec records.
+pub const PROTO_VERSION: u64 = 3;
 
 /// How often a worker child emits a heartbeat line. The CLI rejects
 /// `--heartbeat-ms` windows below twice this interval — a window shorter
@@ -144,29 +147,37 @@ static POOL: OnceLock<Option<WorkerPool>> = OnceLock::new();
 ///
 /// # Errors
 ///
-/// [`SpecfetchError::WorkerProtocol`] when the line is not a hello or
-/// carries a different version — the typed error both sides of the pipe
-/// report instead of attempting to parse an incompatible stream.
+/// [`SpecfetchError::WorkerProtocol`] when the line is not a hello
+/// record or carries a different version — the typed error both sides
+/// of the pipe report instead of attempting to parse an incompatible
+/// stream.
 pub fn validate_hello(line: &str) -> Result<(), SpecfetchError> {
-    if json_string_field(line, "kind").as_deref() != Some("hello") {
-        return Err(SpecfetchError::WorkerProtocol {
-            detail: format!("expected a hello message, got {:?}", line.trim_end()),
-        });
+    let detail = match hello_version(line) {
+        Some(v) if v == PROTO_VERSION => return Ok(()),
+        Some(v) => format!("peer speaks protocol v{v}, this build speaks v{PROTO_VERSION}"),
+        None => format!("expected a v{PROTO_VERSION} hello record, got {:?}", line.trim_end()),
+    };
+    Err(SpecfetchError::WorkerProtocol { detail })
+}
+
+/// The version a hello announces (other fields unchecked, so a later
+/// version may add some); `None` when `line` is not a hello. The JSON
+/// hello of v2 is read too: a v2 peer gets the typed mismatch, and the
+/// benchmark ledger's handshake probe, which still sends it, a reply.
+fn hello_version(line: &str) -> Option<u64> {
+    if let Some(json) = line.trim_end().strip_prefix("{\"kind\":\"hello\",\"proto\":") {
+        return json.strip_suffix('}')?.parse().ok();
     }
-    match json_u64_field(line, "proto") {
-        Some(v) if v == PROTO_VERSION => Ok(()),
-        Some(v) => Err(SpecfetchError::WorkerProtocol {
-            detail: format!("peer speaks protocol v{v}, this build speaks v{PROTO_VERSION}"),
-        }),
-        None => Err(SpecfetchError::WorkerProtocol {
-            detail: "hello message carries no proto version".to_owned(),
-        }),
+    let mut f = Fields::unseal(line).ok()?;
+    if f.take("kind").ok()? != "hello" {
+        return None;
     }
+    f.take_u64("proto").ok()
 }
 
 /// The hello line either side opens with.
 fn hello_line() -> String {
-    format!("{{\"kind\":\"hello\",\"proto\":{PROTO_VERSION}}}\n")
+    Record::new("hello").u64("proto", PROTO_VERSION).seal()
 }
 
 /// The `fail` field a failed cell carries on the wire.
@@ -183,10 +194,10 @@ fn fail_wire(kind: FailKind) -> &'static str {
 /// retried), matching the in-process path. Anything unrecognised stays
 /// transient — the class genuine worker deaths (no cell at all) fill
 /// with.
-fn cell_failure_from_wire(fail: Option<&str>, reason: String) -> CellFailure {
+fn cell_failure_from_wire(fail: &str, reason: String) -> CellFailure {
     match fail {
-        Some("terminal") => CellFailure::permanent(reason),
-        Some("interrupted") => CellFailure::interrupted(),
+        "terminal" => CellFailure::permanent(reason),
+        "interrupted" => CellFailure::interrupted(),
         _ => CellFailure::transient(reason),
     }
 }
@@ -277,18 +288,15 @@ enum DriveFailure {
 fn drive_child(slot: &mut Slot, job: &Job, out: &mut [GridCell]) -> Result<(), DriveFailure> {
     let dead = DriveFailure::Dead;
     let stdin = slot.child.stdin.as_mut().ok_or_else(|| dead("worker stdin closed".to_owned()))?;
-    let mut msg = format!(
-        "{{\"kind\":\"group\",\"bench\":\"{}\",\"instrs\":{},\"points\":{}}}\n",
-        job.bench.name,
-        job.opts.instrs_per_benchmark,
-        job.cfgs.len()
-    );
+    let mut msg = Record::new("group")
+        .str("bench", job.bench.name)
+        .u64("instrs", job.opts.instrs_per_benchmark)
+        .u64("points", job.cfgs.len() as u64)
+        .seal();
     for (i, (cfg, fault)) in job.cfgs.iter().enumerate() {
         let wire = fault.map_or_else(|| "none".to_owned(), FaultAction::wire_name);
-        msg.push_str(&format!(
-            "{{\"kind\":\"point\",\"idx\":{i},\"fault\":\"{wire}\",\"cfg\":\"{}\"}}\n",
-            json_escape(&cfg.canonical_string())
-        ));
+        let point = Record::new("point").u64("idx", i as u64).str("fault", &wire);
+        msg.push_str(&point.str("cfg", &cfg.canonical_string()).seal());
     }
     stdin
         .write_all(msg.as_bytes())
@@ -299,6 +307,35 @@ fn drive_child(slot: &mut Slot, job: &Job, out: &mut [GridCell]) -> Result<(), D
     let deadline = (o.point_timeout_secs > 0)
         .then(|| Duration::from_secs(o.point_timeout_secs * job.cfgs.len() as u64));
     supervise_replies(&slot.lines, deadline, o.heartbeat_ms, o.point_timeout_secs, out)
+}
+
+/// One decoded message from a child.
+#[allow(clippy::large_enum_variant)] // transient return value, matched immediately
+enum Reply {
+    Heartbeat,
+    Done,
+    Cell(u64, GridCell),
+}
+
+/// Decodes one line from a child, every field exactly once.
+fn decode_reply(line: &str) -> Result<Reply, SpecfetchError> {
+    let mut f = Fields::unseal(line)?;
+    let reply = match f.take("kind")? {
+        "hb" => Reply::Heartbeat,
+        "done" => Reply::Done,
+        "cell" => {
+            let idx = f.take_u64("idx")?;
+            let cell = match f.take_u64("ok")? {
+                1 => Ok(take_result(&mut f)?),
+                0 => Err(cell_failure_from_wire(f.take("fail")?, f.take_str("reason")?)),
+                other => return Err(bad(format!("bad ok flag {other}"))),
+            };
+            Reply::Cell(idx, cell)
+        }
+        other => return Err(bad(format!("unexpected worker message kind {other:?}"))),
+    };
+    f.finish()?;
+    Ok(reply)
 }
 
 /// Classifies one line from a child into a protocol [`WorkerEvent`],
@@ -312,47 +349,20 @@ fn classify_line(
     out: &mut [GridCell],
     detail: &mut String,
 ) -> WorkerEvent {
-    match json_string_field(line, "kind").as_deref() {
-        Some("hb") => WorkerEvent::Heartbeat,
-        Some("done") => WorkerEvent::Done,
-        Some("cell") => {
-            let Some(idx) = json_u64_field(line, "idx") else {
-                *detail = format!("cell without idx: {line:?}");
-                return WorkerEvent::Garbage;
-            };
-            let idx = idx as usize;
-            if idx >= out.len() {
+    match decode_reply(line) {
+        Ok(Reply::Heartbeat) => WorkerEvent::Heartbeat,
+        Ok(Reply::Done) => WorkerEvent::Done,
+        Ok(Reply::Cell(idx, cell)) => {
+            let Some(i) = usize::try_from(idx).ok().filter(|&i| i < out.len()) else {
                 *detail = format!("cell idx {idx} out of range");
                 return WorkerEvent::Cell { in_range: false, duplicate: false };
-            }
-            let cell = match json_u64_field(line, "ok") {
-                Some(1) => {
-                    let Some(enc) = json_string_field(line, "result") else {
-                        *detail = format!("ok cell without result: {line:?}");
-                        return WorkerEvent::Garbage;
-                    };
-                    decode_result(&enc).map_err(|e| {
-                        CellFailure::permanent(format!(
-                            "worker returned an undecodable result: {e}"
-                        ))
-                    })
-                }
-                Some(0) => {
-                    let reason = json_string_field(line, "reason")
-                        .unwrap_or_else(|| "worker reported an unnamed failure".to_owned());
-                    Err(cell_failure_from_wire(json_string_field(line, "fail").as_deref(), reason))
-                }
-                _ => {
-                    *detail = format!("cell without ok flag: {line:?}");
-                    return WorkerEvent::Garbage;
-                }
             };
-            out[idx] = cell;
-            let duplicate = std::mem::replace(&mut seen[idx], true);
+            out[i] = cell;
+            let duplicate = std::mem::replace(&mut seen[i], true);
             WorkerEvent::Cell { in_range: true, duplicate }
         }
-        _ => {
-            *detail = format!("unexpected worker message {line:?}");
+        Err(e) => {
+            *detail = format!("garbled worker message {:?}: {e}", line.trim_end());
             WorkerEvent::Garbage
         }
     }
@@ -566,9 +576,10 @@ pub fn child_loop() -> std::process::ExitCode {
         return std::process::ExitCode::SUCCESS;
     }
     // Liveness: heartbeat until frozen or the parent goes away.
-    std::thread::spawn(|| loop {
+    let heartbeat = Record::new("hb").seal();
+    std::thread::spawn(move || loop {
         std::thread::sleep(Duration::from_millis(HEARTBEAT_INTERVAL_MS));
-        if FROZEN.load(Ordering::SeqCst) || emit("{\"kind\":\"hb\"}\n").is_err() {
+        if FROZEN.load(Ordering::SeqCst) || emit(&heartbeat).is_err() {
             return;
         }
     });
@@ -586,47 +597,51 @@ pub fn child_loop() -> std::process::ExitCode {
         if line.trim().is_empty() {
             continue;
         }
-        if json_string_field(&line, "kind").as_deref() != Some("group") {
-            return fail(format!("expected a group message, got {line:?}"));
-        }
-        let Some(bench_name) = json_string_field(&line, "bench") else {
-            return fail(format!("group without bench: {line:?}"));
+        let group = Fields::unseal(&line).and_then(|mut f| {
+            if f.take("kind")? != "group" {
+                return Err(bad("expected a group record".to_owned()));
+            }
+            let group = (f.take_str("bench")?, f.take_u64("instrs")?, f.take_u64("points")?);
+            f.finish()?;
+            Ok(group)
+        });
+        let (bench_name, instrs, n) = match group {
+            Ok(group) => group,
+            Err(e) => return fail(format!("bad group message {line:?}: {e}")),
         };
         let Some(bench) = Benchmark::by_name(&bench_name) else {
             return fail(format!("unknown benchmark {bench_name:?}"));
         };
-        let Some(instrs) = json_u64_field(&line, "instrs") else {
-            return fail(format!("group without instrs: {line:?}"));
-        };
-        let Some(n) = json_u64_field(&line, "points") else {
-            return fail(format!("group without points: {line:?}"));
-        };
 
         let mut cfgs: Vec<SimConfig> = Vec::with_capacity(n as usize);
         let mut forwarded: Option<FaultAction> = None;
-        for _ in 0..n {
+        for i in 0..n {
             line.clear();
             match input.read_line(&mut line) {
                 Ok(0) => return fail("EOF inside a group".to_owned()),
                 Ok(_) => {}
                 Err(e) => return fail(format!("stdin error: {e}")),
             }
-            if json_string_field(&line, "kind").as_deref() != Some("point") {
-                return fail(format!("expected a point message, got {line:?}"));
-            }
-            let Some(canon) = json_string_field(&line, "cfg") else {
-                return fail(format!("point without cfg: {line:?}"));
+            let point = Fields::unseal(&line).and_then(|mut f| {
+                if f.take("kind")? != "point" || f.take_u64("idx")? != i {
+                    return Err(bad(format!("expected point record {i}")));
+                }
+                let point = (f.take_str("fault")?, f.take_str("cfg")?);
+                f.finish()?;
+                Ok(point)
+            });
+            let (wire, canon) = match point {
+                Ok(point) => point,
+                Err(e) => return fail(format!("bad point message {line:?}: {e}")),
             };
             let cfg = match SimConfig::from_canonical_string(&canon) {
                 Ok(c) => c,
                 Err(e) => return fail(format!("bad canonical config: {e}")),
             };
-            if let Some(wire) = json_string_field(&line, "fault") {
-                if wire != "none" {
-                    match FaultAction::parse_wire(&wire) {
-                        Some(a) => forwarded = forwarded.or(Some(a)),
-                        None => return fail(format!("unknown forwarded fault {wire:?}")),
-                    }
+            if wire != "none" {
+                match FaultAction::parse(&wire) {
+                    Ok(a) => forwarded = forwarded.or(Some(a)),
+                    Err(e) => return fail(format!("unknown forwarded fault {wire:?}: {e}")),
                 }
             }
             cfgs.push(cfg);
@@ -652,19 +667,14 @@ pub fn child_loop() -> std::process::ExitCode {
         };
         let mut reply = String::new();
         for (i, cell) in cells.iter().enumerate() {
-            match cell {
-                Ok(r) => reply.push_str(&format!(
-                    "{{\"kind\":\"cell\",\"idx\":{i},\"ok\":1,\"result\":\"{}\"}}\n",
-                    json_escape(&encode_result(r))
-                )),
-                Err(f) => reply.push_str(&format!(
-                    "{{\"kind\":\"cell\",\"idx\":{i},\"ok\":0,\"fail\":\"{}\",\"reason\":\"{}\"}}\n",
-                    fail_wire(f.kind),
-                    json_escape(&f.reason)
-                )),
-            }
+            let rec = Record::new("cell").u64("idx", i as u64);
+            let rec = match cell {
+                Ok(r) => put_result(rec.u64("ok", 1), r),
+                Err(f) => rec.u64("ok", 0).str("fail", fail_wire(f.kind)).str("reason", &f.reason),
+            };
+            reply.push_str(&rec.seal());
         }
-        reply.push_str("{\"kind\":\"done\"}\n");
+        reply.push_str(&Record::new("done").seal());
         if emit(&reply).is_err() {
             // Parent went away; nothing left to serve.
             return std::process::ExitCode::SUCCESS;
@@ -683,28 +693,56 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_a_typed_error() {
-        let e = validate_hello("{\"kind\":\"hello\",\"proto\":1}\n").unwrap_err();
+        let e = validate_hello(&Record::new("hello").u64("proto", 1).seal()).unwrap_err();
         assert!(matches!(&e, SpecfetchError::WorkerProtocol { detail } if detail.contains("v1")));
-        let e = validate_hello("{\"kind\":\"hello\"}\n").unwrap_err();
+        let e = validate_hello(&Record::new("hello").seal()).unwrap_err();
         assert!(matches!(e, SpecfetchError::WorkerProtocol { .. }));
+    }
+
+    /// A v2 peer opens with a JSON hello and gets the typed mismatch; a
+    /// JSON hello that names this version (the benchmark ledger's
+    /// handshake probe) is answered.
+    #[test]
+    fn a_v2_json_hello_is_a_typed_error() {
+        let e = validate_hello("{\"kind\":\"hello\",\"proto\":2}\n").unwrap_err();
+        assert!(
+            matches!(&e, SpecfetchError::WorkerProtocol { detail }
+                if detail.contains("v2") && detail.contains("v3")),
+            "{e}"
+        );
+        assert!(
+            validate_hello(&format!("{{\"kind\":\"hello\",\"proto\":{PROTO_VERSION}}}\n")).is_ok()
+        );
+        for garbled in ["{\"kind\":\"hello\",\"proto\":3,\"x\":1}", "{\"kind\":\"hello\"}"] {
+            let e = validate_hello(garbled).unwrap_err();
+            assert!(
+                matches!(&e, SpecfetchError::WorkerProtocol { detail } if detail.contains("v3 hello"))
+            );
+        }
     }
 
     #[test]
     fn fail_classes_round_trip_the_wire() {
         for kind in [FailKind::Terminal, FailKind::Transient, FailKind::Interrupted] {
-            let back = cell_failure_from_wire(Some(fail_wire(kind)), "x".to_owned());
+            let back = cell_failure_from_wire(fail_wire(kind), "x".to_owned());
             assert_eq!(back.kind, kind, "{kind:?} must survive the pipe");
         }
-        let legacy = cell_failure_from_wire(None, "x".to_owned());
-        assert_eq!(legacy.kind, FailKind::Transient, "an unclassified cell stays retryable");
+        let unknown = cell_failure_from_wire("bogus", "x".to_owned());
+        assert_eq!(unknown.kind, FailKind::Transient, "an unclassified cell stays retryable");
     }
 
     #[test]
     fn non_hello_first_message_is_a_typed_error() {
-        let e = validate_hello("{\"kind\":\"group\",\"bench\":\"li\"}\n").unwrap_err();
+        let e = validate_hello(&Record::new("group").str("bench", "li").seal()).unwrap_err();
         assert!(
             matches!(&e, SpecfetchError::WorkerProtocol { detail } if detail.contains("hello"))
         );
+    }
+
+    /// A sealed failed-cell line for slot `idx`.
+    fn failed_cell(idx: u64, reason: &str) -> String {
+        let cell = Record::new("cell").u64("idx", idx).u64("ok", 0).str("fail", "terminal");
+        cell.str("reason", reason).seal()
     }
 
     fn pending_out(n: usize) -> Vec<GridCell> {
@@ -721,12 +759,8 @@ mod tests {
     #[test]
     fn queued_replies_beat_an_expired_timer_and_a_disconnect() {
         let (tx, rx) = mpsc::channel::<String>();
-        tx.send(
-            "{\"kind\":\"cell\",\"idx\":0,\"ok\":0,\"fail\":\"terminal\",\"reason\":\"boom\"}\n"
-                .to_owned(),
-        )
-        .unwrap();
-        tx.send("{\"kind\":\"done\"}\n".to_owned()).unwrap();
+        tx.send(failed_cell(0, "boom")).unwrap();
+        tx.send(Record::new("done").seal()).unwrap();
         drop(tx); // reader thread gone: the disconnect races the replies
         let mut out = pending_out(1);
         // Both timers are already expired when supervision starts.
@@ -758,15 +792,18 @@ mod tests {
 
     #[test]
     fn protocol_violations_kill_the_child_with_a_detail() {
+        let cell = || Record::new("cell");
         for (line, needle) in [
-            ("{\"kind\":\"mystery\"}\n", "unexpected worker message"),
-            ("{\"kind\":\"cell\",\"ok\":1}\n", "cell without idx"),
-            ("{\"kind\":\"cell\",\"idx\":9,\"ok\":1}\n", "out of range"),
-            ("{\"kind\":\"cell\",\"idx\":0,\"ok\":1}\n", "ok cell without result"),
-            ("{\"kind\":\"cell\",\"idx\":0}\n", "cell without ok flag"),
+            (Record::new("mystery").seal(), "unexpected worker message kind"),
+            (cell().u64("ok", 1).seal(), "missing key \"idx\""),
+            (failed_cell(9, "x"), "out of range"),
+            (cell().u64("idx", 0).u64("ok", 1).seal(), "missing key \"policy\""),
+            (cell().u64("idx", 0).seal(), "missing key \"ok\""),
+            (Record::new("done").u64("extra", 1).seal(), "unknown or repeated keys"),
+            ("{\"kind\":\"done\"}\n".to_owned(), "no checksum"),
         ] {
             let (tx, rx) = mpsc::channel::<String>();
-            tx.send(line.to_owned()).unwrap();
+            tx.send(line.clone()).unwrap();
             let mut out = pending_out(1);
             let r = supervise_replies(&rx, None, 5_000, 30, &mut out);
             match r {
@@ -777,18 +814,37 @@ mod tests {
         }
     }
 
+    /// A pipe line with one flipped byte is garbage, not a cell.
+    #[test]
+    fn a_flipped_byte_classifies_as_garbage() {
+        let good = failed_cell(0, "boom");
+        let mut out = pending_out(1);
+        let mut seen = vec![false];
+        let mut detail = String::new();
+        assert_eq!(
+            classify_line(&good, &mut seen, &mut out, &mut detail),
+            WorkerEvent::Cell { in_range: true, duplicate: false }
+        );
+        for i in 0..good.len() - 1 {
+            let mut bytes = good.clone().into_bytes();
+            bytes[i] ^= 0x01;
+            let Ok(line) = String::from_utf8(bytes) else { continue };
+            let mut out = pending_out(1);
+            let event = classify_line(&line, &mut [false], &mut out, &mut detail);
+            assert_eq!(event, WorkerEvent::Garbage, "byte {i} flipped: {line:?}");
+            assert!(matches!(&out[0], Err(f) if f.reason == PENDING_REASON), "slot untouched");
+        }
+    }
+
     /// A duplicate cell index re-writes the slot (last write wins) and
     /// the group still completes — the model absorbs duplicates.
     #[test]
     fn duplicate_cells_are_absorbed() {
         let (tx, rx) = mpsc::channel::<String>();
         for reason in ["first", "second"] {
-            tx.send(format!(
-                "{{\"kind\":\"cell\",\"idx\":0,\"ok\":0,\"fail\":\"terminal\",\"reason\":\"{reason}\"}}\n"
-            ))
-            .unwrap();
+            tx.send(failed_cell(0, reason)).unwrap();
         }
-        tx.send("{\"kind\":\"done\"}\n".to_owned()).unwrap();
+        tx.send(Record::new("done").seal()).unwrap();
         let mut out = pending_out(1);
         let r = supervise_replies(&rx, None, 5_000, 30, &mut out);
         assert!(r.is_ok());

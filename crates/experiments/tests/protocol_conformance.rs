@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use specfetch_core::fnv1a;
+use specfetch_experiments::codec::Fields;
 use specfetch_experiments::{journal, run_experiment, RunOptions};
 use specfetch_verify::{parse_tag, point_step, PointEvent, PointState, Step};
 
@@ -32,21 +32,17 @@ fn a_real_run_writes_only_model_legal_event_orders() {
     let mut events = 0usize;
     let mut terminal = (0u64, 0u64, 0u64); // completed, failed, interrupted
     for (lineno, line) in text.lines().enumerate() {
-        let (payload, sum) = line.rsplit_once('|').expect("sealed line");
-        assert_eq!(
-            format!("{:016x}", fnv1a(payload.as_bytes())),
-            sum,
-            "line {}: checksum mismatch",
-            lineno + 1
-        );
+        let mut f = Fields::unseal(line)
+            .unwrap_or_else(|e| panic!("line {}: not a sealed record: {e}", lineno + 1));
+        let kind = f.take("kind").expect("kind");
         if lineno == 0 {
-            assert!(payload.starts_with("specfetch-journal/1 run="), "header: {payload}");
+            assert_eq!(kind, "journal", "header");
+            assert_eq!(f.take_u64("format").expect("format"), u64::from(journal::FORMAT_VERSION));
             continue;
         }
-        let mut parts = payload.splitn(4, ' ');
-        let event = parse_tag(parts.next().expect("tag")).expect("known event tag");
-        let exp = parts.next().expect("experiment").to_owned();
-        let idx: u64 = parts.next().expect("idx").parse().expect("numeric idx");
+        let event = parse_tag(kind).expect("known event tag");
+        let exp = f.take_str("exp").expect("experiment");
+        let idx = f.take_u64("idx").expect("numeric idx");
         let state = points.entry((exp.clone(), idx)).or_insert(PointState::Unscheduled);
         match point_step(state, &event) {
             Step::Next(next) => *state = next,

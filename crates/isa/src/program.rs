@@ -32,7 +32,7 @@ use crate::{Addr, InstrKind, INSTR_BYTES};
 pub struct Program {
     base: Addr,
     entry: Addr,
-    instrs: Vec<InstrKind>,
+    pub(crate) instrs: Vec<InstrKind>,
 }
 
 impl Program {

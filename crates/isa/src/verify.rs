@@ -212,7 +212,7 @@ where
         (i < len).then_some(i)
     };
     let addr_of = |i: usize| Addr::new(base.raw() + i as u64 * INSTR_BYTES);
-    let kinds: Vec<InstrKind> = program.iter().map(|(_, k)| k).collect();
+    let kinds = &program.instrs;
 
     let mut issues = Vec::new();
 

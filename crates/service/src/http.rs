@@ -25,7 +25,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use specfetch_experiments::codec::{json_escape, json_string_field, json_u64_field};
+use specfetch_experiments::codec::json_escape;
 use specfetch_experiments::{diag, registry, supervise, JobSpec};
 
 use crate::controller::Controller;
@@ -188,32 +188,10 @@ fn handle_connection(mut stream: TcpStream, controller: &Arc<Controller>) {
     }
 }
 
-/// `POST /jobs`: body names exactly one of `"experiment"` / `"sweep"`,
-/// plus an optional `"instrs"` override. Rejections are 400s carrying
-/// the same "did you mean" hints the CLI prints.
+/// `POST /jobs`: rejections are 400s carrying the same "did you mean"
+/// hints the CLI prints.
 fn handle_submit(stream: &mut TcpStream, controller: &Arc<Controller>, body: &str) {
-    let experiment = json_string_field(body, "experiment");
-    let sweep = json_string_field(body, "sweep");
-    let instrs = json_u64_field(body, "instrs");
-    let spec = match (experiment, sweep) {
-        (Some(_), Some(_)) => {
-            let msg = "\"experiment\" and \"sweep\" are mutually exclusive";
-            respond_json(stream, 400, "Bad Request", &error_body(msg));
-            return;
-        }
-        (Some(sel), None) => JobSpec::Experiment(sel),
-        (None, Some(spec)) => JobSpec::Sweep(spec),
-        (None, None) => {
-            let msg = "body must be a JSON object naming \"experiment\" or \"sweep\"";
-            respond_json(stream, 400, "Bad Request", &error_body(msg));
-            return;
-        }
-    };
-    if instrs == Some(0) {
-        respond_json(stream, 400, "Bad Request", &error_body("\"instrs\" must be positive"));
-        return;
-    }
-    match controller.submit(spec, instrs) {
+    match parse_submit(body).and_then(|(spec, instrs)| controller.submit(spec, instrs)) {
         Ok(id) => {
             let body = format!("{{\"id\":{id},\"state\":\"queued\"}}\n");
             respond_json(stream, 201, "Created", &body);
@@ -223,6 +201,91 @@ fn handle_submit(stream: &mut TcpStream, controller: &Arc<Controller>, body: &st
         }
         Err(e) => respond_json(stream, 400, "Bad Request", &error_body(&e)),
     }
+}
+
+/// The job a `POST /jobs` body asks for: exactly one of `"experiment"`
+/// / `"sweep"`, plus an optional positive `"instrs"` override.
+fn parse_submit(body: &str) -> Result<(JobSpec, Option<u64>), String> {
+    let instrs = json_u64_field(body, "instrs")?;
+    if instrs == Some(0) {
+        return Err("\"instrs\" must be positive".to_owned());
+    }
+    let spec = match (json_string_field(body, "experiment")?, json_string_field(body, "sweep")?) {
+        (Some(_), Some(_)) => Err("\"experiment\" and \"sweep\" are mutually exclusive"),
+        (Some(sel), None) => Ok(JobSpec::Experiment(sel)),
+        (None, Some(spec)) => Ok(JobSpec::Sweep(spec)),
+        (None, None) => Err("body must be a JSON object naming \"experiment\" or \"sweep\""),
+    };
+    Ok((spec?, instrs))
+}
+
+/// Field `key` of a flat JSON request body, read by `value` from the
+/// text after its colon (whitespace on either side of the colon is
+/// skipped): `Ok(None)` when the body has no such key, `Err` (the 400
+/// message) when `value` rejects it.
+fn json_field<T>(
+    body: &str,
+    key: &str,
+    what: &str,
+    value: fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let quoted = format!("\"{key}\"");
+    let mut rest = body;
+    while let Some(at) = rest.find(&quoted) {
+        rest = &rest[at + quoted.len()..];
+        // A quoted word not followed by a colon is a value, not the key.
+        if let Some(text) = rest.trim_start().strip_prefix(':') {
+            return value(text.trim_start()).map(Some).ok_or(format!("\"{key}\" must be {what}"));
+        }
+    }
+    Ok(None)
+}
+
+/// String field `key` of a flat JSON request body, unescaped.
+fn json_string_field(body: &str, key: &str) -> Result<Option<String>, String> {
+    json_field(body, key, "a string", |text| {
+        let rest = text.strip_prefix('"')?;
+        let mut escaped = false;
+        let (end, _) = rest.char_indices().find(|&(_, c)| {
+            let close = !escaped && c == '"';
+            escaped = !escaped && c == '\\';
+            close
+        })?;
+        json_unescape(&rest[..end])
+    })
+}
+
+/// Unsigned-integer field `key` of a flat JSON request body: a plain
+/// run of digits that fits a `u64`. A string, a sign, a fraction or an
+/// exponent is rejected, never read as "no window given".
+fn json_u64_field(body: &str, key: &str) -> Result<Option<u64>, String> {
+    json_field(body, key, "a non-negative integer", |text| {
+        let end = text.find(|c: char| !c.is_ascii_digit()).unwrap_or(text.len());
+        let tail = text[end..].trim_start();
+        (tail.is_empty() || tail.starts_with([',', '}'])).then(|| text[..end].parse().ok())?
+    })
+}
+
+fn json_unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    char::from_u32(u32::from_str_radix(&hex, 16).ok().filter(|_| hex.len() == 4)?)?
+                }
+                c @ ('"' | '\\' | '/') => c,
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
 }
 
 /// `/jobs/<id>[/result|/stream]` routes.
@@ -295,4 +358,27 @@ fn stream_rows(stream: &mut TcpStream, controller: &Arc<Controller>, id: u64) {
         }
     }
     let _ = stream.write_all(b"0\r\n\r\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn body_fields_are_strict_about_values_and_lenient_about_spacing() {
+        let body = "{ \"sweep\" : \"a \\\"b\\\" \\u00e9\" ,\n \"instrs\" :\t2000 }";
+        assert_eq!(json_string_field(body, "sweep"), Ok(Some("a \"b\" é".to_owned())));
+        assert_eq!(json_u64_field(body, "instrs"), Ok(Some(2000)));
+        assert_eq!(json_string_field(body, "experiment"), Ok(None));
+        // A quoted word that is a value, not a key.
+        assert_eq!(json_string_field("{\"experiment\":\"sweep\"}", "sweep"), Ok(None));
+        for bad in ["\"5\"", "-5", "1e5", "5.0", "", "true", "99999999999999999999"] {
+            let body = format!("{{\"instrs\":{bad}}}");
+            assert!(json_u64_field(&body, "instrs").is_err(), "{body}");
+        }
+        for bad in ["7", "\"open", "\"bad \\q escape\""] {
+            let body = format!("{{\"sweep\":{bad}}}");
+            assert!(json_string_field(&body, "sweep").is_err(), "{body}");
+        }
+    }
 }

@@ -275,9 +275,14 @@ fn store_stats(err: &str) -> (u64, u64) {
     (field("hits"), field("stores"))
 }
 
-/// Lists the store's entry files (`*.sr` under `<dir>/v1`).
+/// The store's current format directory, `<dir>/v<FORMAT_VERSION>`.
+fn format_dir(dir: &std::path::Path) -> PathBuf {
+    dir.join(format!("v{}", specfetch_experiments::result_store::FORMAT_VERSION))
+}
+
+/// Lists the store's entry files (`*.sr` under its format directory).
 fn store_entries(dir: &std::path::Path) -> Vec<PathBuf> {
-    std::fs::read_dir(dir.join("v1"))
+    std::fs::read_dir(format_dir(dir))
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "sr"))
@@ -346,7 +351,7 @@ fn table2_replays_its_rows_from_path_entries() {
     };
     assert_eq!(path_line(&cold), "[path-store] hits=0 stores=13");
     assert!(stderr(&cold).contains("[result-store] hits=0 stores=0"), "{}", stderr(&cold));
-    assert!(store_entries(&dir).is_empty(), "path entries stay out of v1/*.sr");
+    assert!(store_entries(&dir).is_empty(), "path entries stay out of the top-level *.sr");
 
     let warm = repro(&args);
     assert_eq!(warm.status.code(), Some(0), "{}", stderr(&warm));
@@ -434,7 +439,7 @@ fn two_processes_racing_on_one_store_agree_and_leave_it_valid() {
     assert_eq!(stdout(&a), stdout(&b), "racing processes must agree");
 
     // Atomic publication: no torn temp files, nothing quarantined.
-    let leftovers: Vec<_> = std::fs::read_dir(dir.join("v1"))
+    let leftovers: Vec<_> = std::fs::read_dir(format_dir(&dir))
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .filter(|n| !n.ends_with(".sr"))

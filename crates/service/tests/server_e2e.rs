@@ -8,6 +8,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use specfetch_experiments::codec::Fields;
+
 /// The CI sweep both the HTTP job and the CLI comparison run.
 const SWEEP: &str = "policy=Res,Pess cache=8K penalty=5 metric=ispi";
 const INSTRS: &str = "2000";
@@ -223,6 +225,34 @@ fn bad_submissions_are_400s_with_hints() {
     assert!(body.contains("positive"), "{body}");
 }
 
+/// `"instrs"` must be a plain integer: a string, a sign, a fraction or
+/// an exponent is a 400, never a silent run of the 2M-instruction
+/// default. Whitespace around a colon is valid JSON and is accepted.
+#[test]
+fn malformed_instrs_are_400s_and_spaced_colons_parse() {
+    let server = Server::spawn(&[]);
+    for instrs in ["\"50000\"", "-5", "1e5", "2000.0", "true", ""] {
+        let body = format!("{{\"sweep\":\"{SWEEP}\",\"instrs\":{instrs}}}");
+        let (status, resp) = server.request("POST", "/jobs", Some(&body));
+        assert_eq!(status, 400, "instrs {instrs}: {resp}");
+        assert!(resp.contains(r#"\"instrs\" must be a non-negative integer"#), "{resp}");
+    }
+    let (status, resp) = server.request("POST", "/jobs", Some("{\"experiment\":7}"));
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains(r#"\"experiment\" must be a string"#), "{resp}");
+
+    let body = format!("{{ \"sweep\" : \"{SWEEP}\" , \"instrs\" :\t{INSTRS} }}");
+    let (status, resp) = server.request("POST", "/jobs", Some(&body));
+    assert_eq!(status, 201, "{resp}");
+    let id: u64 = json_field(&resp, "id").parse().unwrap();
+    let done = server.poll_until(id, |s| s == "done" || s == "failed" || s == "cancelled");
+    assert_eq!(json_field(&done, "state"), "done", "{done}");
+    let (status, http_result) = server.request("GET", &format!("/jobs/{id}/result"), None);
+    assert_eq!(status, 200);
+    let out = cli(&["--sweep", SWEEP, "--instrs", INSTRS]);
+    assert_eq!(http_result, String::from_utf8(out.stdout).unwrap(), "ran at --instrs {INSTRS}");
+}
+
 #[test]
 fn an_oversized_request_line_is_a_400() {
     let server = Server::spawn(&[]);
@@ -289,7 +319,7 @@ fn cancelling_a_running_job_drains_and_journals_interrupted_points() {
     assert_eq!(status, 200);
 
     // The per-job journal recorded the drained points as interrupted
-    // (`i <experiment> <idx>` records under jobs/job-<id>/journal/).
+    // (`kind=i` records under jobs/job-<id>/journal/).
     let journal_dir = dir.join("jobs").join(format!("job-{id}")).join("journal");
     let wal = std::fs::read_dir(&journal_dir)
         .unwrap_or_else(|e| panic!("{}: {e}", journal_dir.display()))
@@ -299,8 +329,7 @@ fn cancelling_a_running_job_drains_and_journals_interrupted_points() {
     let text = std::fs::read_to_string(wal.path()).unwrap();
     let interrupted = text
         .lines()
-        .filter_map(|l| l.rsplit_once('|').map(|(payload, _)| payload))
-        .filter(|p| p.starts_with("i "))
+        .filter(|l| Fields::unseal(l).and_then(|mut f| f.take("kind")).is_ok_and(|k| k == "i"))
         .count();
     assert!(interrupted > 0, "drained points must journal as interrupted:\n{text}");
 

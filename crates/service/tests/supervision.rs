@@ -7,6 +7,9 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use specfetch_experiments::codec::{Fields, Record};
+use specfetch_experiments::worker::PROTO_VERSION;
+
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_specfetch-repro"))
         .args(args)
@@ -48,7 +51,8 @@ fn store_stats(err: &str) -> (u64, u64) {
 
 /// Completed `.sr` entries currently in a store directory.
 fn store_entries(dir: &std::path::Path) -> usize {
-    match std::fs::read_dir(dir.join("v1")) {
+    let format = specfetch_experiments::result_store::FORMAT_VERSION;
+    match std::fs::read_dir(dir.join(format!("v{format}"))) {
         Ok(entries) => {
             entries.flatten().filter(|e| e.file_name().to_string_lossy().ends_with(".sr")).count()
         }
@@ -423,8 +427,17 @@ fn sweep_journal_events_carry_the_sweep_experiment_id() {
         .expect("one journal per run")
         .path();
     let text = std::fs::read_to_string(&wal).unwrap();
-    assert!(text.lines().any(|l| l.starts_with("s sweep ")), "scheduled events: {text}");
-    assert!(text.lines().any(|l| l.starts_with("c sweep ")), "completed events: {text}");
+    let events: Vec<(String, String)> = text
+        .lines()
+        .skip(1) // the header
+        .map(|l| {
+            let mut f = Fields::unseal(l).expect("sealed record");
+            (f.take_str("kind").unwrap(), f.take_str("exp").unwrap())
+        })
+        .collect();
+    let has = |kind: &str| events.iter().any(|(k, exp)| k == kind && exp == "sweep");
+    assert!(has("s"), "scheduled events: {text}");
+    assert!(has("c"), "completed events: {text}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -432,8 +445,8 @@ fn sweep_journal_events_carry_the_sweep_experiment_id() {
 // Worker protocol handshake
 // ---------------------------------------------------------------------
 
-/// A version-mismatched hello is refused with a typed protocol error,
-/// not a parse failure further into the stream.
+/// A version-mismatched hello record is refused with a typed protocol
+/// error, not a parse failure further into the stream.
 #[test]
 fn worker_protocol_version_mismatch_is_a_typed_error() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_specfetch-repro"))
@@ -447,13 +460,15 @@ fn worker_protocol_version_mismatch_is_a_typed_error() {
         .stdin
         .take()
         .expect("worker stdin")
-        .write_all(b"{\"kind\":\"hello\",\"proto\":99}\n")
+        .write_all(Record::new("hello").u64("proto", 99).seal().as_bytes())
         .expect("writing hello");
     let out = child.wait_with_output().expect("waiting for worker");
     assert_eq!(out.status.code(), Some(1), "mismatch is fatal");
     let err = stderr(&out);
     assert!(
-        err.contains("protocol") && err.contains("v99") && err.contains("v2"),
+        err.contains("protocol")
+            && err.contains("v99")
+            && err.contains(&format!("v{PROTO_VERSION}")),
         "typed mismatch on stderr: {err}"
     );
     assert!(stdout(&out).is_empty(), "no protocol traffic after a refused hello");

@@ -55,11 +55,12 @@
 //!    modules that own a deadline or shutdown check around them; a
 //!    blocking call sprouting anywhere else is a hang waiting for a
 //!    dead peer.
-//! 10. **Wire-kind symmetry** ([`wire_kind_symmetry`]) — every
-//!     `"kind"` value of the worker pipe protocol that a file encodes
-//!     must also appear in that file's decode arms and vice versa, so
-//!     the two halves of the JSON-lines protocol cannot drift apart
-//!     silently.
+//! 10. **Wire-kind symmetry** ([`wire_kind_symmetry`]) — every record
+//!     `kind` a file emits (`kind=<value>`, written as
+//!     `Record::new("<value>")`) must also be matched where that file
+//!     decodes the `kind` field, and vice versa, so the two halves of a
+//!     record format (worker pipe, journal, result store) cannot drift
+//!     apart silently.
 //! 11. **Spawn confinement** ([`spawn_confinement`]) — unscoped thread
 //!     creation (`thread::spawn`) is restricted to the supervised pools
 //!     (worker pool, controller drivers, HTTP acceptor); a detached
@@ -141,12 +142,14 @@ const BLOCKING_ALLOWED: [&str; 6] = [
     "crates/trace/src/text.rs",
 ];
 
-// Wire-protocol tokens (rule 10): an *encode* site embeds the escaped
-// `kind\":\"<value>` pair inside a JSON format string; a *decode* site
-// extracts the `"kind"` field and matches `Some("<value>")` arms.
-const WIRE_ENCODE_TOKEN: &str = concat!("kind", "\\\":\\\"");
-const WIRE_FIELD: &str = concat!("\"ki", "nd\"");
-const WIRE_DECODE_ARM: &str = concat!("Some(", "\"");
+// Record-kind tokens (rule 10): an *encode* site starts a record of a
+// literal kind, `Record::new("<value>")`, which emits `kind=<value>`; a
+// *decode* site takes the `kind` field and compares it with a literal
+// (`== "<value>"`, `!= "<value>"`) or matches `"<value>" =>` arms.
+const WIRE_ENCODE_TOKEN: &str = concat!("Record::", "new(\"");
+const WIRE_FIELD: &str = concat!("take(\"ki", "nd\")");
+// `== "` and `!= "` both end in this.
+const WIRE_COMPARE: &str = concat!("= ", "\"");
 
 // Detached-thread token (rule 11). Scoped spawns (`scope.spawn`) are
 // structurally joined and deliberately not matched.
@@ -670,48 +673,40 @@ pub fn blocking_confinement(root: &Path) -> Vec<Violation> {
     violations
 }
 
-/// Rule 10: the worker pipe protocol's `"kind"` vocabulary stays
-/// symmetric per file.
+/// Rule 10: the record `kind` vocabulary stays symmetric per file.
 ///
-/// An encode site embeds `kind\":\"<value>` in a JSON format string; a
-/// decode site extracts the `"kind"` field and matches `Some("<value>")`
-/// arms (same-line for a single-kind check, or the arms of the `match`
-/// block the extraction opens). Within any one file that speaks the
-/// protocol, the two vocabularies must be equal — a kind that is
-/// emitted but never parsed (or vice versa) is silent drift between
-/// the two halves of the pipe.
+/// An encode site starts a record with `Record::new("<value>")`; a
+/// decode site takes the `kind` field and compares it with literals on
+/// the same line, or opens a `match` whose `"<value>" =>` arms carry the
+/// vocabulary. Within any one file that speaks a record format, the two
+/// vocabularies must be equal — a kind that is emitted but never parsed
+/// (or vice versa) is silent drift between the two halves.
 pub fn wire_kind_symmetry(root: &Path) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (rel, path) in library_sources(root, &mut violations) {
         let Some(text) = read(&path, &rel, &mut violations) else { continue };
         let mut encoded: Vec<String> = Vec::new();
         let mut decoded: Vec<String> = Vec::new();
-        // Brace depth of the `match` block a `"kind"` extraction
-        // opened; 0 when not inside one.
+        // Brace depth of the `match` block a `kind` take opened; 0 when
+        // not inside one.
         let mut match_depth = 0usize;
         scan_code_lines(&text, |_, line| {
-            let mut rest = line;
-            while let Some(pos) = rest.find(WIRE_ENCODE_TOKEN) {
-                rest = &rest[pos + WIRE_ENCODE_TOKEN.len()..];
-                let value: String =
-                    rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-                if !value.is_empty() && !encoded.contains(&value) {
-                    encoded.push(value);
-                }
-            }
+            collect_after(line, WIRE_ENCODE_TOKEN, &mut encoded);
             if match_depth > 0 {
-                collect_some_str_arms(line, &mut decoded);
+                // A `"<value>" =>` arm.
+                if let Some(arm) = line.trim_start().strip_prefix('"').filter(|a| a.contains("=>"))
+                {
+                    push_word(arm, &mut decoded);
+                }
                 match_depth += count(line, '{');
                 match_depth = match_depth.saturating_sub(count(line, '}'));
                 return;
             }
-            if !line.contains(WIRE_FIELD) {
-                return;
-            }
+            let Some(at) = line.find(WIRE_FIELD) else { return };
             let before = decoded.len();
-            collect_some_str_arms(line, &mut decoded);
-            // No same-line kind: the extraction opens a `match` whose
-            // arms carry the vocabulary.
+            collect_after(&line[at..], WIRE_COMPARE, &mut decoded);
+            // No same-line kind: the take opens a `match` whose arms
+            // carry the vocabulary.
             if decoded.len() == before && count(line, '{') > count(line, '}') {
                 match_depth = count(line, '{') - count(line, '}');
             }
@@ -723,8 +718,8 @@ pub fn wire_kind_symmetry(root: &Path) -> Vec<Violation> {
                     file: rel.clone(),
                     line: 0,
                     detail: format!(
-                        "wire kind \"{value}\" is encoded but never decoded in this \
-                         file; the pipe protocol's vocabulary must stay symmetric"
+                        "record kind \"{value}\" is encoded but never decoded in this \
+                         file; the format's vocabulary must stay symmetric"
                     ),
                 });
             }
@@ -736,8 +731,8 @@ pub fn wire_kind_symmetry(root: &Path) -> Vec<Violation> {
                     file: rel.clone(),
                     line: 0,
                     detail: format!(
-                        "wire kind \"{value}\" is decoded but never encoded in this \
-                         file; the pipe protocol's vocabulary must stay symmetric"
+                        "record kind \"{value}\" is decoded but never encoded in this \
+                         file; the format's vocabulary must stay symmetric"
                     ),
                 });
             }
@@ -968,17 +963,21 @@ fn dfs_cycle(
     false
 }
 
-/// Appends every `Some("<value>")` capture on `line` to `out`
-/// (deduplicated): the decode arms of a wire-kind `match`.
-fn collect_some_str_arms(line: &str, out: &mut Vec<String>) {
+/// Appends the word after every `token` on `line` to `out`
+/// (deduplicated).
+fn collect_after(line: &str, token: &str, out: &mut Vec<String>) {
     let mut rest = line;
-    while let Some(pos) = rest.find(WIRE_DECODE_ARM) {
-        rest = &rest[pos + WIRE_DECODE_ARM.len()..];
-        let value: String =
-            rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-        if !value.is_empty() && !out.contains(&value) {
-            out.push(value);
-        }
+    while let Some(pos) = rest.find(token) {
+        rest = &rest[pos + token.len()..];
+        push_word(rest, out);
+    }
+}
+
+fn push_word(text: &str, out: &mut Vec<String>) {
+    let value: String =
+        text.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
+    if !value.is_empty() && !out.contains(&value) {
+        out.push(value);
     }
 }
 

@@ -457,39 +457,42 @@ fn blocking_calls_outside_the_supervised_modules_are_flagged() {
 #[test]
 fn wire_kind_vocabulary_must_stay_symmetric_per_file() {
     let root = scratch("wire");
-    // Symmetric: every encoded kind has a decode arm (one same-line,
-    // one in a match block) and vice versa.
+    // Symmetric: every emitted kind is matched where the file decodes
+    // (one same-line comparison, one `match` arm) and vice versa.
     seed(
         &root,
         "crates/experiments/src/pipe.rs",
         "pub fn enc() -> String {\n    \
-             format!(\"{{\\\"kind\\\":\\\"hello\\\"}}\")\n}\n\
+             Record::new(\"hello\").u64(\"proto\", 3).seal()\n}\n\
          pub fn enc2() -> String {\n    \
-             \"{\\\"kind\\\":\\\"done\\\"}\".to_owned()\n}\n\
-         pub fn dec(line: &str) -> bool {\n    \
-             field(line, \"kind\").as_deref() == Some(\"hello\")\n}\n\
-         pub fn dec2(line: &str) -> u8 {\n    \
-             match field(line, \"kind\").as_deref() {\n        \
-                 Some(\"done\") => 1,\n        _ => 0,\n    }\n}\n",
+             Record::new(\"done\").seal()\n}\n\
+         pub fn dec(f: &mut Fields) -> bool {\n    \
+             f.take(\"kind\").is_ok_and(|k| k == \"hello\")\n}\n\
+         pub fn dec2(f: &mut Fields) -> u8 {\n    \
+             match f.take(\"kind\").unwrap_or_default() {\n        \
+                 \"done\" => 1,\n        _ => 0,\n    }\n}\n",
     );
     assert!(wire_kind_symmetry(&root).is_empty(), "{}", render(&wire_kind_symmetry(&root)));
 
     // Asymmetric: `ping` is emitted but never parsed, `pong` parsed
-    // but never emitted.
+    // but never emitted, `pang` compared with `!=` but never emitted.
     seed(
         &root,
         "crates/experiments/src/drift.rs",
         "pub fn enc() -> String {\n    \
-             \"{\\\"kind\\\":\\\"ping\\\"}\".to_owned()\n}\n\
-         pub fn dec(line: &str) -> u8 {\n    \
-             match field(line, \"kind\").as_deref() {\n        \
-                 Some(\"pong\") => 1,\n        _ => 0,\n    }\n}\n",
+             Record::new(\"ping\").seal()\n}\n\
+         pub fn dec(f: &mut Fields) -> u8 {\n    \
+             match f.take(\"kind\").unwrap_or_default() {\n        \
+                 \"pong\" => 1,\n        _ => 0,\n    }\n}\n\
+         pub fn dec2(f: &mut Fields) -> bool {\n    \
+             f.take(\"kind\").ok() != Some(\"x\") && f.take(\"kind\")? != \"pang\"\n}\n",
     );
     let v = wire_kind_symmetry(&root);
-    assert_eq!(v.len(), 2, "{}", render(&v));
+    assert_eq!(v.len(), 3, "{}", render(&v));
     assert!(v.iter().all(|x| x.rule == "wire-kind" && x.file.contains("drift")));
     assert!(v.iter().any(|x| x.detail.contains("\"ping\" is encoded but never decoded")));
     assert!(v.iter().any(|x| x.detail.contains("\"pong\" is decoded but never encoded")));
+    assert!(v.iter().any(|x| x.detail.contains("\"pang\" is decoded but never encoded")));
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
@@ -567,7 +570,7 @@ fn check_all_aggregates_every_rule_class() {
     seed(
         &root,
         "crates/bpred/src/drift.rs",
-        "pub fn enc() -> String {\n    \"{\\\"kind\\\":\\\"ping\\\"}\".to_owned()\n}\n",
+        "pub fn enc() -> String {\n    Record::new(\"ping\").seal()\n}\n",
     );
     seed(
         &root,
