@@ -82,13 +82,6 @@ pub enum SpecfetchError {
         /// What was wrong with the handshake.
         detail: String,
     },
-    /// A terminal failure replayed from the result store's negative
-    /// cache (see DESIGN §5j); `--retry-failed` opts back into
-    /// recomputing such points.
-    StoredFailure {
-        /// The original failure reason, rendered verbatim in the cell.
-        reason: String,
-    },
     /// An experiment id that the harness does not know.
     UnknownExperiment {
         /// The unrecognised identifier.
@@ -122,7 +115,6 @@ impl SpecfetchError {
             SpecfetchError::Timeout { seconds } => format!("timeout after {seconds}s"),
             SpecfetchError::Interrupted => "interrupted".to_owned(),
             SpecfetchError::WorkerProtocol { .. } => "worker protocol mismatch".to_owned(),
-            SpecfetchError::StoredFailure { reason } => reason.clone(),
             SpecfetchError::UnknownExperiment { id } => format!("unknown experiment {id}"),
             SpecfetchError::ExperimentPanic { reason, .. } => reason.clone(),
         }
@@ -151,9 +143,6 @@ impl fmt::Display for SpecfetchError {
             SpecfetchError::Interrupted => write!(f, "interrupted by shutdown request"),
             SpecfetchError::WorkerProtocol { detail } => {
                 write!(f, "worker protocol handshake failed: {detail}")
-            }
-            SpecfetchError::StoredFailure { reason } => {
-                write!(f, "replayed terminal failure from the result store: {reason}")
             }
             SpecfetchError::UnknownExperiment { id } => write!(f, "unknown experiment {id:?}"),
             SpecfetchError::ExperimentPanic { id, reason } => {
@@ -206,7 +195,6 @@ mod tests {
             SpecfetchError::Timeout { seconds: 30 },
             SpecfetchError::Interrupted,
             SpecfetchError::WorkerProtocol { detail: "proto 1 != 2".into() },
-            SpecfetchError::StoredFailure { reason: "injected panic".into() },
             SpecfetchError::UnknownExperiment { id: "table99".into() },
             SpecfetchError::ExperimentPanic { id: "table3".into(), reason: "boom".into() },
         ]
@@ -232,8 +220,6 @@ mod tests {
     fn supervision_cell_reasons_are_stable() {
         assert_eq!(SpecfetchError::Timeout { seconds: 30 }.cell_reason(), "timeout after 30s");
         assert_eq!(SpecfetchError::Interrupted.cell_reason(), "interrupted");
-        let e = SpecfetchError::StoredFailure { reason: "injected panic".into() };
-        assert_eq!(e.cell_reason(), "injected panic", "negative-cache replay is verbatim");
         let e = SpecfetchError::WorkerProtocol { detail: "proto 1 != 2".into() };
         assert!(e.to_string().contains("proto 1 != 2"));
     }

@@ -58,8 +58,13 @@ fn drive_walk(tag: &str, job: u64, seed: u64, max_len: usize) {
         }
     }
     assert_eq!(
-        journal::counters(job),
-        Some((counters.scheduled, counters.completed, counters.failed, counters.interrupted)),
+        journal::progress(job),
+        Some(journal::Progress {
+            scheduled: counters.scheduled,
+            completed: counters.completed,
+            failed: counters.failed,
+            interrupted: counters.interrupted,
+        }),
         "seed {seed}: production Progress counters diverged from the model fold"
     );
     journal::release(job);

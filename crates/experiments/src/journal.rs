@@ -1,14 +1,16 @@
 //! The crash-exact sweep journal: an append-only, checksummed
 //! write-ahead log of grid-point lifecycle events (DESIGN §5j).
 //!
-//! The result store only knows *successes*; the journal complements it
-//! with everything else a resumed sweep needs to replay exactly —
-//! terminal `FAILED(...)` cells (with their attempt counts and verbatim
-//! reasons) and points that were interrupted mid-flight. A killed or
-//! SIGINT'd sweep rerun with `--resume` renders the identical table:
-//! completed points come back as result-store hits, terminal failures
-//! replay from the journal without recomputing, and only interrupted /
-//! never-started points are simulated.
+//! The result store holds each point's outcome — a result, or a
+//! terminal failure as a negative entry — but not the run around it.
+//! The journal records that run: which points it scheduled, how many
+//! attempts each took, which failed (with verbatim reasons) and which
+//! were interrupted mid-flight. A killed or SIGINT'd sweep rerun with
+//! `--resume` renders the identical table: completed points come back
+//! as result-store hits, terminal failures replay from the journal
+//! (attempt counts included) without recomputing, and only interrupted
+//! / never-started points are simulated. The journal's lifecycle
+//! counters are also a running job's [`Progress`].
 //!
 //! # File format
 //!
@@ -81,7 +83,7 @@ struct Active {
     /// run, dispatched through `verify::point_step` — an event order
     /// the model calls illegal is reported (see [`transition`]).
     points: HashMap<(String, u64), PointState>,
-    /// Lifecycle counters for [`counters`]: events recorded by *this*
+    /// Lifecycle counters for [`progress`]: events recorded by *this*
     /// process run (replayed history is not re-counted).
     counters: Counters,
 }
@@ -436,12 +438,30 @@ pub(crate) fn replayed(job: u64, idx: u64) -> Option<Replayed> {
     .flatten()
 }
 
-/// `(scheduled, completed, failed, interrupted)` event counts recorded
-/// by this process run for `job` — the raw feed behind
-/// [`crate::store::Progress`]. `None` when `job` has no active journal.
-pub(crate) fn counters(job: u64) -> Option<(u64, u64, u64, u64)> {
-    with_job(job, |s| {
-        (s.counters.scheduled, s.counters.completed, s.counters.failed, s.counters.interrupted)
+/// A snapshot of one job's journalled lifecycle counters: how many grid
+/// points this process run scheduled, and how many reached each
+/// terminal state so far. `completed + failed + interrupted` catches up
+/// to `scheduled` as the job drains.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub struct Progress {
+    /// Points journalled as scheduled.
+    pub scheduled: u64,
+    /// Points that completed OK.
+    pub completed: u64,
+    /// Points that failed terminally.
+    pub failed: u64,
+    /// Points drained by a shutdown or cancellation.
+    pub interrupted: u64,
+}
+
+/// `job`'s progress as recorded by this process run (replayed history
+/// is not re-counted), or `None` when `job` has no active journal.
+pub fn progress(job: u64) -> Option<Progress> {
+    with_job(job, |s| Progress {
+        scheduled: s.counters.scheduled,
+        completed: s.counters.completed,
+        failed: s.counters.failed,
+        interrupted: s.counters.interrupted,
     })
 }
 
@@ -529,8 +549,9 @@ mod tests {
         record_completed(a, 0);
         record_scheduled(b, 0, "gcc", 100, 0xab);
         record_interrupted(b, 0);
-        assert_eq!(counters(a), Some((1, 1, 0, 0)));
-        assert_eq!(counters(b), Some((1, 0, 0, 1)));
+        let none = Progress::default();
+        assert_eq!(progress(a), Some(Progress { scheduled: 1, completed: 1, ..none }));
+        assert_eq!(progress(b), Some(Progress { scheduled: 1, interrupted: 1, ..none }));
 
         let text = std::fs::read_to_string(&path_a).unwrap();
         assert!(text.lines().any(|l| l.starts_with("kind=c exp=sweep idx=0 sum=")), "{text}");
@@ -538,7 +559,7 @@ mod tests {
 
         release(a);
         release(b);
-        assert_eq!(counters(a), None, "released jobs are inactive");
+        assert_eq!(progress(a), None, "released jobs are inactive");
         assert!(activate_job(a, &dir.join("a"), 1, false).is_ok(), "slot is reusable");
         release(a);
         std::fs::remove_dir_all(&dir).ok();
@@ -621,6 +642,31 @@ mod tests {
         let replay = replay_events(events);
         assert_eq!(replay.get(&("sweep".to_owned(), 0)), Some(&Replayed::Completed));
         assert_eq!(replay.get(&("sweep".to_owned(), 1)), Some(&Replayed::Completed));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn progress_snapshots_track_the_attached_journal() {
+        let dir = std::env::temp_dir().join(format!("specfetch-progress-{}", std::process::id()));
+        // Id chosen to stay clear of other tests: journals are
+        // process-wide.
+        let job = 0xDEAD_3001;
+        assert_eq!(progress(job), None, "no journal attached yet");
+
+        activate_job(job, &dir, 42, false).unwrap();
+        begin_experiment(job, "sweep");
+        record_scheduled(job, 0, "li", 100, 0xaa);
+        record_scheduled(job, 1, "gcc", 100, 0xab);
+        record_completed(job, 0);
+        record_failed(job, 1, 2, "injected err");
+        assert_eq!(
+            progress(job),
+            Some(Progress { scheduled: 2, completed: 1, failed: 1, interrupted: 0 })
+        );
+
+        release(job);
+        assert_eq!(progress(job), None, "released jobs report no progress");
+        release(job); // idempotent
         std::fs::remove_dir_all(&dir).ok();
     }
 }

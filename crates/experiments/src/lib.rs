@@ -55,6 +55,7 @@ pub mod trace_cache;
 pub mod worker;
 
 pub use driver::{Driver, DriverEvents, DriverOutcome, JobSpec};
+pub use journal::Progress;
 pub use options::RunOptions;
 pub use parallel::{par_map, try_par_map};
 pub use registry::{ExperimentEntry, REGISTRY};
@@ -65,7 +66,6 @@ pub use runner::{
 };
 pub use scenario::{run_scenario, ConfigPoint, Metric, Scenario, ScenarioGrid};
 pub use specfetch_core::SpecfetchError;
-pub use store::{Progress, RunStore};
 pub use sweep::{parse_explain, parse_sweep, ExplainSpec, PathInput, SweepError};
 pub use table::{Format, Table};
 

@@ -18,7 +18,7 @@ use specfetch_synth::suite::Benchmark;
 
 use crate::fault::{self, FaultAction};
 use crate::parallel::panic_message;
-use crate::store::resolve_stored;
+use crate::store::{self, resolve_stored};
 use crate::{journal, par_map, supervise, try_par_map, RunOptions};
 
 /// One benchmark's simulation outcome.
@@ -86,10 +86,7 @@ impl CellFailure {
             SpecfetchError::Interrupted => FailKind::Interrupted,
             _ => FailKind::Terminal,
         };
-        // A `StoredFailure` surfaces a negative-cache entry through the
-        // error channel — it carries the replay provenance with it.
-        let replayed = matches!(e, SpecfetchError::StoredFailure { .. });
-        CellFailure { reason: e.cell_reason(), kind, replayed }
+        CellFailure { reason: e.cell_reason(), kind, replayed: false }
     }
 
     /// A failure from a captured panic payload (deterministic, terminal).
@@ -328,12 +325,7 @@ pub fn try_run_grid(points: &[GridPoint], opts: &RunOptions) -> Vec<GridCell> {
                         );
                     }
                     let p = &points[i];
-                    crate::result_store::put_failed(
-                        p.benchmark.name,
-                        opts.instrs_per_benchmark,
-                        &p.cfg,
-                        &f.reason,
-                    );
+                    store::record_failed(p.benchmark, opts.instrs_per_benchmark, p.cfg, &f.reason);
                 }
             }
             None => {}
@@ -553,10 +545,10 @@ fn plan_group(
 }
 
 /// The one place a batch's outcome lands. `simulated` holds one cell
-/// per configuration of `plan.todo`; each finished result fills the
-/// memo and is persisted to the result store. Every point then gets its
-/// cell — the plan's decision, or its configuration's outcome — which
-/// is streamed (`--stream`) and returned keyed by grid index.
+/// per configuration of `plan.todo`; each finished result is recorded
+/// ([`store::record`]: the memo and the result store). Every point then
+/// gets its cell — the plan's decision, or its configuration's outcome —
+/// which is streamed (`--stream`) and returned keyed by grid index.
 fn settle(
     points: &[GridPoint],
     plan: GroupPlan,
@@ -566,8 +558,7 @@ fn settle(
     let (bench, instrs) = (plan.bench, opts.instrs_per_benchmark);
     for ((cfg, _), cell) in plan.todo.iter().zip(&simulated) {
         if let Ok(r) = cell {
-            crate::trace_cache::store_result(bench, instrs, *cfg, r.clone());
-            crate::result_store::put(bench.name, instrs, cfg, r);
+            store::record(bench, instrs, *cfg, r);
         }
     }
     let mut cells = plan.decided;
@@ -581,8 +572,9 @@ fn settle(
 
 /// The one executor every grid runs on, in process or in a `--workers`
 /// child: simulates `bench`'s first `instrs` instructions under each of
-/// `cfgs`, returning one cell per configuration in order. Configurations
-/// already in the result memo are served from it without simulating.
+/// `cfgs`, returning one cell per configuration in order. It only
+/// computes: [`plan_group`] has already resolved what the memo or the
+/// result store holds, and [`settle`] records what this returns.
 ///
 /// At or above [`RunOptions::OVERLAY_MIN_INSTRS`] the configurations run
 /// as **one config-lockstep batch** over the shared overlay; below it
@@ -601,18 +593,13 @@ pub(crate) fn simulate_configs(
 }
 
 /// The per-config arm of [`simulate_configs`]: each configuration
-/// replays the process-wide [`crate::trace_cache`] recording through the
-/// result memo.
+/// replays the process-wide [`crate::trace_cache`] recording.
 fn replay_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
     cfgs.iter()
         .map(|&cfg| {
             isolate(|| {
-                // Acquired before the memo fill, so a recording failure
-                // is this cell's error, not a panic inside the memo cell.
                 let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
-                Ok(crate::trace_cache::memoized_result(bench, instrs, cfg, || {
-                    Simulator::new(cfg).run(source)
-                }))
+                Ok(Simulator::new(cfg).run(source))
             })
         })
         .collect()
@@ -625,41 +612,38 @@ fn replay_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridC
 ///
 /// - a panicking lane yields `FAILED(...)` for its configuration while
 ///   sibling lanes complete;
-/// - a configuration the front end rejects gets the per-config arm's
-///   cell (the [`Simulator`]'s own verdict on the configuration);
-/// - failing to build the overlay fails every configuration the memo
-///   does not already hold.
+/// - a configuration the front end rejects gets the cell the
+///   [`Simulator`] gives it in the per-config arm;
+/// - failing to build the overlay fails every configuration.
+///
+/// An empty batch (the planner resolved every point) builds no overlay.
 fn lockstep_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
-    let mut cells: Vec<Option<GridCell>> = cfgs
-        .iter()
-        .map(|&cfg| crate::trace_cache::cached_result(bench, instrs, cfg).map(Ok))
-        .collect();
-    let pending: Vec<usize> = (0..cfgs.len()).filter(|&k| cells[k].is_none()).collect();
-    if !pending.is_empty() {
-        match crate::trace_cache::try_predicted_trace(bench, instrs) {
-            Err(e) => {
-                for k in pending {
-                    cells[k] = Some(Err(CellFailure::from_error(&e)));
-                }
+    if cfgs.is_empty() {
+        return Vec::new();
+    }
+    let overlay = match crate::trace_cache::try_predicted_trace(bench, instrs) {
+        Ok(overlay) => overlay,
+        Err(e) => return vec![Err(CellFailure::from_error(&e)); cfgs.len()],
+    };
+    let mut cells: Vec<GridCell> = Vec::with_capacity(cfgs.len());
+    let (mut lanes, mut fronts) = (Vec::new(), Vec::new());
+    for (k, &cfg) in cfgs.iter().enumerate() {
+        match FrontEnd::build(cfg) {
+            Ok(fe) => {
+                lanes.push(k);
+                fronts.push(fe);
+                cells.push(never_simulated());
             }
-            Ok(overlay) => {
-                let (mut lanes, mut fronts) = (Vec::new(), Vec::new());
-                for k in pending {
-                    match FrontEnd::build(cfgs[k]) {
-                        Ok(fe) => {
-                            lanes.push(k);
-                            fronts.push(fe);
-                        }
-                        Err(_) => cells[k] = replay_cells(bench, instrs, &cfgs[k..=k]).pop(),
-                    }
-                }
-                for (k, outcome) in lanes.into_iter().zip(run_lockstep(&overlay, fronts)) {
-                    cells[k] = Some(outcome.map_err(|p| CellFailure::from_panic(p.as_ref())));
-                }
+            Err(e) => {
+                let reason = format!("invalid simulator configuration: {e}");
+                cells.push(Err(CellFailure::permanent(reason)));
             }
         }
     }
-    cells.into_iter().map(|c| c.unwrap_or_else(never_simulated)).collect()
+    for (k, outcome) in lanes.into_iter().zip(run_lockstep(&overlay, fronts)) {
+        cells[k] = outcome.map_err(|p| CellFailure::from_panic(p.as_ref()));
+    }
+    cells
 }
 
 /// Infallible convenience over [`try_run_grid`].
@@ -748,7 +732,7 @@ pub(crate) fn mean_ok<'a>(xs: impl IntoIterator<Item = &'a Measured<f64>>) -> f6
 mod tests {
     use super::*;
     use specfetch_core::FetchPolicy;
-    use specfetch_trace::PathSource;
+    use specfetch_trace::{PathSource, PredictedTrace};
 
     #[test]
     fn simulate_benchmark_is_deterministic() {
@@ -789,7 +773,8 @@ mod tests {
             cfg.policy = policy;
             let shared = simulate_benchmark(b, cfg, opts);
             assert_eq!(shared, reference(b, cfg, 10_000), "{policy}: shared replay diverged");
-            let overlay = Simulator::new(cfg).run(crate::trace_cache::predicted_source(b, 10_000));
+            let overlay = crate::trace_cache::try_predicted_trace(b, 10_000).unwrap();
+            let overlay = Simulator::new(cfg).run(PredictedTrace::source(&overlay));
             assert_eq!(overlay, shared, "{policy}: overlay replay diverged");
         }
     }
@@ -798,8 +783,7 @@ mod tests {
     fn lockstep_arm_matches_the_replay_arm() {
         // Below the cutoff `simulate_configs` never picks the lockstep
         // arm, so drive both arms directly. The window is this test's
-        // own: the lockstep arm runs first on a cold memo (it only reads
-        // the memo; `settle` fills it), so its lanes really simulate.
+        // own.
         const W: u64 = 7_013;
         let b = Benchmark::by_name("li").unwrap();
         let with = |f: fn(&mut SimConfig)| {
@@ -808,18 +792,18 @@ mod tests {
             cfg
         };
         let pess = with(|c| c.policy = FetchPolicy::Pessimistic);
-        // A memo hit is served without simulating: seed the memo with a
-        // sentinel no simulation produces, and both arms must return it.
+        // The executor never reads the memo: seed it with a sentinel no
+        // simulation produces, and both arms must still simulate.
         let memo_hit = with(|c| c.policy = FetchPolicy::Oracle);
         let sentinel = SimResult { cycles: 1, ..reference(b, memo_hit, W) };
-        crate::trace_cache::store_result(b, W, memo_hit, sentinel.clone());
+        store::record(b, W, memo_hit, &sentinel);
         // A lane that panics: the fill completion time overflows, which
         // panics under overflow checks and trips the engine's stall
         // watchdog without them.
         let panics = with(|c| c.miss_penalty = u64::MAX);
         // `FrontEnd::build` rejects two sequential prefetchers at once;
-        // the lockstep arm falls back to the replay arm, whose
-        // `Simulator` refuses the configuration with a panic.
+        // the lockstep arm fails the cell with the reason the replay
+        // arm's `Simulator` panics with.
         let rejected = with(|c| {
             c.prefetch = true;
             c.stream_buffer = true;
@@ -832,13 +816,27 @@ mod tests {
         let replay = replay_cells(b, W, &cfgs);
         assert_eq!(lockstep, replay);
 
-        assert_eq!(lockstep[1], Ok(sentinel), "memo hits never occupy a lane");
         assert!(lockstep[3].is_err(), "{:?}", lockstep[3]);
-        let reason = &lockstep[4].as_ref().unwrap_err().reason;
-        assert!(reason.starts_with("invalid simulator configuration"), "{reason}");
-        for i in [0, 2, 5] {
+        let failure = lockstep[4].as_ref().unwrap_err();
+        assert!(failure.reason.starts_with("invalid simulator configuration"), "{failure:?}");
+        assert_eq!(failure.kind, FailKind::Terminal);
+        for i in [0, 1, 2, 5] {
             assert_eq!(lockstep[i], Ok(reference(b, cfgs[i], W)), "point {i}");
         }
+    }
+
+    #[test]
+    fn the_executor_leaves_the_memo_alone() {
+        // Only `settle` records: simulating a cold configuration in
+        // either arm memoizes nothing. The window is this test's own.
+        const W: u64 = 3_011;
+        let b = Benchmark::by_name("gcc").unwrap();
+        let cfg = SimConfig::paper_baseline();
+        let replay = simulate_configs(b, W, &[cfg]);
+        assert_eq!(replay, lockstep_cells(b, W, &[cfg]));
+        assert_eq!(replay, [Ok(reference(b, cfg, W))]);
+        assert_eq!(store::memoized(b, W, cfg), None);
+        assert!(simulate_configs(b, W, &[]).is_empty());
     }
 
     #[test]
@@ -919,11 +917,6 @@ mod tests {
         assert_eq!(kind(&SpecfetchError::Injected { action: "err" }), FailKind::Transient);
         assert_eq!(kind(&SpecfetchError::Interrupted), FailKind::Interrupted);
         assert_eq!(kind(&SpecfetchError::PointPanic { reason: "b".into() }), FailKind::Terminal);
-        assert_eq!(
-            kind(&SpecfetchError::StoredFailure { reason: "x".into() }),
-            FailKind::Terminal,
-            "negative-cache replays must not re-enter the retry loop"
-        );
         assert_eq!(CellFailure::interrupted().kind, FailKind::Interrupted);
         assert_eq!(CellFailure::transient("x").kind, FailKind::Transient);
     }

@@ -424,15 +424,12 @@ fn interrupted_exit() -> Option<ExitCode> {
 }
 
 /// Activates the crash-exact sweep journal inside the result store for
-/// this run (keyed by experiment selection + instruction budget), either
-/// fresh or in `--resume` replay mode. The CLI runs as the ambient job 0.
-fn activate_journal(args: &Args) -> Result<(), ExitCode> {
+/// this run, either fresh or in `--resume` replay mode. The key is the
+/// job's own description plus the instruction budget — the key a served
+/// job uses too. The CLI runs as the ambient job 0.
+fn activate_journal(args: &Args, spec: &JobSpec) -> Result<(), ExitCode> {
     let Some(dir) = result_store::dir() else { return Ok(()) };
-    let desc = match &args.sweep {
-        Some(spec) => format!("sweep:{spec}"),
-        None => format!("experiment:{}", args.experiment),
-    };
-    let key = journal::run_key(&desc, args.opts.instrs_per_benchmark);
+    let key = journal::run_key(&spec.describe(), args.opts.instrs_per_benchmark);
     match journal::activate(dir, key, args.resume) {
         Ok(path) => {
             diag::line(&format!("[journal] {}", path.display()));
@@ -548,7 +545,7 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
         // The spec parsed; only now touch (or replay) the journal.
-        if let Err(code) = activate_journal(&args) {
+        if let Err(code) = activate_journal(&args, &spec) {
             return code;
         }
         let outcome = Driver::new(args.opts, args.format).run(&spec, &mut |text: &str| emit(text));
@@ -575,7 +572,7 @@ fn main() -> ExitCode {
         eprintln!("           {}", EXTRA_EXPERIMENT_IDS.join(" "));
         return ExitCode::from(EXIT_USAGE);
     }
-    if let Err(code) = activate_journal(&args) {
+    if let Err(code) = activate_journal(&args, &spec) {
         return code;
     }
 

@@ -14,8 +14,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use specfetch_experiments::{
-    diag, journal, supervise, trace_cache, Driver, DriverOutcome, Format, JobSpec, Progress,
-    RunOptions, RunStore,
+    diag, journal, store, supervise, Driver, DriverOutcome, Format, JobSpec, Progress, RunOptions,
 };
 use specfetch_verify::{job_step, JobEvent, JobPhase, Step};
 
@@ -223,11 +222,8 @@ impl Controller {
     pub fn status(&self, id: u64) -> Option<JobSnapshot> {
         let st = lock(&self.shared.state);
         let job = st.job(id)?;
-        let progress = if job.state.is_terminal() {
-            job.final_progress
-        } else {
-            RunStore::for_job(id).progress()
-        };
+        let progress =
+            if job.state.is_terminal() { job.final_progress } else { journal::progress(id) };
         Some(JobSnapshot {
             id,
             state: job.state,
@@ -339,14 +335,13 @@ fn driver_loop(shared: &Arc<Shared>) {
 fn run_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, opts: RunOptions, rows: Arc<Rows>) {
     diag::register_row_sink(id, move |row| rows.push_row(row));
 
-    let store = RunStore::for_job(id);
     if let Some(root) = &shared.cfg.journal_root {
         let dir = root.join(format!("job-{id}"));
         match std::fs::create_dir_all(&dir) {
             Err(e) => diag::line(&format!("[job {id}] journal dir {}: {e}", dir.display())),
             Ok(()) => {
                 let key = journal::run_key(&spec.describe(), opts.instrs_per_benchmark);
-                match store.attach_journal(&dir, key, false) {
+                match journal::activate_job(id, &dir, key, false) {
                     Ok(path) => diag::line(&format!("[journal] {}", path.display())),
                     Err(e) => diag::line(&format!("[job {id}] journal: {e}")),
                 }
@@ -365,8 +360,8 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, opts: RunOptions, rows
     let outcome = driver.run(spec, &mut events);
 
     journal::flush();
-    let final_progress = store.progress();
-    store.detach();
+    let final_progress = journal::progress(id);
+    journal::release(id);
     diag::clear_row_sink(id);
 
     let mut st = lock(&shared.state);
@@ -383,7 +378,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, opts: RunOptions, rows
     }
     st.running -= 1;
     if st.running == 0 {
-        trace_cache::clear_results();
+        store::clear_memo();
     }
 }
 

@@ -519,6 +519,25 @@ fn list_json_matches_the_committed_golden() {
     assert_eq!(out.status.code(), Some(2), "--json without --list is a usage error");
 }
 
+/// A CLI sweep journals under the key a served job with the same spec
+/// uses (`JobSpec::describe`), so either can resume the other's file.
+#[test]
+fn a_cli_sweep_journals_under_the_job_spec_key() {
+    use specfetch_experiments::{journal, JobSpec};
+
+    let dir = scratch("journal-key");
+    let spec = "policy=Res,Pess cache=8K metric=ispi";
+    let out = repro(&["--sweep", spec, "--instrs", "2000", "--result-dir", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+    let err = stderr(&out);
+    let printed = err.lines().find_map(|l| l.strip_prefix("[journal] "));
+    let key = journal::run_key(&JobSpec::Sweep(spec.to_owned()).describe(), 2_000);
+    let expected = journal::path_for(&dir, key);
+    assert_eq!(printed, Some(expected.to_str().unwrap()), "stderr: {err}");
+    assert!(expected.is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--quiet` silences status chatter (journal, result-store, timing
 /// lines) but not reports, rows, or the failure summary.
 #[test]

@@ -7,9 +7,9 @@
 //! cancellation. This crate makes the three protocols behind that
 //! promise *explicit*:
 //!
-//! - [`worker`] — the parent↔child JSON-lines protocol v2
-//!   (hello/heartbeat/cell/done per child state, with silence, deadline
-//!   and EOF as first-class events);
+//! - [`worker`] — the parent↔child pipe protocol v3, one checksummed
+//!   line record per message (hello/heartbeat/cell/done per child
+//!   state, with silence, deadline and EOF as first-class events);
 //! - [`journal`] — the WAL lifecycle of one grid point
 //!   (scheduled → attempts → completed/failed/interrupted) and the
 //!   replay projection a `--resume` applies to any WAL prefix;

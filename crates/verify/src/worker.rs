@@ -1,6 +1,8 @@
-//! The parent↔child worker protocol, v2, as a typed state machine.
+//! The parent↔child worker protocol, v3, as a typed state machine.
 //!
-//! One supervised child moves through: handshake (`hello proto=2`),
+//! Every message is one checksummed line record (`kind=… key=value …
+//! sum=<fnv1a>`, the `codec` format of `experiments`). One supervised
+//! child moves through: handshake (`kind=hello proto=3`),
 //! idle between groups, working a dispatched group (heartbeats and
 //! per-point `cell` replies), and either `done` (group complete — even
 //! with unfilled slots, which stay transient and are retried) or dead
@@ -33,7 +35,7 @@ pub enum DeadReason {
 /// One child's protocol state.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WorkerState {
-    /// Spawned; waiting for `hello proto=2`.
+    /// Spawned; waiting for `kind=hello proto=3`.
     AwaitingHello,
     /// Handshake done; no group in flight.
     Idle,
@@ -53,7 +55,7 @@ pub enum WorkerState {
 pub enum WorkerEvent {
     /// A well-formed `hello` with the expected protocol version.
     HelloOk,
-    /// A first line that is not a well-formed v2 `hello`.
+    /// A first line that is not a well-formed v3 `hello`.
     HelloBad,
     /// The supervisor sends a group of `points` points.
     Dispatch { points: u32 },
