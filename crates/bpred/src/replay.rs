@@ -11,9 +11,9 @@
 //!
 //! [`OutcomeReplay`] is that replay: feed it the directions in resolve
 //! order and it yields the history register after each one. Engines running
-//! over a pre-decoded overlay use it to cross-check their live predictor
-//! state against the shared stream (a cheap, config-independent invariant);
-//! tests use it to validate overlay construction.
+//! over a shared recorded trace use it to cross-check their live predictor
+//! state against the trace's stream (a cheap, config-independent
+//! invariant).
 //!
 //! The same does *not* hold for fetch-time state — BTB and RAS contents
 //! depend on wrong-path fetch volume, and predictions read the history

@@ -93,19 +93,19 @@ impl<S: PathSource> Engine<S> {
                         }
                         // Correct-path conditionals resolve in trace
                         // order, so the live history must track the
-                        // overlay's shared outcome stream bit-for-bit.
+                        // trace's shared outcome stream bit-for-bit.
                         if let Some(chk) = &mut self.ghr_check {
                             let k = chk.replay.count() as usize;
                             let taken = chk.trace.cond_taken(k);
                             debug_assert_eq!(
                                 taken, f.actual_taken,
-                                "overlay outcome stream out of sync at conditional {k}"
+                                "trace outcome stream out of sync at conditional {k}"
                             );
                             let ghr = chk.replay.push(taken);
                             debug_assert_eq!(
                                 ghr,
                                 self.unit.ghr(),
-                                "live history diverged from overlay replay at conditional {k}"
+                                "live history diverged from trace replay at conditional {k}"
                             );
                         }
                     } else if f.kind.is_return() {

@@ -25,7 +25,7 @@ impl<S: PathSource> Engine<S> {
                         self.unused_end_slots += width - slot;
                         return None;
                     };
-                    // Overlay batch: a run of non-transfer instructions
+                    // Run batch: a run of non-transfer instructions
                     // within one cache line needs a single access and no
                     // branch machinery — issue it as a block. This is
                     // byte-identical to slot-at-a-time stepping: the
@@ -34,9 +34,9 @@ impl<S: PathSource> Engine<S> {
                     // neither the cross-line LRU order nor any reported
                     // statistic. (Prefetchers retrigger per access, so
                     // `batch_ok` excludes them.)
-                    let batch = match (&self.overlay, self.batch_ok) {
+                    let batch = match (&self.cursor, self.batch_ok) {
                         (Some(c), true) => {
-                            let run = u64::from(c.trace.seq_run(c.idx));
+                            let run = c.run_len() as u64;
                             let in_line =
                                 self.line_word_mask + 1 - (d.pc.word_index() & self.line_word_mask);
                             run.min(in_line).min(width - slot)
@@ -56,9 +56,9 @@ impl<S: PathSource> Engine<S> {
                         self.correct_instrs += batch;
                         self.last_fetch_cycle = Some(self.cycle);
                         slot += batch;
-                        if let Some(c) = self.overlay.as_mut() {
-                            c.idx += batch as usize;
-                            self.next_correct = c.materialize();
+                        if let Some(c) = self.cursor.as_mut() {
+                            c.skip(batch as usize);
+                            self.next_correct = c.peek();
                         }
                         continue;
                     }
@@ -71,7 +71,7 @@ impl<S: PathSource> Engine<S> {
                         self.lose(width - slot, cause);
                         return (slot == 0).then_some(cause);
                     }
-                    self.advance_correct(&d);
+                    self.advance_correct();
                     self.correct_instrs += 1;
                     self.last_fetch_cycle = Some(self.cycle);
                     slot += 1;
@@ -114,16 +114,13 @@ impl<S: PathSource> Engine<S> {
         None
     }
 
-    /// Steps past the just-issued correct-path instruction `d` and
-    /// refreshes `next_correct` — from the overlay cursor when one is
-    /// active, from the source otherwise.
-    fn advance_correct(&mut self, d: &DynInstr) {
-        if let Some(c) = &mut self.overlay {
-            c.idx += 1;
-            if d.kind.is_branch() {
-                c.branch_ord += 1;
-            }
-            self.next_correct = c.materialize();
+    /// Steps past the just-issued correct-path instruction and refreshes
+    /// `next_correct` — from the trace cursor when one is active, from
+    /// the source otherwise.
+    fn advance_correct(&mut self) {
+        if let Some(c) = &mut self.cursor {
+            c.step();
+            self.next_correct = c.peek();
         } else {
             self.next_correct = self.source.next_instr();
         }

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use specfetch_bpred::{BranchUnit, OutcomeReplay};
 use specfetch_cache::{Bus, ICache, ResumeBuffer};
 use specfetch_isa::{Addr, DynInstr, InstrKind, LineAddr, Program};
-use specfetch_trace::{PathSource, PredictedTrace};
+use specfetch_trace::{PathSource, PredictedSource, PredictedTrace};
 
 use crate::{IspiBreakdown, MissClass, SimConfig, SimResult};
 use gate::MissGate;
@@ -159,37 +159,10 @@ struct PendingMiss {
     state: MissState,
 }
 
-/// The engine's cursor into a shared pre-decoded overlay.
-///
-/// When the source replays a [`PredictedTrace`], the engine owns the walk
-/// itself: `idx` points at `next_correct`, and `branch_ord` counts the
-/// transfers already consumed (the overlay's per-transfer arrays are
-/// indexed by ordinal, not by instruction index). Reading the overlay's
-/// run lengths lets the fetch phase issue whole sequential runs per step
-/// instead of materialising one [`DynInstr`] per slot.
-///
-/// Each lockstep lane owns one cursor over the shared overlay and
-/// materialises its own next instruction with
-/// [`PredictedTrace::instr_at`], which reads about 5 bytes of overlay.
-/// That is cheaper than copying a pre-decoded 40-byte record out of a
-/// window shared by the batch.
-#[derive(Clone, Debug)]
-struct OverlayCursor {
-    trace: Arc<PredictedTrace>,
-    idx: usize,
-    branch_ord: usize,
-}
-
-impl OverlayCursor {
-    fn materialize(&self) -> Option<DynInstr> {
-        (self.idx < self.trace.len()).then(|| self.trace.instr_at(self.idx, self.branch_ord))
-    }
-}
-
 /// Debug-build cross-check of the live predictor history against the
-/// overlay's resolve-order outcome stream (see `specfetch_bpred::replay`):
+/// trace's resolve-order outcome stream (see `specfetch_bpred::replay`):
 /// at every correct-path conditional resolution the live GHR must equal
-/// the replayed one. Absent in release builds and without an overlay.
+/// the replayed one. Absent in release builds and without a trace.
 struct GhrCheck {
     trace: Arc<PredictedTrace>,
     replay: OutcomeReplay,
@@ -223,10 +196,13 @@ pub(crate) struct Engine<S: PathSource> {
     /// Ordered prefetch pipeline (empty at the paper baseline).
     prefetchers: Prefetchers,
 
-    /// Cursor into the shared overlay when the source advertises one;
-    /// while set, the engine never calls `source.next_instr`.
-    overlay: Option<OverlayCursor>,
-    /// Overlay batching is byte-identical only while per-access side
+    /// The engine's own cursor into the shared trace when the source
+    /// advertises one; while set, the engine never calls
+    /// `source.next_instr`. The cursor's run lengths let the fetch phase
+    /// issue whole sequential runs per step, and it carries the PC of its
+    /// position, so a sequential slot reads no trace memory.
+    cursor: Option<PredictedSource>,
+    /// Run batching is byte-identical only while per-access side
     /// effects are limited to the cache itself (no prefetch triggers).
     batch_ok: bool,
     /// `words_per_line - 1`: in-line word offset mask for run batching.
@@ -288,13 +264,9 @@ impl<S: PathSource> Engine<S> {
     pub(crate) fn new(cfg: SimConfig, gate: Box<dyn MissGate>, mut source: S) -> Self {
         debug_assert!(cfg.validate().is_ok(), "callers validate the configuration");
         let program = source.shared_program();
-        let overlay = source.predicted().map(|trace| OverlayCursor {
-            trace: Arc::clone(trace),
-            idx: 0,
-            branch_ord: 0,
-        });
-        let next_correct = match &overlay {
-            Some(c) => c.materialize(),
+        let cursor = source.predicted().map(PredictedTrace::source);
+        let next_correct = match &cursor {
+            Some(c) => c.peek(),
             None => source.next_instr(),
         };
         let mut prefetchers = Prefetchers::default();
@@ -309,8 +281,8 @@ impl<S: PathSource> Engine<S> {
         }
         let batch_ok = prefetchers.is_empty();
         let ghr_check = if cfg!(debug_assertions) && OutcomeReplay::models(cfg.bpred.ghr_update) {
-            overlay.as_ref().map(|c| GhrCheck {
-                trace: Arc::clone(&c.trace),
+            cursor.as_ref().map(|c| GhrCheck {
+                trace: Arc::clone(c.trace()),
                 replay: OutcomeReplay::new(cfg.bpred.ghr_bits),
             })
         } else {
@@ -324,7 +296,7 @@ impl<S: PathSource> Engine<S> {
             resume_buf: ResumeBuffer::new(),
             gate,
             prefetchers,
-            overlay,
+            cursor,
             batch_ok,
             line_word_mask: cfg.icache.line_bytes / specfetch_isa::INSTR_BYTES - 1,
             ghr_check,
@@ -397,14 +369,14 @@ impl<S: PathSource> Engine<S> {
         self.next_correct.is_none()
     }
 
-    /// The engine's position in its shared overlay (0 without one): the
+    /// The engine's position in its shared trace (0 without one): the
     /// index of the next correct-path instruction to fetch. The lockstep
     /// scheduler advances lanes in bounded rounds of this position.
     pub(crate) fn trace_idx(&self) -> usize {
-        self.overlay.as_ref().map_or(0, |c| c.idx)
+        self.cursor.as_ref().map_or(0, PredictedSource::position)
     }
 
-    /// Steps cycles until the overlay cursor reaches `idx_limit` or the
+    /// Steps cycles until the trace cursor reaches `idx_limit` or the
     /// stream ends. Interleaving lanes at this granularity is behaviour-
     /// preserving: each engine is self-contained, so cycles of different
     /// lanes are independent — only wall-clock locality changes.

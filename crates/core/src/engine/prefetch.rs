@@ -306,7 +306,7 @@ impl Prefetchers {
         self.stages.push(stage);
     }
 
-    /// No stages configured — the overlay batching fast path stays exact.
+    /// No stages configured — the run batching fast path stays exact.
     pub(super) fn is_empty(&self) -> bool {
         self.stages.is_empty()
     }

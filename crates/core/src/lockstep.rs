@@ -2,21 +2,18 @@
 //! advances every configuration of a grid together.
 //!
 //! A policy/parameter sweep replays the *same* correct path once per
-//! configuration. Sequential scheduling walks the multi-megabyte overlay
-//! arrays end-to-end N times — N cold passes through the trace. The
-//! lockstep executor instead advances all N lanes through the trace
-//! **round by round**: each round steps every live lane until its overlay
-//! cursor reaches the round's watermark, so the overlay region the round
-//! covers (about 5 bytes per instruction) stays cache-hot while every lane
+//! configuration. Sequential scheduling walks the shared trace end-to-end
+//! N times — N cold passes. The lockstep executor instead advances all N
+//! lanes through the trace **round by round**: each round steps every live
+//! lane until its trace cursor reaches the round's watermark, so the
+//! region of the trace the round covers stays cache-hot while every lane
 //! crosses it. Each lane decodes its own instructions straight from the
-//! overlay ([`PredictedTrace::instr_at`]): reading those few bytes costs
-//! less than copying a 40-byte record out of a window decoded once per
-//! round (DESIGN §5h).
+//! trace through its own [`PredictedSource`] cursor (DESIGN §5h).
 //!
 //! What is shared and what is not (DESIGN §5d/§5h):
 //!
-//! - **Shared, read-only**: the overlay arrays (`Arc<PredictedTrace>`), a
-//!   pure function of the trace — never of a configuration.
+//! - **Shared, read-only**: the trace (`Arc<PredictedTrace>`), a pure
+//!   function of the path — never of a configuration.
 //! - **Per-lane, private**: everything timing- or policy-dependent —
 //!   I-cache tags, miss-gate state, BTB/PHT/RAS/GHR contents, the bus,
 //!   in-flight branch events, and all accounting. Lanes stall and resume
@@ -49,23 +46,23 @@ pub type LaneOutcome = Result<SimResult, LanePanic>;
 
 /// Trace-index quantum per round: how far every lane advances before the
 /// next lane takes its turn. Rounds cost almost nothing to schedule, so
-/// the quantum only sets how much overlay the lanes of a batch share in
-/// cache — about 80 KB at 16K instructions. On the paper grid at 200k
+/// the quantum only sets how much trace the lanes of a batch share in
+/// cache. On the paper grid at 200k
 /// instructions on a 2-vCPU host, 4K, 16K and 64K measured within noise
 /// of each other.
 const QUANTUM: usize = 16 * 1024;
 
-/// Runs one front end per lane over a shared overlay, in lockstep.
+/// Runs one front end per lane over a shared trace, in lockstep.
 ///
 /// Returns one [`LaneOutcome`] per front end, in input order. Lane `i`'s
-/// result is byte-identical to `fronts[i].run(PredictedTrace::source(overlay))`
+/// result is byte-identical to `fronts[i].run(PredictedTrace::source(trace))`
 /// — the executor changes scheduling, never behaviour.
 ///
 /// A lane that panics (during construction, stepping, or final
 /// accounting) yields `Err` with the captured payload; all other lanes
 /// complete normally.
-pub fn run_lockstep(overlay: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec<LaneOutcome> {
-    let n_instrs = overlay.len();
+pub fn run_lockstep(trace: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec<LaneOutcome> {
+    let n_instrs = trace.len();
     let n_lanes = fronts.len();
     let mut out: Vec<Option<LaneOutcome>> = (0..n_lanes).map(|_| None).collect();
 
@@ -73,15 +70,13 @@ pub fn run_lockstep(overlay: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec
     // index; a dead lane's slot is `None`. The scheduler's own state is
     // just these slots plus the shared watermark — no per-round
     // allocation.
-    let cursor = PredictedTrace::source(overlay);
-    let mut lanes: Vec<Option<Engine<PredictedSource>>> = cursor
-        .fan_out(n_lanes)
+    let mut lanes: Vec<Option<Engine<PredictedSource>>> = fronts
         .into_iter()
-        .zip(fronts)
         .enumerate()
-        .map(|(i, (lane_source, fe))| {
+        .map(|(i, fe)| {
             let (cfg, gate) = fe.into_parts();
-            match panic::catch_unwind(AssertUnwindSafe(|| Engine::new(cfg, gate, lane_source))) {
+            let source = PredictedTrace::source(trace);
+            match panic::catch_unwind(AssertUnwindSafe(|| Engine::new(cfg, gate, source))) {
                 Ok(engine) => Some(engine),
                 Err(payload) => {
                     out[i] = Some(Err(payload));
@@ -138,11 +133,11 @@ mod tests {
     use crate::engine::gate::{GateDecision, GateView, MissGate};
     use crate::{FetchPolicy, SimConfig, Simulator};
     use specfetch_isa::{Addr, DynInstr, InstrKind, ProgramBuilder};
-    use specfetch_trace::{RecordedTrace, VecSource};
+    use specfetch_trace::VecSource;
 
     /// A looping program with a conditional, a call/return pair, and
     /// enough straight-line code to cross cache lines.
-    fn overlay(len: u64) -> Arc<PredictedTrace> {
+    fn trace(len: u64) -> Arc<PredictedTrace> {
         let mut b = ProgramBuilder::new(Addr::new(0));
         let entry = b.push(InstrKind::Seq);
         for _ in 0..6 {
@@ -185,8 +180,7 @@ mod tests {
         }
         path.truncate(len as usize);
         let mut live = VecSource::new(p, path);
-        let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-        Arc::new(PredictedTrace::build(&rec))
+        Arc::new(PredictedTrace::record(&mut live, u64::MAX))
     }
 
     fn grid() -> Vec<SimConfig> {
@@ -205,7 +199,7 @@ mod tests {
 
     #[test]
     fn lockstep_matches_sequential_per_lane() {
-        let ov = overlay(40_000);
+        let ov = trace(40_000);
         let fronts: Vec<FrontEnd> =
             grid().into_iter().map(|c| FrontEnd::build(c).unwrap()).collect();
         let batched = run_lockstep(&ov, fronts);
@@ -219,7 +213,7 @@ mod tests {
     fn lanes_cross_quantum_boundaries() {
         // A trace longer than several quanta, so the scheduler rounds are
         // actually exercised.
-        let ov = overlay(QUANTUM as u64 * 3 + 1_234);
+        let ov = trace(QUANTUM as u64 * 3 + 1_234);
         let cfg = SimConfig::paper_baseline();
         let fronts = vec![FrontEnd::build(cfg).unwrap(), FrontEnd::build(cfg).unwrap()];
         let batched = run_lockstep(&ov, fronts);
@@ -238,8 +232,7 @@ mod tests {
             b.finish().unwrap()
         };
         let mut live = VecSource::new(p, Vec::new());
-        let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-        let ov = Arc::new(PredictedTrace::build(&rec));
+        let ov = Arc::new(PredictedTrace::record(&mut live, u64::MAX));
         let fronts = vec![FrontEnd::build(SimConfig::paper_baseline()).unwrap()];
         let out = run_lockstep(&ov, fronts);
         assert_eq!(out.len(), 1);
@@ -259,7 +252,7 @@ mod tests {
 
     #[test]
     fn panicking_lane_fails_alone() {
-        let ov = overlay(30_000);
+        let ov = trace(30_000);
         let cfg = SimConfig::paper_baseline();
         let fronts = vec![
             FrontEnd::build(cfg).unwrap(),
@@ -278,16 +271,5 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
             .unwrap_or_default();
         assert!(msg.contains("injected lane fault"), "unexpected payload: {msg}");
-    }
-
-    #[test]
-    fn fan_out_lanes_share_the_overlay() {
-        let ov = overlay(1_000);
-        let cursor = PredictedTrace::source(&ov);
-        let lanes = cursor.fan_out(3);
-        assert_eq!(lanes.len(), 3);
-        for lane in &lanes {
-            assert!(Arc::ptr_eq(lane.trace(), &ov));
-        }
     }
 }

@@ -4,7 +4,7 @@ use std::path::Path;
 
 use specfetch_core::SpecfetchError;
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::{PathSource, TraceStats};
+use specfetch_trace::{PathSource, PredictedTrace, TraceStats};
 
 use crate::result_store::{self, PathEntry};
 use crate::runner::{isolated_map, mean};
@@ -32,7 +32,8 @@ fn try_row(
     let entry = match store.and_then(|dir| result_store::get_path_in(dir, b.name, instrs)) {
         Some(entry) => entry,
         None => {
-            let mut src = crate::trace_cache::try_recorded_source(b, instrs)?;
+            let mut src =
+                PredictedTrace::source(&crate::trace_cache::try_predicted_trace(b, instrs)?);
             let footprint_bytes = src.program().footprint_bytes();
             let entry = PathEntry { stats: TraceStats::from_source(&mut src), footprint_bytes };
             if let Some(dir) = store {
@@ -132,7 +133,7 @@ mod tests {
     }
 
     /// The row by definition: a fresh interpretation of the workload,
-    /// bypassing the shared recordings.
+    /// bypassing the shared traces.
     fn live_row(b: &'static Benchmark, instrs: u64) -> Row {
         let w = b.workload().unwrap();
         let stats = TraceStats::from_source(&mut w.executor(b.path_seed()).take_instrs(instrs));
@@ -172,7 +173,7 @@ mod tests {
         );
         assert_eq!(try_row(Some(&dir), b, 1_777).unwrap(), live);
         assert!(
-            !crate::trace_cache::has_recording(b, 1_777),
+            !crate::trace_cache::has_trace(b, 1_777),
             "a warm row must not record the workload"
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -84,13 +84,11 @@ pub fn run(opts: &RunOptions) -> ExperimentReport {
     }
     // Average row per depth.
     for depth in DEPTHS {
-        let paper_avg: [f64; 3] = [1.80, 1.52, 1.41];
         let paper_rows: [[f64; 5]; 3] = [
             [1.80, 1.89, 1.81, 2.14, 2.12],
             [1.52, 1.63, 1.52, 1.86, 1.84],
             [1.41, 1.55, 1.41, 1.75, 1.75],
         ];
-        let _ = paper_avg;
         let mut cells = vec!["Average".to_owned(), depth.to_string()];
         for (p, &published) in paper_rows[depth_idx(depth)].iter().enumerate() {
             let m = mean_ok(rows.iter().filter(|r| r.depth == depth).map(|r| &r.ispi[p]));

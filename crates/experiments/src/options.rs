@@ -49,14 +49,6 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Smallest instruction window worth pre-decoding into an overlay.
-    /// Building the `PredictedTrace` costs a full decode pass and keeps a
-    /// second copy of the path in memory: BENCH_3 measured table4 at 60k
-    /// at 0.119s with the overlay and 0.046s without, and overlays at
-    /// every window cost the 50k-instruction job service about 20% more
-    /// peak RSS (DESIGN §5i).
-    pub const OVERLAY_MIN_INSTRS: u64 = 200_000;
-
     /// The default reproduction budget.
     pub fn new() -> Self {
         RunOptions {
@@ -73,10 +65,7 @@ impl RunOptions {
         }
     }
 
-    /// A budget for unit tests and smoke checks. It sits below
-    /// [`RunOptions::OVERLAY_MIN_INSTRS`], so grids replay the recording
-    /// point by point; the runner's tests drive the executor's lockstep
-    /// arm directly to keep it covered at this size.
+    /// A budget for unit tests and smoke checks.
     pub fn smoke() -> Self {
         RunOptions {
             instrs_per_benchmark: 40_000,
@@ -146,15 +135,6 @@ impl RunOptions {
         self.job = job;
         self
     }
-
-    /// Whether grids replay through the pre-decoded overlay as
-    /// config-lockstep batches: only at or above
-    /// [`RunOptions::OVERLAY_MIN_INSTRS`]. Below it they replay the
-    /// shared recording point by point. The window size alone picks the
-    /// path, and both render the same bytes.
-    pub(crate) fn use_overlay(&self) -> bool {
-        self.instrs_per_benchmark >= Self::OVERLAY_MIN_INSTRS
-    }
 }
 
 impl Default for RunOptions {
@@ -187,14 +167,5 @@ mod tests {
         assert!(RunOptions::new().with_retry_failed(true).retry_failed);
         assert_eq!(RunOptions::new().job, 0, "the CLI runs as the ambient job");
         assert_eq!(RunOptions::new().with_job(7).job, 7);
-    }
-
-    #[test]
-    fn the_window_size_alone_picks_the_replay_path() {
-        let opts = RunOptions::new(); // 2M window
-        assert!(opts.use_overlay());
-        assert!(opts.with_instrs(RunOptions::OVERLAY_MIN_INSTRS).use_overlay());
-        assert!(!opts.with_instrs(RunOptions::OVERLAY_MIN_INSTRS - 1).use_overlay());
-        assert!(!RunOptions::smoke().use_overlay());
     }
 }

@@ -13,7 +13,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 
-use specfetch_core::{run_lockstep, FrontEnd, SimConfig, SimResult, Simulator, SpecfetchError};
+use specfetch_core::{run_lockstep, FrontEnd, SimConfig, SimResult, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
 
 use crate::fault::{self, FaultAction};
@@ -201,10 +201,10 @@ pub fn simulate_benchmark(
 ///
 /// This is the batched multi-config replay the experiments are built on:
 /// points are scheduled **grouped by benchmark**, so all configurations
-/// that replay the same trace run back-to-back on one worker — the
-/// recording and its overlay are materialised once and stay hot across
-/// the whole batch, and the result memo collapses grid points that
-/// recur across experiments (every table re-runs the shared baselines).
+/// that replay the same trace run back-to-back on one worker — the trace
+/// is recorded once and stays hot across the whole batch, and the result
+/// memo collapses grid points that recur across experiments (every table
+/// re-runs the shared baselines).
 /// Groups, not points, are the parallel unit; point order within the
 /// result is the input order regardless of grouping.
 ///
@@ -396,13 +396,9 @@ fn interrupted(idxs: Vec<usize>) -> Vec<(usize, GridCell)> {
 }
 
 /// The in-process arm of [`run_pass`]: parallel over benchmark groups,
-/// each planned, simulated and settled on one thread. At or above the
-/// overlay cutoff a group is one lockstep batch. Below it every point is
-/// a batch of its own, settled before the next point's fault guard
-/// fires, so a fault that kills the process mid-group leaves the group's
-/// earlier points persisted. A shutdown request drains at group
-/// boundaries: groups not yet started are interrupted without
-/// simulating.
+/// each planned, simulated and settled on one thread as lockstep batches
+/// (see [`batches`]). A shutdown request drains at group boundaries:
+/// groups not yet started are interrupted without simulating.
 fn run_pass_inprocess(
     points: &[GridPoint],
     groups: Vec<Group>,
@@ -414,13 +410,8 @@ fn run_pass_inprocess(
         if supervise::job_shutdown_requested(opts.job) {
             return interrupted(idxs);
         }
-        let batches = if opts.use_overlay() {
-            vec![idxs]
-        } else {
-            idxs.into_iter().map(|i| vec![i]).collect()
-        };
         let mut cells = Vec::new();
-        for batch in batches {
+        for batch in batches(idxs, base, attempt) {
             let plan = plan_group(b, batch, points, base, attempt, false, opts);
             let cfgs: Vec<SimConfig> = plan.todo.iter().map(|&(cfg, _)| cfg).collect();
             let simulated = simulate_configs(b, opts.instrs_per_benchmark, &cfgs);
@@ -429,6 +420,24 @@ fn run_pass_inprocess(
         cells
     });
     done.into_iter().flatten().collect()
+}
+
+/// Splits a group's points into lockstep batches: one batch, except that
+/// a batch ends before any point whose planned fault stops the process
+/// (`abort`, `hang`, `exitcode` — the faults the sharded arm routes to a
+/// child). The points before it are settled, and so persisted, before
+/// its guard fires, so a fault that kills the process mid-group loses
+/// none of the group's earlier points.
+fn batches(idxs: Vec<usize>, base: u64, attempt: u32) -> Vec<Vec<usize>> {
+    let mut batches: Vec<Vec<usize>> = Vec::new();
+    for i in idxs {
+        let stops = fault::peek(base + i as u64, attempt).is_some_and(|a| a.is_process_fault());
+        match batches.last_mut() {
+            Some(batch) if !stops => batch.push(i),
+            _ => batches.push(vec![i]),
+        }
+    }
+    batches
 }
 
 /// The sharded arm of [`run_pass`] (`--workers`): each group is planned
@@ -572,57 +581,29 @@ fn settle(
 
 /// The one executor every grid runs on, in process or in a `--workers`
 /// child: simulates `bench`'s first `instrs` instructions under each of
-/// `cfgs`, returning one cell per configuration in order. It only
-/// computes: [`plan_group`] has already resolved what the memo or the
-/// result store holds, and [`settle`] records what this returns.
+/// `cfgs` as **one config-lockstep batch** over the shared trace (see
+/// [`run_lockstep`] and DESIGN §5h), returning one cell per configuration
+/// in order. It only computes: [`plan_group`] has already resolved what
+/// the memo or the result store holds, and [`settle`] records what this
+/// returns.
 ///
-/// At or above [`RunOptions::OVERLAY_MIN_INSTRS`] the configurations run
-/// as **one config-lockstep batch** over the shared overlay; below it
-/// each replays the shared recording on its own. The cells are
-/// byte-identical either way.
+/// - a panicking lane yields `FAILED(...)` for its configuration while
+///   sibling lanes complete;
+/// - a configuration the front end rejects fails its cell with the
+///   reason [`specfetch_core::Simulator`] panics with;
+/// - failing to record the trace fails every configuration.
+///
+/// An empty batch (the planner resolved every point) records no trace.
 pub(crate) fn simulate_configs(
     bench: &Benchmark,
     instrs: u64,
     cfgs: &[SimConfig],
 ) -> Vec<GridCell> {
-    if instrs >= RunOptions::OVERLAY_MIN_INSTRS {
-        lockstep_cells(bench, instrs, cfgs)
-    } else {
-        replay_cells(bench, instrs, cfgs)
-    }
-}
-
-/// The per-config arm of [`simulate_configs`]: each configuration
-/// replays the process-wide [`crate::trace_cache`] recording.
-fn replay_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
-    cfgs.iter()
-        .map(|&cfg| {
-            isolate(|| {
-                let source = crate::trace_cache::try_recorded_source(bench, instrs)?;
-                Ok(Simulator::new(cfg).run(source))
-            })
-        })
-        .collect()
-}
-
-/// The lockstep arm of [`simulate_configs`]: one pass over the shared
-/// overlay advances a lane per configuration, decoding each fetch window
-/// once and fanning it out to every lane (see [`run_lockstep`] and
-/// DESIGN §5h).
-///
-/// - a panicking lane yields `FAILED(...)` for its configuration while
-///   sibling lanes complete;
-/// - a configuration the front end rejects gets the cell the
-///   [`Simulator`] gives it in the per-config arm;
-/// - failing to build the overlay fails every configuration.
-///
-/// An empty batch (the planner resolved every point) builds no overlay.
-fn lockstep_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<GridCell> {
     if cfgs.is_empty() {
         return Vec::new();
     }
-    let overlay = match crate::trace_cache::try_predicted_trace(bench, instrs) {
-        Ok(overlay) => overlay,
+    let trace = match crate::trace_cache::try_predicted_trace(bench, instrs) {
+        Ok(trace) => trace,
         Err(e) => return vec![Err(CellFailure::from_error(&e)); cfgs.len()],
     };
     let mut cells: Vec<GridCell> = Vec::with_capacity(cfgs.len());
@@ -640,7 +621,7 @@ fn lockstep_cells(bench: &Benchmark, instrs: u64, cfgs: &[SimConfig]) -> Vec<Gri
             }
         }
     }
-    for (k, outcome) in lanes.into_iter().zip(run_lockstep(&overlay, fronts)) {
+    for (k, outcome) in lanes.into_iter().zip(run_lockstep(&trace, fronts)) {
         cells[k] = outcome.map_err(|p| CellFailure::from_panic(p.as_ref()));
     }
     cells
@@ -731,8 +712,8 @@ pub(crate) fn mean_ok<'a>(xs: impl IntoIterator<Item = &'a Measured<f64>>) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfetch_core::FetchPolicy;
-    use specfetch_trace::{PathSource, PredictedTrace};
+    use specfetch_core::{FetchPolicy, Simulator};
+    use specfetch_trace::PathSource;
 
     #[test]
     fn simulate_benchmark_is_deterministic() {
@@ -745,45 +726,26 @@ mod tests {
     }
 
     /// The interpret-per-run reference: a fresh behavioural
-    /// interpretation of `b`'s correct path, with no recording, overlay,
-    /// memo or store involved.
+    /// interpretation of `b`'s correct path, with no trace, memo or store
+    /// involved.
     fn reference(b: &Benchmark, cfg: SimConfig, instrs: u64) -> SimResult {
         let workload = b.workload().unwrap();
         Simulator::new(cfg).run(workload.executor(b.path_seed()).take_instrs(instrs))
     }
 
     #[test]
-    fn shared_and_legacy_paths_agree() {
-        let b = Benchmark::by_name("gcc").unwrap();
-        let cfg = SimConfig::paper_baseline();
-        // One window on each side of the cutoff: the per-config and the
-        // lockstep arm of `simulate_configs`.
-        for instrs in [10_000, RunOptions::OVERLAY_MIN_INSTRS] {
-            let opts = RunOptions::smoke().with_instrs(instrs);
-            assert_eq!(simulate_benchmark(b, cfg, opts), reference(b, cfg, instrs), "{instrs}");
-        }
-    }
-
-    #[test]
-    fn overlay_and_plain_shared_paths_agree() {
+    fn every_policy_matches_the_live_interpreter() {
         let b = Benchmark::by_name("doduc").unwrap();
         let opts = RunOptions::smoke().with_instrs(10_000);
         for policy in FetchPolicy::ALL {
-            let mut cfg = SimConfig::paper_baseline();
-            cfg.policy = policy;
-            let shared = simulate_benchmark(b, cfg, opts);
-            assert_eq!(shared, reference(b, cfg, 10_000), "{policy}: shared replay diverged");
-            let overlay = crate::trace_cache::try_predicted_trace(b, 10_000).unwrap();
-            let overlay = Simulator::new(cfg).run(PredictedTrace::source(&overlay));
-            assert_eq!(overlay, shared, "{policy}: overlay replay diverged");
+            let cfg = SimConfig { policy, ..SimConfig::paper_baseline() };
+            assert_eq!(simulate_benchmark(b, cfg, opts), reference(b, cfg, 10_000), "{policy}");
         }
     }
 
     #[test]
-    fn lockstep_arm_matches_the_replay_arm() {
-        // Below the cutoff `simulate_configs` never picks the lockstep
-        // arm, so drive both arms directly. The window is this test's
-        // own.
+    fn simulate_configs_matches_the_live_interpreter() {
+        // The window is this test's own.
         const W: u64 = 7_013;
         let b = Benchmark::by_name("li").unwrap();
         let with = |f: fn(&mut SimConfig)| {
@@ -793,7 +755,7 @@ mod tests {
         };
         let pess = with(|c| c.policy = FetchPolicy::Pessimistic);
         // The executor never reads the memo: seed it with a sentinel no
-        // simulation produces, and both arms must still simulate.
+        // simulation produces, and the point must still simulate.
         let memo_hit = with(|c| c.policy = FetchPolicy::Oracle);
         let sentinel = SimResult { cycles: 1, ..reference(b, memo_hit, W) };
         store::record(b, W, memo_hit, &sentinel);
@@ -802,39 +764,39 @@ mod tests {
         // watchdog without them.
         let panics = with(|c| c.miss_penalty = u64::MAX);
         // `FrontEnd::build` rejects two sequential prefetchers at once;
-        // the lockstep arm fails the cell with the reason the replay
-        // arm's `Simulator` panics with.
+        // the cell fails with the reason `Simulator` panics with.
         let rejected = with(|c| {
             c.prefetch = true;
             c.stream_buffer = true;
         });
-        assert!(FrontEnd::build(rejected).is_err());
+        let build_error = FrontEnd::build(rejected).err().expect("the front end rejects it");
 
         // `pess` twice: a duplicate configuration gets a lane of its own.
         let cfgs = [pess, memo_hit, SimConfig::paper_baseline(), panics, rejected, pess];
-        let lockstep = lockstep_cells(b, W, &cfgs);
-        let replay = replay_cells(b, W, &cfgs);
-        assert_eq!(lockstep, replay);
-
-        assert!(lockstep[3].is_err(), "{:?}", lockstep[3]);
-        let failure = lockstep[4].as_ref().unwrap_err();
-        assert!(failure.reason.starts_with("invalid simulator configuration"), "{failure:?}");
-        assert_eq!(failure.kind, FailKind::Terminal);
+        let cells = simulate_configs(b, W, &cfgs);
+        assert_eq!(cells.len(), cfgs.len());
         for i in [0, 1, 2, 5] {
-            assert_eq!(lockstep[i], Ok(reference(b, cfgs[i], W)), "point {i}");
+            assert_eq!(cells[i], Ok(reference(b, cfgs[i], W)), "point {i}");
         }
+        // Both failures are the cells the live reference's panic gives.
+        for i in [3, 4] {
+            let want = panic::catch_unwind(AssertUnwindSafe(|| reference(b, cfgs[i], W)))
+                .map_err(|p| CellFailure::from_panic(p.as_ref()));
+            assert_eq!(cells[i], want, "point {i}");
+        }
+        let failure = cells[4].as_ref().unwrap_err();
+        assert_eq!(failure.reason, format!("invalid simulator configuration: {build_error}"));
+        assert_eq!(failure.kind, FailKind::Terminal);
     }
 
     #[test]
     fn the_executor_leaves_the_memo_alone() {
-        // Only `settle` records: simulating a cold configuration in
-        // either arm memoizes nothing. The window is this test's own.
+        // Only `settle` records: simulating a cold configuration memoizes
+        // nothing. The window is this test's own.
         const W: u64 = 3_011;
         let b = Benchmark::by_name("gcc").unwrap();
         let cfg = SimConfig::paper_baseline();
-        let replay = simulate_configs(b, W, &[cfg]);
-        assert_eq!(replay, lockstep_cells(b, W, &[cfg]));
-        assert_eq!(replay, [Ok(reference(b, cfg, W))]);
+        assert_eq!(simulate_configs(b, W, &[cfg]), [Ok(reference(b, cfg, W))]);
         assert_eq!(store::memoized(b, W, cfg), None);
         assert!(simulate_configs(b, W, &[]).is_empty());
     }

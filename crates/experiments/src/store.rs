@@ -47,7 +47,7 @@ fn remember(bench: &Benchmark, instrs: u64, cfg: SimConfig, result: &SimResult) 
     memo().entry((bench.name, instrs, cfg)).or_insert_with(|| result.clone());
 }
 
-/// Empties the result memo. Recordings and overlays stay. A long-lived
+/// Empties the result memo. Recorded traces stay. A long-lived
 /// caller (the job service, between busy periods) calls this so the
 /// memo does not grow with every point the process has ever simulated.
 pub fn clear_memo() {

@@ -1,35 +1,27 @@
-//! Process-wide record-once / replay-many caches of benchmark
-//! recordings and their pre-decoded overlays.
+//! Process-wide record-once / replay-many cache of benchmark traces.
 //!
 //! The full reproduction is a cross-product of configurations over the
 //! same 13 correct paths: every cell of every table replays the identical
-//! instruction stream under a different front-end. Two layers keep that
-//! cross-product cheap:
-//!
-//! 1. [`try_shared_trace`] interprets each calibrated workload **once
-//!    per (benchmark, instruction window)** and hands every subsequent
-//!    run the shared [`RecordedTrace`] ([`try_recorded_source`] is a
-//!    replay cursor over it) — an `Arc` bump instead of a fresh
-//!    behavioural interpretation.
-//! 2. [`try_predicted_trace`] builds the [`PredictedTrace`] overlay —
-//!    decoded instruction classes, sequential-run lengths, static
-//!    targets, and the resolve-order outcome stream — **once per
-//!    recording**, so no configuration ever re-decodes the path (the
-//!    engine's batched fetch fast path also keys off it).
+//! instruction stream under a different front end.
+//! [`try_predicted_trace`] interprets each calibrated workload **once per
+//! (benchmark, instruction window)** into a [`PredictedTrace`] and hands
+//! every later request the shared trace — an `Arc` bump instead of a
+//! fresh behavioural interpretation. Lockstep lanes replay it, and
+//! Table 2 characterises the path from it.
 //!
 //! Finished results are not cached here: a grid point's outcome belongs
 //! to [`crate::store`] (the result memo and the on-disk store).
 //!
-//! Concurrency: each map is guarded by one mutex held only for key
+//! Concurrency: the map is guarded by one mutex held only for key
 //! lookup; each entry is a [`OnceLock`], so parallel workers that race on
 //! a cold entry converge on one shared value.
 //!
 //! Failure: grid points are allowed to panic (see
-//! [`try_par_map`](crate::try_par_map)), so the caches must outlive a
+//! [`try_par_map`](crate::try_par_map)), so the cache must outlive a
 //! panicking neighbour. [`lock_recovering`] clears mutex poisoning and
 //! evicts entries whose initialisation was in flight when the panic hit;
-//! trace and workload failures are reported as [`SpecfetchError`] values
-//! instead of unwinding, and never cached — the next request retries.
+//! workload failures are reported as [`SpecfetchError`] values instead of
+//! unwinding, and never cached — the next request retries.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -37,7 +29,7 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 
 use specfetch_core::SpecfetchError;
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::{PredictedTrace, RecordedSource, RecordedTrace};
+use specfetch_trace::PredictedTrace;
 
 type Key = (&'static str, u64);
 type Cell<T> = Arc<OnceLock<T>>;
@@ -89,74 +81,58 @@ fn try_get_or_init<K: Eq + Hash + Clone, T: Clone>(
     Ok(cell.get_or_init(|| v).clone())
 }
 
-static RECORDINGS: LazyLock<Map<Key, Arc<RecordedTrace>>> = LazyLock::new(Default::default);
-static OVERLAYS: LazyLock<Map<Key, Arc<PredictedTrace>>> = LazyLock::new(Default::default);
+static TRACES: LazyLock<Map<Key, Arc<PredictedTrace>>> = LazyLock::new(Default::default);
 
-/// The shared recording of `bench`'s correct path, capped at `instrs`
-/// instructions — recorded on first request, replayed from memory after.
+/// The shared trace of `bench`'s correct path, capped at `instrs`
+/// instructions — recorded on first request, an `Arc` bump after.
 ///
 /// # Errors
 ///
 /// Returns [`SpecfetchError::Workload`] if the calibrated spec fails to
 /// generate.
-pub fn try_shared_trace(
+pub fn try_predicted_trace(
     bench: &Benchmark,
     instrs: u64,
-) -> Result<Arc<RecordedTrace>, SpecfetchError> {
-    try_get_or_init(&RECORDINGS, (bench.name, instrs), || {
+) -> Result<Arc<PredictedTrace>, SpecfetchError> {
+    try_get_or_init(&TRACES, (bench.name, instrs), || {
         let workload = bench.workload().map_err(|e| SpecfetchError::Workload {
             bench: bench.name.to_owned(),
             detail: e.to_string(),
         })?;
         let mut live = workload.executor(bench.path_seed());
-        Ok(Arc::new(RecordedTrace::record(&mut live, instrs)))
+        Ok(Arc::new(PredictedTrace::record(&mut live, instrs)))
     })
 }
 
-/// Whether a recording of `bench` at `instrs` is held, without making
+/// Whether a trace of `bench` at `instrs` is held, without recording
 /// one: lets tests check that a path served from the store recorded
 /// nothing.
 #[cfg(test)]
-pub(crate) fn has_recording(bench: &Benchmark, instrs: u64) -> bool {
-    lock_recovering(&RECORDINGS).get(&(bench.name, instrs)).is_some_and(|c| c.get().is_some())
+pub(crate) fn has_trace(bench: &Benchmark, instrs: u64) -> bool {
+    lock_recovering(&TRACES).get(&(bench.name, instrs)).is_some_and(|c| c.get().is_some())
 }
 
-/// Infallible convenience over [`try_shared_trace`].
-///
-/// # Panics
-///
-/// Panics if the recording cannot be produced (calibrated specs always
-/// generate; a panic here is captured per grid point by the runner).
-pub fn shared_trace(bench: &Benchmark, instrs: u64) -> Arc<RecordedTrace> {
-    try_shared_trace(bench, instrs)
-        .unwrap_or_else(|e| panic!("recording {}/{instrs}: {e}", bench.name))
-}
-
-/// A fresh replay cursor over [`shared_trace`]'s recording.
+/// [`try_predicted_trace`] under the name the benchmark ledger still
+/// calls.
 ///
 /// # Errors
 ///
-/// Propagates [`try_shared_trace`]'s errors.
-pub fn try_recorded_source(
-    bench: &Benchmark,
-    instrs: u64,
-) -> Result<RecordedSource, SpecfetchError> {
-    Ok(RecordedTrace::source(&try_shared_trace(bench, instrs)?))
-}
-
-/// The shared pre-decoded overlay over [`shared_trace`]'s recording —
-/// built on first request, an `Arc` bump after.
-///
-/// # Errors
-///
-/// Propagates [`try_shared_trace`]'s errors.
-pub fn try_predicted_trace(
+/// Propagates [`try_predicted_trace`]'s errors.
+pub fn try_shared_trace(
     bench: &Benchmark,
     instrs: u64,
 ) -> Result<Arc<PredictedTrace>, SpecfetchError> {
-    try_get_or_init(&OVERLAYS, (bench.name, instrs), || {
-        Ok(Arc::new(PredictedTrace::build(&try_shared_trace(bench, instrs)?)))
-    })
+    try_predicted_trace(bench, instrs)
+}
+
+/// Infallible [`try_predicted_trace`], kept for the benchmark ledger.
+///
+/// # Panics
+///
+/// Panics if the trace cannot be recorded.
+pub fn shared_trace(bench: &Benchmark, instrs: u64) -> Arc<PredictedTrace> {
+    try_predicted_trace(bench, instrs)
+        .unwrap_or_else(|e| panic!("recording {}/{instrs}: {e}", bench.name))
 }
 
 #[cfg(test)]
@@ -164,79 +140,68 @@ mod tests {
     use super::*;
     use specfetch_trace::PathSource;
 
+    fn trace(name: &str, instrs: u64) -> Arc<PredictedTrace> {
+        try_predicted_trace(Benchmark::by_name(name).unwrap(), instrs).unwrap()
+    }
+
     #[test]
     fn same_window_is_recorded_once() {
-        let b = Benchmark::by_name("li").unwrap();
-        let a = shared_trace(b, 1_234);
-        let c = shared_trace(b, 1_234);
-        assert!(Arc::ptr_eq(&a, &c), "second request must reuse the recording");
+        let a = trace("li", 1_234);
+        assert!(Arc::ptr_eq(&a, &trace("li", 1_234)), "second request must reuse the trace");
         assert_eq!(a.len(), 1_234);
+        let b = Benchmark::by_name("li").unwrap();
+        assert!(Arc::ptr_eq(&a, &try_shared_trace(b, 1_234).unwrap()));
+        assert!(Arc::ptr_eq(&a, &shared_trace(b, 1_234)));
     }
 
     #[test]
     fn windows_are_distinct_entries() {
-        let b = Benchmark::by_name("li").unwrap();
-        let a = shared_trace(b, 1_111);
-        let c = shared_trace(b, 2_222);
+        let (a, c) = (trace("li", 1_111), trace("li", 2_222));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.len(), 2_222);
     }
 
     #[test]
-    fn fallible_and_infallible_paths_share_one_entry() {
-        let b = Benchmark::by_name("gcc").unwrap();
-        let a = try_shared_trace(b, 1_357).unwrap();
-        let c = shared_trace(b, 1_357);
-        assert!(Arc::ptr_eq(&a, &c));
-        let p = try_predicted_trace(b, 1_357).unwrap();
-        assert!(Arc::ptr_eq(&p, &try_predicted_trace(b, 1_357).unwrap()));
+    fn replay_matches_the_live_interpreter_for_every_benchmark() {
+        // An odd window, so traces end mid-run on some benchmarks and on a
+        // transfer on others.
+        const W: u64 = 7_013;
+        for b in Benchmark::all() {
+            let w = b.workload().unwrap();
+            let mut live = w.executor(b.path_seed()).take_instrs(W);
+            let mut replay = PredictedTrace::source(&trace(b.name, W));
+            let mut n = 0;
+            loop {
+                let (x, y) = (live.next_instr(), replay.next_instr());
+                assert_eq!(x, y, "{} at instruction {n}", b.name);
+                if x.is_none() {
+                    break;
+                }
+                n += 1;
+            }
+            assert_eq!(n, W, "{}", b.name);
+        }
     }
 
     #[test]
-    fn replay_matches_the_live_interpreter() {
-        let b = Benchmark::by_name("tex").unwrap();
-        let w = b.workload().unwrap();
-        let mut live = w.executor(b.path_seed()).take_instrs(5_000);
-        let mut replay = try_recorded_source(b, 5_000).unwrap();
-        loop {
-            let (x, y) = (live.next_instr(), replay.next_instr());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
+    fn every_trace_stays_under_four_bytes_per_instruction() {
+        for b in Benchmark::all() {
+            let t = trace(b.name, 50_000);
+            assert!(
+                t.heap_bytes() < 4 * t.len(),
+                "{}: {} bytes for {} instructions",
+                b.name,
+                t.heap_bytes(),
+                t.len()
+            );
         }
     }
 
     #[test]
     fn concurrent_cold_requests_converge() {
-        let b = Benchmark::by_name("groff").unwrap();
-        let traces = crate::par_map(vec![(); 8], true, |()| shared_trace(b, 3_000));
+        let traces = crate::par_map(vec![(); 8], true, |()| trace("groff", 3_000));
         for t in &traces {
             assert!(Arc::ptr_eq(t, &traces[0]));
-        }
-    }
-
-    #[test]
-    fn overlay_is_built_once_over_the_shared_recording() {
-        let b = Benchmark::by_name("cfront").unwrap();
-        let a = try_predicted_trace(b, 2_345).unwrap();
-        let c = try_predicted_trace(b, 2_345).unwrap();
-        assert!(Arc::ptr_eq(&a, &c), "second request must reuse the overlay");
-        assert!(Arc::ptr_eq(a.base(), &shared_trace(b, 2_345)), "overlay wraps the shared trace");
-        assert_eq!(a.len(), 2_345);
-    }
-
-    #[test]
-    fn predicted_replay_matches_the_recorded_replay() {
-        let b = Benchmark::by_name("ditroff").unwrap();
-        let mut rec = try_recorded_source(b, 4_000).unwrap();
-        let mut pre = PredictedTrace::source(&try_predicted_trace(b, 4_000).unwrap());
-        loop {
-            let (x, y) = (rec.next_instr(), pre.next_instr());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
         }
     }
 

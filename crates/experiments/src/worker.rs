@@ -545,8 +545,8 @@ fn emit(line: &str) -> std::io::Result<()> {
 /// The `--worker` child loop: handshake, then serve group requests from
 /// stdin until EOF, heartbeating every ~100ms throughout. A child is
 /// pure compute: it answers each group with the static preflight and
-/// the in-process executor (`runner::simulate_configs`: lockstep at or
-/// above the overlay cutoff, per-config replay below it), and never
+/// the in-process executor (`runner::simulate_configs`, one lockstep
+/// batch over the shared trace), and never
 /// touches the result store or the journal — the parent plans the group
 /// and settles the reply. No fault plan is installed in children, so the
 /// only injected behaviour is the forwarded per-point fault.

@@ -9,7 +9,7 @@ use specfetch_experiments::{run_grid, store, trace_cache, GridPoint, RunOptions}
 use specfetch_synth::suite::Benchmark;
 
 #[test]
-fn clearing_the_memo_drops_results_and_keeps_recordings() {
+fn clearing_the_memo_drops_results_and_keeps_traces() {
     let b = Benchmark::by_name("porky").expect("porky is a suite benchmark");
     let cfg = SimConfig::paper_baseline();
     let opts = RunOptions::smoke().with_instrs(1_500);
@@ -17,10 +17,11 @@ fn clearing_the_memo_drops_results_and_keeps_recordings() {
 
     let first = run_grid(&[GridPoint::new(b, cfg)], &opts);
     assert_eq!(store::memoized(b, 1_500, cfg).as_ref(), first.first(), "settled into the memo");
-    let recording = trace_cache::shared_trace(b, 1_500);
+    let trace = trace_cache::try_predicted_trace(b, 1_500).unwrap();
 
     store::clear_memo();
     assert_eq!(store::memoized(b, 1_500, cfg), None, "the result was dropped");
-    assert!(Arc::ptr_eq(&recording, &trace_cache::shared_trace(b, 1_500)), "the recording is kept");
+    let kept = trace_cache::try_predicted_trace(b, 1_500).unwrap();
+    assert!(Arc::ptr_eq(&trace, &kept), "the trace is kept");
     assert_eq!(run_grid(&[GridPoint::new(b, cfg)], &opts), first, "the engine is deterministic");
 }

@@ -14,12 +14,10 @@
 //!                 [--list [--json]] [--serve <addr> [--jobs N]]
 //! ```
 //!
-//! Every configuration of a benchmark replays one shared recording of
-//! its correct path. The window size alone picks how: at or above
-//! `RunOptions::OVERLAY_MIN_INSTRS` (200k) instructions through a
-//! pre-decoded overlay in config-lockstep batches, below it point by
-//! point. Finished results are memoised in-process and, with
-//! `--result-dir`, persisted across runs.
+//! Each benchmark's correct path is recorded once into a shared trace,
+//! and all of its configurations replay that trace together in
+//! config-lockstep batches, at every window size. Finished results are
+//! memoised in-process and, with `--result-dir`, persisted across runs.
 //!
 //! A sweep spec is whitespace-separated `axis=value[,value...]` terms,
 //! e.g. `--sweep 'policy=Res,Pess cache=8K,32K penalty=5,20 metric=ispi'`.

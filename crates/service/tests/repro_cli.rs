@@ -155,14 +155,14 @@ fn sweep_cells_are_fault_isolated() {
 
 #[test]
 fn injected_panic_is_isolated_at_the_lockstep_window() {
-    // At the overlay cutoff every grid group runs as one config-lockstep
-    // batch: one panicking point costs one FAILED cell while its sibling
-    // lanes, and the other benchmark's batch, complete and render.
+    // Every grid group runs as one config-lockstep batch: one panicking
+    // point costs one FAILED cell while its sibling lanes, and the other
+    // benchmark's batch, complete and render.
     let out = repro(&[
         "--sweep",
         "policy=Res,Dyn bench=li,gcc",
         "--instrs",
-        "200000",
+        "2000",
         "--inject",
         "point=sweep:2,panic",
     ]);
@@ -192,6 +192,18 @@ fn removed_replay_toggles_are_unknown_arguments() {
         assert!(stderr(&out).contains("unknown argument"), "{}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{flag:?} must not run anything");
     }
+}
+
+#[test]
+fn the_full_report_matches_the_small_window_golden() {
+    // Every experiment at 2000 instructions, byte for byte: the lockstep
+    // path at a small window, and (in debug builds) the engine's GHR
+    // cross-check over all of it.
+    let out = repro(&["--experiment", "all", "--instrs", "2000"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let (got, want) = (stdout(&out), include_str!("golden/all_2000.txt"));
+    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    assert!(got == want, "report drifted from the golden at line {first_diff:?}");
 }
 
 #[test]

@@ -16,15 +16,11 @@
 //!   trace file formats (human-readable text and compact binary), so traces
 //!   captured by external tools can be fed to the simulator.
 //!   [`read_trace_file`] picks between them by the file's extension.
-//! - [`RecordedTrace`] / [`RecordedSource`]: record-once / replay-many
-//!   sharing — one compact struct-of-arrays recording of a path that any
-//!   number of simulations replay concurrently without re-interpreting the
-//!   workload (see the [`recorded`](RecordedTrace) module docs).
-//! - [`PredictedTrace`] / [`PredictedSource`]: a pre-decoded overlay over a
-//!   recording — instruction classes, sequential-run lengths, static
-//!   targets, and the resolve-order conditional outcome stream — built
-//!   once per trace and shared by every configuration that replays it (see
-//!   the [`predicted`](PredictedTrace) module docs).
+//! - [`PredictedTrace`] / [`PredictedSource`]: record once, replay many —
+//!   one compact per-transfer trace of a path, recorded in a single pass
+//!   and shared by every configuration that replays it, with the
+//!   resolve-order conditional outcome stream alongside (see the
+//!   [`predicted`](PredictedTrace) module docs).
 //! - [`TraceStats`]: the workload-characterisation numbers of the paper's
 //!   Table 2 (instruction count, branch mix, taken ratio).
 //!
@@ -63,7 +59,6 @@ mod error;
 mod file;
 mod outcome;
 mod predicted;
-mod recorded;
 mod replay;
 mod source;
 mod stats;
@@ -74,7 +69,6 @@ pub use error::TraceError;
 pub use file::{read_trace_file, TraceFileError};
 pub use outcome::Outcome;
 pub use predicted::{DecodeWindow, PredictedSource, PredictedTrace};
-pub use recorded::{RecordedSource, RecordedTrace};
 pub use replay::Replay;
 pub use source::{PathSource, Take, VecSource};
 pub use stats::TraceStats;

@@ -1,39 +1,53 @@
-//! Pre-decoded fetch overlay: decode once per trace, replay per config.
+//! Record once, replay many: one compact trace of a correct path, shared
+//! by every configuration that replays it.
 //!
-//! A sweep cell re-walks its [`RecordedTrace`] through
-//! `RecordedSource::next_instr`, which re-fetches every instruction's kind
-//! from the shared [`Program`] image — a pointer chase plus a match per
-//! retired instruction, repeated identically for every cache size, miss
-//! penalty, policy, and speculation depth that shares the trace.
-//! [`PredictedTrace`] hoists that work into a one-pass precomputation per
-//! recording:
+//! The paper's evaluation is a large cross-product: 13 benchmarks × 5
+//! policies × several sweep axes, every cell consuming the *same*
+//! correct-path stream under a different front end. [`PredictedTrace`]
+//! records one interpretation in a single pass, and any number of
+//! [`PredictedSource`] cursors replay it concurrently, each handing the
+//! engine the same shared [`Program`] image.
 //!
-//! - `seq_run` — per instruction, the length of the run of consecutive
-//!   non-transfer instructions starting there (saturating at 255; zero
-//!   marks a control transfer). A fetch engine reads one byte to learn how
-//!   many upcoming slots need no branch machinery at all, and batches them.
-//! - per-transfer arrays (trace order) — the kind class and static target,
-//!   so branch `DynInstr`s rebuild without touching the `Program` image.
-//! - `cond_taken` — the resolve-order conditional direction stream. This
-//!   is the *predictor-outcome* layer: under resolve-time history update
-//!   the global history register is a pure function of this stream, so an
-//!   engine replaying the overlay can assert its live predictor state
-//!   against `specfetch_bpred::OutcomeReplay` independently of cache
-//!   timing. (Fetch-time predictor state — BTB/RAS contents, speculative
-//!   history — is deliberately *not* precomputed: it depends on wrong-path
-//!   fetch volume and therefore on cache geometry; see DESIGN.md.)
+//! # Layout
 //!
-//! The overlay is keyed by the recording alone — no cache or predictor
-//! parameters — so one `Arc<PredictedTrace>` serves every grid point of a
-//! benchmark. [`PredictedSource`] replays it as a [`PathSource`] whose
-//! [`PathSource::predicted`] hook hands engines the shared overlay.
+//! Retired streams are *successor-consistent*: `next_pc` of instruction
+//! `i` equals `pc` of instruction `i + 1` (the engine's redirect logic
+//! depends on this, and [`PredictedTrace::record`] asserts it). Between
+//! two control transfers the path is straight-line code, so the whole
+//! stream follows from:
+//!
+//! - the PC of the first instruction, and the instruction count;
+//! - per control transfer, in trace order: its trace index (`at`), its
+//!   kind class with the taken bit, its static target word, and the word
+//!   of its actual successor (`next`).
+//!
+//! Instruction `idx` after transfer `k - 1` sits at
+//! `next[k-1] + 4·(idx − at[k-1] − 1)`, and the sequential run starting
+//! there is `at[k] − idx` long. That is 13 bytes per transfer and nothing
+//! per sequential instruction: a few bytes per instruction at the suite's
+//! branch densities.
+//!
+//! The trace also keeps the resolve-order conditional direction stream.
+//! This is the *predictor-outcome* layer: under resolve-time history
+//! update the global history register is a pure function of this stream,
+//! so an engine replaying the trace can assert its live predictor state
+//! against `specfetch_bpred::OutcomeReplay` independently of cache
+//! timing. (Fetch-time predictor state — BTB/RAS contents, speculative
+//! history — is deliberately *not* precomputed: it depends on wrong-path
+//! fetch volume and therefore on cache geometry; see DESIGN.md.)
+//!
+//! The trace depends on the path alone — no cache or predictor parameters
+//! — so one `Arc<PredictedTrace>` serves every grid point of a benchmark.
+//! [`PredictedSource`]'s [`PathSource::predicted`] hook hands engines the
+//! shared trace, and its [`PredictedSource::run_len`] tells a fetch
+//! engine how many upcoming instructions need no branch machinery.
 //!
 //! # Examples
 //!
 //! ```
 //! use std::sync::Arc;
 //! use specfetch_isa::{Addr, DynInstr, InstrKind, ProgramBuilder};
-//! use specfetch_trace::{PathSource, PredictedTrace, RecordedTrace, VecSource};
+//! use specfetch_trace::{PathSource, PredictedTrace, VecSource};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = ProgramBuilder::new(Addr::new(0));
@@ -47,10 +61,10 @@
 //!     DynInstr::seq(Addr::new(0)),
 //! ];
 //! let mut live = VecSource::new(program, path.clone());
-//! let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-//! let overlay = Arc::new(PredictedTrace::build(&rec));
+//! let trace = Arc::new(PredictedTrace::record(&mut live, u64::MAX));
 //!
-//! let mut replay = PredictedTrace::source(&overlay);
+//! // Replays (any number, on any thread) reproduce the stream exactly.
+//! let mut replay = PredictedTrace::source(&trace);
 //! for want in &path {
 //!     assert_eq!(replay.next_instr().as_ref(), Some(want));
 //! }
@@ -63,9 +77,9 @@ use std::sync::Arc;
 
 use specfetch_isa::{Addr, DynInstr, InstrKind, Program};
 
-use crate::{PathSource, RecordedTrace};
+use crate::PathSource;
 
-/// Transfer-kind classes, packed one byte per transfer.
+/// Transfer-kind classes, packed one byte per transfer with [`TAKEN`].
 const CLASS_COND: u8 = 0;
 const CLASS_JUMP: u8 = 1;
 const CLASS_CALL: u8 = 2;
@@ -73,134 +87,134 @@ const CLASS_RETURN: u8 = 3;
 const CLASS_IND_JUMP: u8 = 4;
 const CLASS_IND_CALL: u8 = 5;
 
+/// The taken bit of a transfer's class byte.
+const TAKEN: u8 = 0x80;
+
 /// Sentinel target word for transfers with no static target.
 const NO_TARGET: u32 = u32::MAX;
 
-/// A pre-decoded overlay over one [`RecordedTrace`].
+/// One recorded correct path, stored per control transfer.
 ///
-/// Built once per recording by [`PredictedTrace::build`]; replayed by any
-/// number of [`PredictedSource`]s (see [`PredictedTrace::source`]). See
-/// the [module docs](self) for the layout.
+/// Created by [`PredictedTrace::record`]; replayed by any number of
+/// [`PredictedSource`]s (see [`PredictedTrace::source`]). See the
+/// [module docs](self) for the layout and the reconstruction argument.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PredictedTrace {
-    base: Arc<RecordedTrace>,
-    /// Per instruction: length of the consecutive-`Seq` run starting here
-    /// (saturating at `u8::MAX`), or zero for a control transfer.
-    seq_run: Vec<u8>,
-    /// Per transfer, in trace order: kind class (`CLASS_*`).
-    branch_class: Vec<u8>,
-    /// Per transfer, in trace order: static target word, [`NO_TARGET`]
-    /// for returns and indirect transfers.
-    branch_target: Vec<u32>,
+    program: Arc<Program>,
+    /// Number of recorded instructions.
+    len: usize,
+    /// Word index of the first instruction.
+    first: u32,
+    /// Per transfer, in trace order: its trace index.
+    at: Vec<u32>,
+    /// Per transfer: kind class (`CLASS_*`), with [`TAKEN`] set when the
+    /// transfer was taken.
+    class: Vec<u8>,
+    /// Per transfer: static target word, [`NO_TARGET`] for returns and
+    /// indirect transfers.
+    target: Vec<u32>,
+    /// Per transfer: word index of the actual successor.
+    next: Vec<u32>,
     /// Conditional direction bits in resolve order (= trace order),
     /// packed 64 per word.
     cond_taken: Vec<u64>,
-    /// Number of conditionals in the recording.
+    /// Number of conditionals in the trace.
     n_conds: usize,
 }
 
 impl PredictedTrace {
-    /// Decodes `base` in one pass into the overlay arrays.
-    pub fn build(base: &Arc<RecordedTrace>) -> Self {
-        let n = base.len();
-        let mut seq_run = vec![0u8; n];
-        let mut branch_class = Vec::new();
-        let mut branch_target = Vec::new();
-        let mut cond_taken: Vec<u64> = Vec::new();
-        let mut n_conds = 0usize;
-
-        let mut src = RecordedTrace::source(base);
-        let mut i = 0usize;
-        while let Some(d) = src.next_instr() {
-            match d.kind {
-                InstrKind::Seq => seq_run[i] = 1,
-                kind => {
-                    let (class, target) = match kind {
-                        InstrKind::CondBranch { target } => (CLASS_COND, word32(target)),
-                        InstrKind::Jump { target } => (CLASS_JUMP, word32(target)),
-                        InstrKind::Call { target } => (CLASS_CALL, word32(target)),
-                        InstrKind::Return => (CLASS_RETURN, NO_TARGET),
-                        InstrKind::IndirectJump => (CLASS_IND_JUMP, NO_TARGET),
-                        InstrKind::IndirectCall => (CLASS_IND_CALL, NO_TARGET),
-                        InstrKind::Seq => unreachable!("matched above"),
-                    };
-                    branch_class.push(class);
-                    branch_target.push(target);
-                    if matches!(kind, InstrKind::CondBranch { .. }) {
-                        if n_conds.is_multiple_of(64) {
-                            cond_taken.push(0);
-                        }
-                        if d.taken {
-                            // The push above guarantees a current word.
-                            if let Some(w) = cond_taken.last_mut() {
-                                *w |= 1 << (n_conds % 64);
-                            }
-                        }
-                        n_conds += 1;
+    /// Drains `source` (at most `max_instrs` instructions) in one pass
+    /// into a trace that replays the identical [`DynInstr`] stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is not successor-consistent (an instruction
+    /// that does not start where its predecessor said fetch goes next, or
+    /// a non-transfer that does not fall through), or if a PC's word index
+    /// or the instruction count exceeds `u32::MAX`.
+    pub fn record<S: PathSource>(source: &mut S, max_instrs: u64) -> Self {
+        let program = source.shared_program();
+        let mut trace = PredictedTrace {
+            first: word32(program.entry()),
+            program,
+            len: 0,
+            at: Vec::new(),
+            class: Vec::new(),
+            target: Vec::new(),
+            next: Vec::new(),
+            cond_taken: Vec::new(),
+            n_conds: 0,
+        };
+        let mut expect: Option<Addr> = None;
+        while (trace.len as u64) < max_instrs {
+            let Some(d) = source.next_instr() else { break };
+            if expect.is_none() {
+                trace.first = word32(d.pc);
+            } else if expect != Some(d.pc) {
+                inconsistent(&d, "does not start where its predecessor went");
+            }
+            expect = Some(d.next_pc);
+            assert!(trace.len < u32::MAX as usize, "trace exceeds u32 instruction indices");
+            let idx = trace.len as u32;
+            trace.len += 1;
+            let (class, target) = match d.kind {
+                InstrKind::Seq => {
+                    if d.taken || d.next_pc != d.pc.next() {
+                        inconsistent(&d, "is not a transfer but does not fall through");
                     }
+                    continue;
                 }
+                InstrKind::CondBranch { target } => (CLASS_COND, word32(target)),
+                InstrKind::Jump { target } => (CLASS_JUMP, word32(target)),
+                InstrKind::Call { target } => (CLASS_CALL, word32(target)),
+                InstrKind::Return => (CLASS_RETURN, NO_TARGET),
+                InstrKind::IndirectJump => (CLASS_IND_JUMP, NO_TARGET),
+                InstrKind::IndirectCall => (CLASS_IND_CALL, NO_TARGET),
+            };
+            trace.at.push(idx);
+            trace.class.push(if d.taken { class | TAKEN } else { class });
+            trace.target.push(target);
+            trace.next.push(word32(d.next_pc));
+            if class == CLASS_COND {
+                if trace.n_conds.is_multiple_of(64) {
+                    trace.cond_taken.push(0);
+                }
+                if let Some(w) = trace.cond_taken.last_mut() {
+                    *w |= u64::from(d.taken) << (trace.n_conds % 64);
+                }
+                trace.n_conds += 1;
             }
-            i += 1;
         }
-        debug_assert_eq!(i, n, "overlay pass must cover the whole recording");
-
-        // Backward pass: extend the per-instruction Seq markers into
-        // run lengths ("how far can fetch batch from here").
-        for i in (0..n).rev() {
-            if seq_run[i] != 0 {
-                let next = seq_run.get(i + 1).copied().unwrap_or(0);
-                seq_run[i] = next.saturating_add(1);
-            }
-        }
-
-        branch_class.shrink_to_fit();
-        branch_target.shrink_to_fit();
-        cond_taken.shrink_to_fit();
-        PredictedTrace {
-            base: Arc::clone(base),
-            seq_run,
-            branch_class,
-            branch_target,
-            cond_taken,
-            n_conds,
-        }
+        trace.at.shrink_to_fit();
+        trace.class.shrink_to_fit();
+        trace.target.shrink_to_fit();
+        trace.next.shrink_to_fit();
+        trace.cond_taken.shrink_to_fit();
+        trace
     }
 
-    /// Number of instructions in the underlying recording.
+    /// Number of recorded instructions.
     pub fn len(&self) -> usize {
-        self.seq_run.len()
+        self.len
     }
 
-    /// Whether the recording is empty.
+    /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.seq_run.is_empty()
+        self.len == 0
     }
 
-    /// The recording this overlay decodes.
-    pub fn base(&self) -> &Arc<RecordedTrace> {
-        &self.base
+    /// The trace itself. Kept for the benchmark ledger, which still asks
+    /// for the recording underneath an overlay.
+    pub fn base(&self) -> &Self {
+        self
     }
 
     /// The shared static image.
     pub fn program(&self) -> &Arc<Program> {
-        self.base.program()
+        &self.program
     }
 
-    /// Length of the consecutive-`Seq` run starting at `idx` (saturating
-    /// at 255); zero means the instruction is a control transfer.
-    #[inline]
-    pub fn seq_run(&self, idx: usize) -> u8 {
-        self.seq_run[idx]
-    }
-
-    /// Number of transfers strictly before `idx` — the branch ordinal a
-    /// cursor positioned at `idx` should carry. O(idx); cursors maintain
-    /// the ordinal incrementally instead of calling this per step.
-    pub fn branches_before(&self, idx: usize) -> usize {
-        self.seq_run[..idx].iter().filter(|&&r| r == 0).count()
-    }
-
-    /// Number of conditional branches in the recording.
+    /// Number of conditional branches in the trace.
     pub fn cond_count(&self) -> usize {
         self.n_conds
     }
@@ -212,114 +226,192 @@ impl PredictedTrace {
         self.cond_taken[k / 64] >> (k % 64) & 1 == 1
     }
 
-    /// Approximate heap footprint of the overlay arrays (excluding the
-    /// underlying recording and image).
+    /// Heap footprint of the trace (excluding the shared image).
     pub fn heap_bytes(&self) -> usize {
-        self.seq_run.capacity()
-            + self.branch_class.capacity()
-            + self.branch_target.capacity() * std::mem::size_of::<u32>()
+        self.at.capacity() * std::mem::size_of::<u32>()
+            + self.class.capacity()
+            + self.target.capacity() * std::mem::size_of::<u32>()
+            + self.next.capacity() * std::mem::size_of::<u32>()
             + self.cond_taken.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// A fresh replay cursor over a shared overlay.
-    pub fn source(overlay: &Arc<PredictedTrace>) -> PredictedSource {
-        PredictedSource { trace: Arc::clone(overlay), idx: 0, branch_ord: 0 }
-    }
-
-    /// Number of transfers in `start..end` — lets a caller advance a
-    /// branch ordinal from window to window in O(window) instead of
-    /// re-counting from the trace head.
-    pub fn branches_in(&self, start: usize, end: usize) -> usize {
-        let end = end.min(self.len());
-        if start >= end {
-            return 0;
+    /// A fresh replay cursor at the head of a shared trace.
+    pub fn source(trace: &Arc<PredictedTrace>) -> PredictedSource {
+        PredictedSource {
+            trace: Arc::clone(trace),
+            idx: 0,
+            ord: 0,
+            pc: Addr::from_word(u64::from(trace.first)),
+            run_end: trace.transfer_at(0),
         }
-        self.seq_run[start..end].iter().filter(|&&r| r == 0).count()
     }
 
-    /// Materialises instructions `start..end` into a [`DecodeWindow`] in
-    /// one decode pass. `start_ord` must be [`PredictedTrace::branches_before`]
-    /// `(start)` (callers advance it incrementally via
-    /// [`PredictedTrace::branches_in`]).
+    /// Number of transfers in `start..end`.
+    pub fn branches_in(&self, start: usize, end: usize) -> usize {
+        let before = |idx: usize| self.at.partition_point(|&a| (a as usize) < idx);
+        before(end).saturating_sub(before(start))
+    }
+
+    /// Materialises instructions `start..end` into a [`DecodeWindow`].
+    /// `start_ord` must be the number of transfers before `start`
+    /// (callers advance it with [`PredictedTrace::branches_in`]).
     pub fn decode_window(&self, start: usize, end: usize, start_ord: usize) -> DecodeWindow {
-        debug_assert_eq!(start_ord, self.branches_before(start), "window ordinal out of sync");
-        let end = end.min(self.len());
+        debug_assert_eq!(start_ord, self.branches_in(0, start), "window ordinal out of sync");
+        let end = end.min(self.len);
         let mut instrs = Vec::with_capacity(end.saturating_sub(start));
         let mut ord = start_ord;
         for idx in start..end {
-            let d = self.instr_at(idx, ord);
-            if d.kind.is_branch() {
+            // The PC follows the last transfer before `idx`.
+            let (base, from) = match ord.checked_sub(1) {
+                None => (self.first, 0),
+                Some(k) => (self.next[k], self.at[k] as usize + 1),
+            };
+            let pc = Addr::from_word(u64::from(base) + (idx - from) as u64);
+            if self.transfer_at(ord) == idx {
+                instrs.push(self.transfer(ord, pc));
                 ord += 1;
+            } else {
+                instrs.push(DynInstr::seq(pc));
             }
-            instrs.push(d);
         }
         DecodeWindow { start, instrs }
     }
 
-    /// Reconstructs the `idx`-th retired instruction without touching the
-    /// `Program` image. `branch_ord` must be the number of transfers
-    /// strictly before `idx` (cursors track it incrementally; see
-    /// [`PredictedTrace::branches_before`]).
+    /// Trace index of the `ord`-th transfer, or [`PredictedTrace::len`]
+    /// when the trace has no more transfers.
     #[inline]
-    pub fn instr_at(&self, idx: usize, branch_ord: usize) -> DynInstr {
-        let pc = Addr::from_word(u64::from(self.base.pc_word(idx)));
-        if self.seq_run[idx] != 0 {
-            return DynInstr::seq(pc);
-        }
-        let target = self.branch_target[branch_ord];
-        let kind = match self.branch_class[branch_ord] {
-            CLASS_COND => InstrKind::CondBranch { target: Addr::from_word(u64::from(target)) },
-            CLASS_JUMP => InstrKind::Jump { target: Addr::from_word(u64::from(target)) },
-            CLASS_CALL => InstrKind::Call { target: Addr::from_word(u64::from(target)) },
+    fn transfer_at(&self, ord: usize) -> usize {
+        self.at.get(ord).map_or(self.len, |&a| a as usize)
+    }
+
+    /// Rebuilds the `ord`-th transfer, which sits at `pc`.
+    #[inline]
+    fn transfer(&self, ord: usize, pc: Addr) -> DynInstr {
+        let class = self.class[ord];
+        let target = Addr::from_word(u64::from(self.target[ord]));
+        let kind = match class & !TAKEN {
+            CLASS_COND => InstrKind::CondBranch { target },
+            CLASS_JUMP => InstrKind::Jump { target },
+            CLASS_CALL => InstrKind::Call { target },
             CLASS_RETURN => InstrKind::Return,
             CLASS_IND_JUMP => InstrKind::IndirectJump,
             CLASS_IND_CALL => InstrKind::IndirectCall,
             c => unreachable!("invalid branch class {c}"),
         };
-        let taken = self.base.taken_bit(idx);
-        DynInstr::branch(pc, kind, taken, self.base.next_pc_of(idx))
+        let next_pc = Addr::from_word(u64::from(self.next[ord]));
+        DynInstr { pc, kind, taken: class & TAKEN != 0, next_pc }
     }
 }
 
-fn word32(target: Addr) -> u32 {
-    let word = target.word_index();
+/// The panic of [`PredictedTrace::record`] on a stream that is not
+/// successor-consistent, kept out of the recording loop.
+#[cold]
+#[inline(never)]
+fn inconsistent(d: &DynInstr, what: &str) -> ! {
+    panic!("stream is not successor-consistent: {d} {what}")
+}
+
+fn word32(pc: Addr) -> u32 {
+    let word = pc.word_index();
     assert!(word <= u64::from(u32::MAX), "image exceeds u32 word indices");
     word as u32
 }
 
 /// A replay cursor over a shared [`PredictedTrace`].
 ///
-/// Implements [`PathSource`] exactly like [`crate::RecordedSource`], but
-/// additionally advertises the overlay through [`PathSource::predicted`]
-/// so engines can consume the pre-decoded arrays directly.
+/// Besides the [`PathSource`] contract it exposes the walk itself:
+/// [`PredictedSource::peek`], [`PredictedSource::run_len`],
+/// [`PredictedSource::skip`] and [`PredictedSource::step`]. The cursor
+/// carries the PC of its position and the index of the next transfer, so
+/// a sequential instruction reads no trace memory at all.
 #[derive(Clone, Debug)]
 pub struct PredictedSource {
     trace: Arc<PredictedTrace>,
+    /// Trace index of the next instruction.
     idx: usize,
-    branch_ord: usize,
+    /// Number of transfers before `idx`.
+    ord: usize,
+    /// PC of instruction `idx`.
+    pc: Addr,
+    /// Trace index of transfer `ord` (`len` when none is left).
+    run_end: usize,
 }
 
 impl PredictedSource {
-    /// The overlay this cursor walks.
+    /// The trace this cursor walks.
     pub fn trace(&self) -> &Arc<PredictedTrace> {
         &self.trace
     }
 
-    /// Fans this cursor out into `n` independent lanes at the same
-    /// position — the entry point of config-lockstep batching: the lanes
-    /// share the overlay, while each keeps its own position and private
-    /// fetch state. Cursors are an `Arc` bump plus two indices, so fan-out is
-    /// O(n) regardless of trace length.
-    pub fn fan_out(&self, n: usize) -> Vec<PredictedSource> {
-        (0..n).map(|_| self.clone()).collect()
+    /// Trace index of the next instruction.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.idx
+    }
+
+    /// The next instruction, without consuming it.
+    #[inline]
+    pub fn peek(&self) -> Option<DynInstr> {
+        if self.idx < self.run_end {
+            Some(DynInstr::seq(self.pc))
+        } else {
+            (self.idx < self.trace.len).then(|| self.trace.transfer(self.ord, self.pc))
+        }
+    }
+
+    /// Number of non-transfer instructions from the cursor to the next
+    /// transfer (or the end of the trace); zero at a transfer.
+    #[inline]
+    pub fn run_len(&self) -> usize {
+        self.run_end - self.idx
+    }
+
+    /// Steps past `n` non-transfer instructions (`n <= run_len()`).
+    #[inline]
+    pub fn skip(&mut self, n: usize) {
+        debug_assert!(n <= self.run_len(), "skip crosses a transfer");
+        self.idx += n;
+        self.pc = Addr::from_word(self.pc.word_index() + n as u64);
+    }
+
+    /// Steps past the next instruction, whatever its kind.
+    #[inline]
+    pub fn step(&mut self) {
+        if self.idx < self.run_end {
+            self.skip(1);
+        } else if self.idx < self.trace.len {
+            self.pc = Addr::from_word(u64::from(self.trace.next[self.ord]));
+            self.idx += 1;
+            self.ord += 1;
+            self.run_end = self.trace.transfer_at(self.ord);
+        }
+    }
+}
+
+impl PathSource for PredictedSource {
+    fn program(&self) -> &Program {
+        self.trace.program()
+    }
+
+    fn shared_program(&self) -> Arc<Program> {
+        Arc::clone(self.trace.program())
+    }
+
+    fn next_instr(&mut self) -> Option<DynInstr> {
+        let d = self.peek()?;
+        self.step();
+        Some(d)
+    }
+
+    fn predicted(&self) -> Option<&Arc<PredictedTrace>> {
+        Some(&self.trace)
     }
 }
 
 /// A contiguous pre-materialised window of a [`PredictedTrace`]: the
-/// instructions of `start..start + len`, decoded in one pass. Holds
-/// exactly what [`PredictedTrace::instr_at`] would produce. Only the
-/// benchmark ledger's decode probe builds one; lockstep lanes decode from
-/// the overlay directly.
+/// instructions of `start..start + len`, decoded in one pass. Only the
+/// benchmark ledger's decode probe builds one; lanes decode from the
+/// trace directly.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DecodeWindow {
     start: usize,
@@ -354,196 +446,241 @@ impl DecodeWindow {
     }
 }
 
-impl PathSource for PredictedSource {
-    fn program(&self) -> &Program {
-        self.trace.program()
-    }
-
-    fn shared_program(&self) -> Arc<Program> {
-        Arc::clone(self.trace.program())
-    }
-
-    fn next_instr(&mut self) -> Option<DynInstr> {
-        if self.idx >= self.trace.len() {
-            return None;
-        }
-        let d = self.trace.instr_at(self.idx, self.branch_ord);
-        self.idx += 1;
-        if d.kind.is_branch() {
-            self.branch_ord += 1;
-        }
-        Some(d)
-    }
-
-    fn predicted(&self) -> Option<&Arc<PredictedTrace>> {
-        Some(&self.trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::VecSource;
     use specfetch_isa::ProgramBuilder;
 
-    /// entry: seq; call f; seq×3; bcond->entry; jump entry; (f): seq; ret
+    /// entry: seq; call f; seq×3; bcond->entry; jump entry; (f): seq; ret;
+    /// ijump; (g): bcond->h; (h): jump g — the conditional at g targets its
+    /// own fall-through.
     fn program() -> Program {
         let mut b = ProgramBuilder::new(Addr::new(0x1000));
         let entry = b.push(InstrKind::Seq);
         let call = b.push(InstrKind::Call { target: Addr::new(0x1000) });
-        b.push(InstrKind::Seq);
-        b.push(InstrKind::Seq);
-        b.push(InstrKind::Seq);
+        b.push_seq(3);
         b.push(InstrKind::CondBranch { target: entry });
         b.push(InstrKind::Jump { target: entry });
         let f = b.push(InstrKind::Seq);
         b.push(InstrKind::Return);
+        b.push(InstrKind::IndirectJump);
+        let g = b.push(InstrKind::CondBranch { target: Addr::new(0x1000 + 11 * 4) });
+        b.push(InstrKind::Jump { target: g });
         b.patch_target(call, f);
         b.set_entry(entry);
         b.finish().unwrap()
     }
 
-    /// A successor-consistent path exercising every transfer kind.
+    /// A successor-consistent path exercising every transfer kind: both
+    /// conditional directions, a return and an indirect jump with
+    /// data-dependent successors, and a conditional whose target is its
+    /// own fall-through, taken and not taken.
     fn path(p: &Program) -> Vec<DynInstr> {
         let a = |w: u64| Addr::new(0x1000 + w * 4);
-        vec![
-            DynInstr::seq(a(0)),
-            DynInstr::branch(a(1), p.fetch(a(1)).unwrap(), true, a(7)), // call f
-            DynInstr::seq(a(7)),
-            DynInstr::branch(a(8), p.fetch(a(8)).unwrap(), true, a(2)), // ret
-            DynInstr::seq(a(2)),
-            DynInstr::seq(a(3)),
-            DynInstr::seq(a(4)),
-            DynInstr::branch(a(5), p.fetch(a(5)).unwrap(), true, a(0)), // bcond taken
-            DynInstr::seq(a(0)),
-            DynInstr::branch(a(1), p.fetch(a(1)).unwrap(), true, a(7)),
-            DynInstr::seq(a(7)),
-            DynInstr::branch(a(8), p.fetch(a(8)).unwrap(), true, a(2)),
-            DynInstr::seq(a(2)),
-            DynInstr::seq(a(3)),
-            DynInstr::seq(a(4)),
-            DynInstr::branch(a(5), p.fetch(a(5)).unwrap(), false, a(6)), // bcond not taken
-            DynInstr::branch(a(6), p.fetch(a(6)).unwrap(), true, a(0)),  // jump
-        ]
+        let br = |w: u64, taken: bool, to: u64| {
+            DynInstr::branch(a(w), p.fetch(a(w)).unwrap(), taken, a(to))
+        };
+        let mut path = vec![DynInstr::seq(a(0)), br(1, true, 7), DynInstr::seq(a(7))];
+        path.extend([br(8, true, 2), DynInstr::seq(a(2)), DynInstr::seq(a(3))]);
+        path.extend([DynInstr::seq(a(4)), br(5, true, 0)]); // bcond taken
+        path.extend([DynInstr::seq(a(0)), br(1, true, 7), DynInstr::seq(a(7))]);
+        path.extend([br(8, true, 2), DynInstr::seq(a(2)), DynInstr::seq(a(3))]);
+        path.extend([DynInstr::seq(a(4)), br(5, false, 6), br(6, true, 0)]); // not taken, jump
+        path.extend([DynInstr::seq(a(0)), br(1, true, 7), DynInstr::seq(a(7))]);
+        path.extend([br(8, true, 9), br(9, true, 10)]); // ret to the ijump, ijump
+        path.extend([br(10, false, 11), br(11, true, 10)]); // onto its own target, not taken
+        path.extend([br(10, true, 11), br(11, true, 10)]); // and taken
+        path
     }
 
-    fn overlay_of(p: &Program) -> Arc<PredictedTrace> {
+    fn record(p: &Program, max: u64) -> Arc<PredictedTrace> {
         let mut live = VecSource::new(p.clone(), path(p));
-        let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-        Arc::new(PredictedTrace::build(&rec))
+        Arc::new(PredictedTrace::record(&mut live, max))
+    }
+
+    fn replay(trace: &Arc<PredictedTrace>) -> Vec<DynInstr> {
+        let mut s = PredictedTrace::source(trace);
+        std::iter::from_fn(|| s.next_instr()).collect()
     }
 
     #[test]
-    fn replay_is_byte_identical_to_the_recorded_stream() {
+    fn replay_is_identical_to_the_live_stream() {
         let p = program();
         let want = path(&p);
-        let ov = overlay_of(&p);
-        let mut rec = RecordedTrace::source(ov.base());
-        let mut pred = PredictedTrace::source(&ov);
-        for d in &want {
-            assert_eq!(pred.next_instr().as_ref(), Some(d));
-        }
-        assert!(pred.next_instr().is_none());
-        // And against the recorded cursor, instruction for instruction.
-        let mut pred = PredictedTrace::source(&ov);
-        while let Some(a) = rec.next_instr() {
-            assert_eq!(pred.next_instr(), Some(a));
-        }
-        assert!(pred.next_instr().is_none());
+        let trace = record(&p, u64::MAX);
+        assert_eq!(trace.len(), want.len());
+        assert_eq!(replay(&trace), want);
+        let mut s = PredictedTrace::source(&trace);
+        while s.next_instr().is_some() {}
+        assert!(s.next_instr().is_none(), "an exhausted cursor stays exhausted");
     }
 
     #[test]
-    fn seq_runs_count_to_the_next_transfer() {
+    fn every_truncation_replays_its_prefix() {
+        // Cuts after a transfer (its successor survives in `next`) and
+        // after a sequential instruction alike.
         let p = program();
-        let ov = overlay_of(&p);
-        // Path index 4..=6 is the seq×3 run before the conditional.
-        assert_eq!(ov.seq_run(4), 3);
-        assert_eq!(ov.seq_run(5), 2);
-        assert_eq!(ov.seq_run(6), 1);
-        assert_eq!(ov.seq_run(7), 0); // the conditional itself
-        assert_eq!(ov.seq_run(16), 0); // final jump
+        let want = path(&p);
+        for n in 0..=want.len() {
+            let trace = record(&p, n as u64);
+            assert_eq!(trace.len(), n);
+            assert_eq!(replay(&trace), want[..n], "cut at {n}");
+        }
+    }
+
+    #[test]
+    fn the_empty_trace_yields_nothing() {
+        let p = program();
+        let trace = record(&p, 0);
+        assert!(trace.is_empty());
+        assert_eq!(trace.cond_count(), 0);
+        assert_eq!(trace.heap_bytes(), 0);
+        let mut s = PredictedTrace::source(&trace);
+        assert_eq!(s.run_len(), 0);
+        assert!(s.peek().is_none());
+        assert!(s.next_instr().is_none());
+    }
+
+    #[test]
+    fn run_lengths_count_to_the_next_transfer() {
+        let p = program();
+        let trace = record(&p, u64::MAX);
+        let want = path(&p);
+        let mut s = PredictedTrace::source(&trace);
+        for (idx, d) in want.iter().enumerate() {
+            let run = want[idx..].iter().take_while(|d| !d.is_branch()).count();
+            assert_eq!(s.run_len(), run, "at {idx}");
+            assert_eq!(s.position(), idx);
+            assert_eq!(s.peek().as_ref(), Some(d));
+            s.step();
+        }
+    }
+
+    #[test]
+    fn skipping_a_run_lands_where_stepping_does() {
+        let p = program();
+        let trace = record(&p, u64::MAX);
+        let mut skipper = PredictedTrace::source(&trace);
+        let mut stepper = PredictedTrace::source(&trace);
+        while skipper.peek().is_some() {
+            let n = skipper.run_len().max(1);
+            if skipper.run_len() > 0 {
+                skipper.skip(n);
+            } else {
+                skipper.step();
+            }
+            for _ in 0..n {
+                stepper.step();
+            }
+            assert_eq!(skipper.position(), stepper.position());
+            assert_eq!(skipper.peek(), stepper.peek());
+        }
     }
 
     #[test]
     fn cond_stream_is_in_trace_order() {
         let p = program();
-        let ov = overlay_of(&p);
-        assert_eq!(ov.cond_count(), 2);
-        assert!(ov.cond_taken(0));
-        assert!(!ov.cond_taken(1));
+        let trace = record(&p, u64::MAX);
+        let directions: Vec<bool> = (0..trace.cond_count()).map(|k| trace.cond_taken(k)).collect();
+        assert_eq!(directions, [true, false, false, true]);
     }
 
     #[test]
-    fn branches_before_matches_a_walking_cursor() {
+    fn decode_windows_match_the_cursor() {
         let p = program();
-        let ov = overlay_of(&p);
-        let mut ord = 0;
-        for idx in 0..ov.len() {
-            assert_eq!(ov.branches_before(idx), ord, "at {idx}");
-            if ov.seq_run(idx) == 0 {
-                ord += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn instr_at_with_tracked_ordinal_matches_source() {
-        let p = program();
-        let ov = overlay_of(&p);
+        let trace = record(&p, u64::MAX);
         let want = path(&p);
-        let mut ord = 0;
-        for (idx, d) in want.iter().enumerate() {
-            assert_eq!(ov.instr_at(idx, ord), *d);
-            if d.kind.is_branch() {
-                ord += 1;
+        for start in 0..want.len() {
+            let ord = trace.branches_in(0, start);
+            let w = trace.decode_window(start, start + 5, ord);
+            assert_eq!(w.start(), start);
+            assert_eq!(w.end(), (start + 5).min(want.len()));
+            for (idx, d) in want.iter().enumerate().take(w.end()).skip(start) {
+                assert_eq!(w.get(idx), Some(d), "window at {start}, index {idx}");
             }
+        }
+        assert_eq!(trace.branches_in(0, want.len()), want.iter().filter(|d| d.is_branch()).count());
+    }
+
+    #[test]
+    fn conditional_bits_pack_across_word_boundaries() {
+        // 0: seq; 1: bcond->0; 2: jump 0, with > 64 conditionals.
+        let mut b = ProgramBuilder::new(Addr::new(0));
+        let top = b.push(InstrKind::Seq);
+        let cond = b.push(InstrKind::CondBranch { target: top });
+        let jump = b.push(InstrKind::Jump { target: top });
+        b.set_entry(top);
+        let p = b.finish().unwrap();
+        let mut want = Vec::new();
+        for i in 0..100 {
+            want.push(DynInstr::seq(top));
+            if i % 3 == 2 {
+                want.push(DynInstr::branch(cond, p.fetch(cond).unwrap(), false, jump));
+                want.push(DynInstr::branch(jump, p.fetch(jump).unwrap(), true, top));
+            } else {
+                want.push(DynInstr::branch(cond, p.fetch(cond).unwrap(), true, top));
+            }
+        }
+        let mut live = VecSource::new(p.clone(), want.clone());
+        let trace = Arc::new(PredictedTrace::record(&mut live, u64::MAX));
+        assert_eq!(replay(&trace), want);
+        assert_eq!(trace.cond_count(), 100);
+        for k in 0..100 {
+            assert_eq!(trace.cond_taken(k), k % 3 != 2, "conditional {k}");
         }
     }
 
     #[test]
-    fn long_seq_runs_saturate() {
+    fn long_runs_are_one_run() {
         let mut b = ProgramBuilder::new(Addr::new(0));
         b.push_seq(300);
         b.set_entry(Addr::new(0));
         let p = b.finish().unwrap();
         let path: Vec<DynInstr> = (0..300).map(|w| DynInstr::seq(Addr::from_word(w))).collect();
-        let mut live = VecSource::new(p, path);
-        let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-        let ov = PredictedTrace::build(&rec);
-        assert_eq!(ov.seq_run(0), u8::MAX);
-        assert_eq!(ov.seq_run(299), 1);
-        assert_eq!(ov.cond_count(), 0);
+        let mut live = VecSource::new(p, path.clone());
+        let trace = Arc::new(PredictedTrace::record(&mut live, u64::MAX));
+        assert_eq!(PredictedTrace::source(&trace).run_len(), 300);
+        assert_eq!(
+            trace.heap_bytes(),
+            0,
+            "a path without transfers stores nothing per instruction"
+        );
+        assert_eq!(replay(&trace), path);
     }
 
     #[test]
-    fn empty_overlay_is_empty() {
+    #[should_panic(expected = "successor-consistent")]
+    fn record_rejects_a_stream_that_jumps_without_a_transfer() {
         let p = program();
-        let mut live = VecSource::new(p.clone(), Vec::new());
-        let rec = Arc::new(RecordedTrace::record(&mut live, u64::MAX));
-        let ov = Arc::new(PredictedTrace::build(&rec));
-        assert!(ov.is_empty());
-        assert_eq!(ov.cond_count(), 0);
-        let mut s = PredictedTrace::source(&ov);
-        assert!(s.next_instr().is_none());
+        let path = vec![DynInstr::seq(Addr::new(0x1000)), DynInstr::seq(Addr::new(0x1008))];
+        PredictedTrace::record(&mut VecSource::new(p, path), u64::MAX);
     }
 
     #[test]
-    fn source_advertises_its_overlay() {
+    #[should_panic(expected = "fall through")]
+    fn record_rejects_a_non_transfer_that_does_not_fall_through() {
         let p = program();
-        let ov = overlay_of(&p);
-        let s = PredictedTrace::source(&ov);
-        let advertised = s.predicted().expect("predicted source exposes its overlay");
-        assert!(Arc::ptr_eq(advertised, &ov));
-        // Plain sources do not.
-        let plain = VecSource::new(p.clone(), path(&p));
-        assert!(plain.predicted().is_none());
+        let bad = DynInstr { next_pc: Addr::new(0x2000), ..DynInstr::seq(Addr::new(0x1000)) };
+        PredictedTrace::record(&mut VecSource::new(p, vec![bad]), u64::MAX);
     }
 
     #[test]
-    fn overlay_is_compact() {
+    fn program_handle_is_shared_not_copied() {
         let p = program();
-        let ov = overlay_of(&p);
-        // ~1 byte per instruction plus ~5 per transfer.
-        assert!(ov.heap_bytes() <= ov.len() + 8 * ov.branch_class.len() + 16);
+        let trace = record(&p, u64::MAX);
+        let s = PredictedTrace::source(&trace);
+        assert!(Arc::ptr_eq(trace.program(), &s.shared_program()));
+        let advertised = s.predicted().expect("the cursor exposes its trace");
+        assert!(Arc::ptr_eq(advertised, &trace));
+        assert!(VecSource::new(p.clone(), path(&p)).predicted().is_none());
+    }
+
+    #[test]
+    fn the_trace_stores_thirteen_bytes_per_transfer() {
+        let p = program();
+        let trace = record(&p, u64::MAX);
+        let transfers = path(&p).iter().filter(|d| d.is_branch()).count();
+        assert_eq!(trace.heap_bytes(), 13 * transfers + 8);
     }
 }

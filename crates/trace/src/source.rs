@@ -30,12 +30,13 @@ pub trait PathSource {
     /// is exhausted.
     fn next_instr(&mut self) -> Option<DynInstr>;
 
-    /// The pre-decoded overlay behind this source, if it replays one.
+    /// The shared recorded trace behind this source, if it replays one.
     ///
-    /// Engines that find an overlay here may batch-consume its arrays
-    /// directly instead of materialising one [`DynInstr`] per call; the
-    /// default (`None`) keeps the instruction-at-a-time contract. Only
-    /// [`crate::PredictedSource`] returns `Some`.
+    /// Engines that find a trace here walk it with their own cursor,
+    /// issuing whole sequential runs instead of materialising one
+    /// [`DynInstr`] per call; the default (`None`) keeps the
+    /// instruction-at-a-time contract. Only [`crate::PredictedSource`]
+    /// returns `Some`.
     fn predicted(&self) -> Option<&Arc<crate::PredictedTrace>> {
         None
     }

@@ -1,8 +1,8 @@
 //! Lockstep-equivalence determinism: `run_lockstep` must be an invisible
 //! *scheduling* optimisation. For any batch of configurations advanced in
-//! lockstep over one shared overlay pass, every lane's `SimResult` must be
+//! lockstep over one shared trace, every lane's `SimResult` must be
 //! byte-identical to running that configuration alone through
-//! `Simulator::run` — the sequential path the lockstep executor replaces.
+//! `Simulator::run` over the live interpreter the trace was recorded from.
 //!
 //! The grids here are randomized (deterministically — a tiny LCG, no
 //! external crates) across every axis the sweep engine exposes, so the
@@ -15,13 +15,28 @@ use std::sync::Arc;
 use specfetch_bpred::GhrUpdate;
 use specfetch_core::{run_lockstep, FetchPolicy, FrontEnd, SimConfig, Simulator};
 use specfetch_synth::{Workload, WorkloadSpec};
-use specfetch_trace::{PredictedTrace, RecordedTrace};
+use specfetch_trace::{PathSource, PredictedTrace};
 
-fn overlay(spec: &WorkloadSpec, seed: u64, instrs: u64) -> Arc<PredictedTrace> {
-    let w = Workload::generate(spec).unwrap();
-    let mut live = w.executor(seed);
-    let rec = Arc::new(RecordedTrace::record(&mut live, instrs));
-    Arc::new(PredictedTrace::build(&rec))
+/// One workload's correct path: `instrs` instructions from `seed`.
+struct Path {
+    workload: Workload,
+    seed: u64,
+    instrs: u64,
+}
+
+impl Path {
+    fn new(spec: &WorkloadSpec, seed: u64, instrs: u64) -> Path {
+        Path { workload: Workload::generate(spec).unwrap(), seed, instrs }
+    }
+
+    /// The live interpreter: the reference every lane must match.
+    fn live(&self) -> impl PathSource + '_ {
+        self.workload.executor(self.seed).take_instrs(self.instrs)
+    }
+
+    fn trace(&self) -> Arc<PredictedTrace> {
+        Arc::new(PredictedTrace::record(&mut self.live(), u64::MAX))
+    }
 }
 
 /// Deterministic splitmix64 step — enough randomness to shuffle axis
@@ -64,16 +79,17 @@ fn random_config(rng: &mut u64) -> SimConfig {
     cfg
 }
 
-/// Runs `cfgs` as one lockstep batch and demands each lane's result be
-/// exactly the sequential result for that configuration.
-fn assert_batch_matches_sequential(ovl: &Arc<PredictedTrace>, cfgs: &[SimConfig], what: &str) {
+/// Runs `cfgs` as one lockstep batch over the trace of `path` and demands
+/// each lane's result be exactly the live interpreter's result for that
+/// configuration.
+fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) {
     let fronts: Vec<FrontEnd> =
         cfgs.iter().map(|c| FrontEnd::build(*c).expect("valid config")).collect();
-    let outcomes = run_lockstep(ovl, fronts);
+    let outcomes = run_lockstep(&path.trace(), fronts);
     assert_eq!(outcomes.len(), cfgs.len(), "{what}: one outcome per lane");
     for (i, (cfg, outcome)) in cfgs.iter().zip(&outcomes).enumerate() {
         let got = outcome.as_ref().unwrap_or_else(|_| panic!("{what}: lane {i} panicked"));
-        let want = Simulator::new(*cfg).run(PredictedTrace::source(ovl));
+        let want = Simulator::new(*cfg).run(path.live());
         assert_eq!(got, &want, "{what}: lane {i} ({:?}) diverged from sequential", cfg.policy);
         assert_eq!(
             got.ispi().to_bits(),
@@ -85,23 +101,23 @@ fn assert_batch_matches_sequential(ovl: &Arc<PredictedTrace>, cfgs: &[SimConfig]
 
 #[test]
 fn randomized_grids_match_sequential() {
-    let ovl = overlay(&WorkloadSpec::c_like("lockstep", 7), 3, 30_000);
+    let path = Path::new(&WorkloadSpec::c_like("lockstep", 7), 3, 30_000);
     let mut rng = 0x5eed_0001u64;
     for round in 0..3 {
         let cfgs: Vec<SimConfig> = (0..8).map(|_| random_config(&mut rng)).collect();
-        assert_batch_matches_sequential(&ovl, &cfgs, &format!("round {round}"));
+        assert_batch_matches_sequential(&path, &cfgs, &format!("round {round}"));
     }
 }
 
 #[test]
 fn duplicate_lanes_agree_with_each_other() {
     // The same configuration twice in one batch must produce the same
-    // result in both lanes — lanes share the decode stream but nothing
-    // mutable, so duplicates are the sharpest aliasing probe.
-    let ovl = overlay(&WorkloadSpec::cpp_like("lockstep-dup", 11), 5, 30_000);
+    // result in both lanes — lanes share the trace but nothing mutable,
+    // so duplicates are the sharpest aliasing probe.
+    let path = Path::new(&WorkloadSpec::cpp_like("lockstep-dup", 11), 5, 30_000);
     let cfg = SimConfig::paper_baseline();
     let cfgs = [cfg, cfg, cfg];
-    assert_batch_matches_sequential(&ovl, &cfgs, "duplicates");
+    assert_batch_matches_sequential(&path, &cfgs, "duplicates");
 }
 
 #[test]
@@ -109,10 +125,10 @@ fn single_lane_batch_matches_sequential() {
     // Degenerate batch: the lockstep scheduler with one lane must still
     // be exactly the sequential run (this is what run_grid dispatches
     // for a one-point group).
-    let ovl = overlay(&WorkloadSpec::c_like("lockstep-one", 13), 2, 30_000);
+    let path = Path::new(&WorkloadSpec::c_like("lockstep-one", 13), 2, 30_000);
     let mut cfg = SimConfig::paper_baseline();
     cfg.policy = FetchPolicy::Resume;
-    assert_batch_matches_sequential(&ovl, &[cfg], "single lane");
+    assert_batch_matches_sequential(&path, &[cfg], "single lane");
 }
 
 #[test]
@@ -120,7 +136,7 @@ fn single_lane_batch_matches_sequential() {
 fn randomized_grids_match_sequential_500k() {
     // The long variant mirrors tests/overlay_equivalence.rs: same
     // assertion, production-scale instruction window, wider batch.
-    let ovl = overlay(&WorkloadSpec::c_like("lockstep-long", 7), 3, 500_000);
+    let path = Path::new(&WorkloadSpec::c_like("lockstep-long", 7), 3, 500_000);
     let mut rng = 0x5eed_0500u64;
     let mut cfgs: Vec<SimConfig> = (0..12).map(|_| random_config(&mut rng)).collect();
     // Pin the full policy axis into the batch on top of the random draw.
@@ -129,5 +145,5 @@ fn randomized_grids_match_sequential_500k() {
         cfg.policy = policy;
         cfgs.push(cfg);
     }
-    assert_batch_matches_sequential(&ovl, &cfgs, "500k");
+    assert_batch_matches_sequential(&path, &cfgs, "500k");
 }
