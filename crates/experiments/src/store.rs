@@ -59,8 +59,10 @@ pub fn clear_memo() {
 /// the memo first, then the on-disk result store (a disk hit back-fills
 /// the memo so the next lookup is RAM-only). A stored *negative* entry
 /// (terminal failure) resolves to its replayed `Err(CellFailure)`
-/// unless `--retry-failed` opts back into recomputing. `None` means the
-/// point must actually simulate.
+/// unless `--retry-failed` opts back into recomputing. A `classify=0`
+/// point held by neither layer is derived from its memoized
+/// `classify=1` twin and recorded like a simulated point. `None` means
+/// the point must actually simulate.
 pub(crate) fn resolve_stored(
     bench: &Benchmark,
     instrs: u64,
@@ -78,8 +80,22 @@ pub(crate) fn resolve_stored(
         Some(result_store::StoredOutcome::Failed(reason)) if !opts.retry_failed => {
             Some(Err(CellFailure::from_replay(reason)))
         }
-        _ => None,
+        _ => classify_twin(bench, instrs, cfg).map(Ok),
     }
+}
+
+/// The result of `cfg` (which does not classify) from its memoized
+/// twin that does, recorded as `cfg`'s own. Classification only feeds
+/// the shadow cache, which never changes timing, so the two runs are
+/// the same simulation but for the miss classes.
+fn classify_twin(bench: &Benchmark, instrs: u64, cfg: SimConfig) -> Option<SimResult> {
+    if cfg.classify {
+        return None;
+    }
+    let mut r = memoized(bench, instrs, SimConfig { classify: true, ..cfg })?;
+    r.classification = None;
+    record(bench, instrs, cfg, &r);
+    Some(r)
 }
 
 /// Records a simulated point's result: into the memo, and into the
@@ -97,7 +113,43 @@ pub(crate) fn record_failed(bench: &Benchmark, instrs: u64, cfg: SimConfig, reas
 
 #[cfg(test)]
 mod tests {
+    use specfetch_core::{FetchPolicy, Simulator};
+    use specfetch_trace::PredictedTrace;
+
     use super::*;
+
+    #[test]
+    fn classifying_changes_nothing_but_the_miss_classes() {
+        const W: u64 = 20_000;
+        for name in ["gcc", "li"] {
+            let b = Benchmark::by_name(name).unwrap();
+            let trace = crate::trace_cache::try_predicted_trace(b, W).unwrap();
+            for policy in FetchPolicy::ALL.into_iter().chain([FetchPolicy::Dynamic]) {
+                for prefetch in [false, true] {
+                    let plain = SimConfig { policy, prefetch, ..SimConfig::paper_baseline() };
+                    let run = |cfg| Simulator::new(cfg).run(PredictedTrace::source(&trace));
+                    let mut classified = run(SimConfig { classify: true, ..plain });
+                    assert!(classified.classification.is_some());
+                    classified.classification = None;
+                    assert_eq!(classified, run(plain), "{name} {policy:?} prefetch={prefetch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_plain_point_derives_from_its_classifying_twin() {
+        const W: u64 = 4_022;
+        let b = Benchmark::by_name("idl").unwrap();
+        let opts = RunOptions::smoke().with_instrs(W);
+        let plain = SimConfig::paper_baseline();
+        let twin = SimConfig { classify: true, ..plain };
+        let classified = crate::run_grid(&[crate::GridPoint::new(b, twin)], &opts).remove(0);
+        let derived = resolve_stored(b, W, plain, &opts);
+        assert_eq!(derived, Some(Ok(SimResult { classification: None, ..classified })));
+        assert!(memoized(b, W, plain).is_some(), "the derived point is recorded");
+        assert_eq!(resolve_stored(b, W, twin, &opts).map(|c| c.is_ok()), Some(true));
+    }
 
     #[test]
     fn a_recorded_point_resolves_from_the_memo_and_keeps_its_first_result() {

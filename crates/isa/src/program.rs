@@ -4,11 +4,40 @@ use std::fmt;
 
 use crate::{Addr, InstrKind, INSTR_BYTES};
 
+/// Bits of an instruction word below the kind class: the payload.
+const CLASS_SHIFT: u32 = 29;
+/// Mask of an instruction word's payload.
+const PAYLOAD: u32 = (1 << CLASS_SHIFT) - 1;
+
+/// Kind classes, in the top three bits of an instruction word.
+const SEQ: u32 = 0;
+const COND: u32 = 1;
+const JUMP: u32 = 2;
+const CALL: u32 = 3;
+const RETURN: u32 = 4;
+const IND_JUMP: u32 = 5;
+const IND_CALL: u32 = 6;
+/// The escape class: the payload indexes [`Program::wide`].
+const WIDE: u32 = 7;
+
 /// An immutable static program image.
 ///
 /// A `Program` is a contiguous array of instructions starting at a base
 /// address, plus an entry point. It answers the one question wrong-path
 /// walking needs in O(1): *what instruction is at this PC?*
+///
+/// # Layout
+///
+/// Every instruction is one `u32` word: its kind class in the top three
+/// bits and, for a direct transfer, its static target in the low 29 bits
+/// as a word offset from the base. [`Program::fetch`] and
+/// [`Program::iter`] decode words on the fly, so an image costs 4 bytes
+/// per instruction. A target below the base or 2²⁹ or more words above
+/// it (only an unvalidated image such as
+/// [`Program::with_instr_unchecked`] builds one, or an image of 2 GiB)
+/// escapes: its word holds the escape class and an index into a side
+/// table of whole [`InstrKind`]s. Every `InstrKind` therefore round-trips
+/// exactly.
 ///
 /// Construct one with [`ProgramBuilder`].
 ///
@@ -28,26 +57,41 @@ use crate::{Addr, InstrKind, INSTR_BYTES};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Program {
     base: Addr,
     entry: Addr,
-    pub(crate) instrs: Vec<InstrKind>,
+    /// One encoded instruction per word (see the layout above).
+    words: Vec<u32>,
+    /// The escaped instructions, indexed by their words' payloads.
+    wide: Vec<InstrKind>,
 }
 
 impl Program {
+    /// An image at `base` with no instructions yet.
+    fn empty(base: Addr) -> Self {
+        Program { base, entry: base, words: Vec::new(), wide: Vec::new() }
+    }
+
     /// The instruction at `pc`, or `None` if `pc` is outside the image.
+    #[inline]
     pub fn fetch(&self, pc: Addr) -> Option<InstrKind> {
-        if pc < self.base {
-            return None;
-        }
-        let idx = (pc.raw() - self.base.raw()) / INSTR_BYTES;
-        self.instrs.get(idx as usize).copied()
+        let idx = pc.raw().checked_sub(self.base.raw())? / INSTR_BYTES;
+        self.words.get(idx as usize).map(|&w| self.decode(w))
+    }
+
+    /// The instruction with index `i` (its address is `base + 4·i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub(crate) fn kind_at(&self, i: usize) -> InstrKind {
+        self.decode(self.words[i])
     }
 
     /// Does the image contain `pc`?
     pub fn contains(&self, pc: Addr) -> bool {
-        self.fetch(pc).is_some()
+        pc >= self.base && pc < self.end()
     }
 
     /// The lowest instruction address.
@@ -62,18 +106,25 @@ impl Program {
 
     /// Number of static instructions.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.words.len()
     }
 
     /// Is the image empty? (Never true for a built [`Program`]; kept for
     /// API completeness.)
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.words.is_empty()
     }
 
     /// The code footprint in bytes (what determines cache pressure).
     pub fn footprint_bytes(&self) -> u64 {
-        self.instrs.len() as u64 * INSTR_BYTES
+        self.words.len() as u64 * INSTR_BYTES
+    }
+
+    /// Heap footprint of the encoded image: 4 bytes per instruction, plus
+    /// the escape table.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u32>()
+            + self.wide.capacity() * std::mem::size_of::<InstrKind>()
     }
 
     /// One-past-the-last instruction address.
@@ -83,16 +134,16 @@ impl Program {
 
     /// Iterates over `(pc, kind)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, InstrKind)> + '_ {
-        let base = self.base;
-        self.instrs
+        let base = self.base.word_index();
+        self.words
             .iter()
             .enumerate()
-            .map(move |(i, &k)| (Addr::new(base.raw() + i as u64 * INSTR_BYTES), k))
+            .map(move |(i, &w)| (Addr::from_word(base + i as u64), self.decode(w)))
     }
 
     /// Count of static control-transfer instructions.
     pub fn static_branch_count(&self) -> usize {
-        self.instrs.iter().filter(|k| k.is_branch()).count()
+        self.words.iter().filter(|&&w| w >> CLASS_SHIFT != SEQ).count()
     }
 
     /// A copy of the image with the instruction at `at` replaced,
@@ -105,22 +156,88 @@ impl Program {
     /// broken images on purpose. Simulation code must never call it.
     #[must_use]
     pub fn with_instr_unchecked(&self, at: Addr, kind: InstrKind) -> Option<Program> {
-        if at < self.base {
+        if !self.contains(at) {
             return None;
         }
         let idx = ((at.raw() - self.base.raw()) / INSTR_BYTES) as usize;
-        let mut instrs = self.instrs.clone();
-        *instrs.get_mut(idx)? = kind;
-        Some(Program { base: self.base, entry: self.entry, instrs })
+        let mut program = self.clone();
+        program.words[idx] = program.encode(kind);
+        Some(program)
+    }
+
+    /// Decodes one instruction word.
+    #[inline]
+    fn decode(&self, w: u32) -> InstrKind {
+        // Most words are sequential: testing for them before the class
+        // dispatch measured about 10% faster interpretation.
+        if w == 0 {
+            return InstrKind::Seq;
+        }
+        let target = Addr::from_word(self.base.word_index() + u64::from(w & PAYLOAD));
+        match w >> CLASS_SHIFT {
+            SEQ => InstrKind::Seq,
+            COND => InstrKind::CondBranch { target },
+            JUMP => InstrKind::Jump { target },
+            CALL => InstrKind::Call { target },
+            RETURN => InstrKind::Return,
+            IND_JUMP => InstrKind::IndirectJump,
+            IND_CALL => InstrKind::IndirectCall,
+            _ => self.escaped(w),
+        }
+    }
+
+    /// Decodes a word of the escape class.
+    #[cold]
+    fn escaped(&self, w: u32) -> InstrKind {
+        self.wide[(w & PAYLOAD) as usize]
+    }
+
+    /// Encodes `kind` as one instruction word, escaping it into the side
+    /// table if its target does not fit the payload.
+    fn encode(&mut self, kind: InstrKind) -> u32 {
+        let class = match kind {
+            InstrKind::Seq => SEQ,
+            InstrKind::CondBranch { .. } => COND,
+            InstrKind::Jump { .. } => JUMP,
+            InstrKind::Call { .. } => CALL,
+            InstrKind::Return => RETURN,
+            InstrKind::IndirectJump => IND_JUMP,
+            InstrKind::IndirectCall => IND_CALL,
+        };
+        let Some(target) = kind.static_target() else {
+            return class << CLASS_SHIFT;
+        };
+        match target.word_index().checked_sub(self.base.word_index()) {
+            Some(offset) if offset <= u64::from(PAYLOAD) => class << CLASS_SHIFT | offset as u32,
+            _ => {
+                let slot = self.wide.len();
+                assert!(slot <= PAYLOAD as usize, "too many escaped instructions");
+                self.wide.push(kind);
+                WIDE << CLASS_SHIFT | slot as u32
+            }
+        }
     }
 }
+
+/// Two images are equal when they hold the same instructions at the same
+/// addresses with the same entry, however their escapes are numbered.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base
+            && self.entry == other.entry
+            && self.len() == other.len()
+            && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Program {}
 
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Program")
             .field("base", &self.base)
             .field("entry", &self.entry)
-            .field("len", &self.instrs.len())
+            .field("len", &self.words.len())
             .field("branches", &self.static_branch_count())
             .finish()
     }
@@ -192,26 +309,28 @@ impl std::error::Error for ProgramBuildError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProgramBuilder {
-    base: Addr,
+    /// The image so far, encoded as it grows; its entry is set at
+    /// [`ProgramBuilder::finish`].
+    image: Program,
     entry: Option<Addr>,
-    instrs: Vec<InstrKind>,
 }
 
 impl ProgramBuilder {
     /// Starts an image whose first instruction will live at `base`.
     pub fn new(base: Addr) -> Self {
-        ProgramBuilder { base, entry: None, instrs: Vec::new() }
+        ProgramBuilder { image: Program::empty(base), entry: None }
     }
 
     /// The address the *next* pushed instruction will receive.
     pub fn next_addr(&self) -> Addr {
-        Addr::new(self.base.raw() + self.instrs.len() as u64 * INSTR_BYTES)
+        self.image.end()
     }
 
     /// Appends one instruction; returns its address.
     pub fn push(&mut self, kind: InstrKind) -> Addr {
         let at = self.next_addr();
-        self.instrs.push(kind);
+        let w = self.image.encode(kind);
+        self.image.words.push(w);
         at
     }
 
@@ -219,18 +338,19 @@ impl ProgramBuilder {
     /// of the first one (equal to [`Self::next_addr`] before the call).
     pub fn push_seq(&mut self, n: usize) -> Addr {
         let first = self.next_addr();
-        self.instrs.extend(std::iter::repeat_n(InstrKind::Seq, n));
+        let words = &mut self.image.words;
+        words.resize(words.len() + n, SEQ << CLASS_SHIFT);
         first
     }
 
     /// Number of instructions pushed so far.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.image.len()
     }
 
     /// Has nothing been pushed yet?
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.image.is_empty()
     }
 
     /// Sets the execution entry point.
@@ -246,16 +366,17 @@ impl ProgramBuilder {
     /// no static target (it is `Seq`, a return, or indirect) — both are
     /// builder-logic bugs, not recoverable conditions.
     pub fn patch_target(&mut self, at: Addr, target: Addr) {
-        let idx = ((at.raw() - self.base.raw()) / INSTR_BYTES) as usize;
-        let Some(slot) = self.instrs.get_mut(idx) else {
+        let Some(kind) = self.image.fetch(at) else {
             panic!("patch address {at} outside image");
         };
-        match slot {
-            InstrKind::CondBranch { target: t }
-            | InstrKind::Jump { target: t }
-            | InstrKind::Call { target: t } => *t = target,
+        let patched = match kind {
+            InstrKind::CondBranch { .. } => InstrKind::CondBranch { target },
+            InstrKind::Jump { .. } => InstrKind::Jump { target },
+            InstrKind::Call { .. } => InstrKind::Call { target },
             other => panic!("instruction at {at} ({other}) has no patchable target"),
-        }
+        };
+        let idx = ((at.raw() - self.image.base.raw()) / INSTR_BYTES) as usize;
+        self.image.words[idx] = self.image.encode(patched);
     }
 
     /// Validates and freezes the image.
@@ -266,14 +387,15 @@ impl ProgramBuilder {
     /// is missing or out of range, or any direct transfer targets an address
     /// outside the image.
     pub fn finish(self) -> Result<Program, ProgramBuildError> {
-        if self.instrs.is_empty() {
+        let mut program = self.image;
+        if program.is_empty() {
             return Err(ProgramBuildError::Empty);
         }
         let entry = self.entry.ok_or(ProgramBuildError::NoEntry)?;
-        let program = Program { base: self.base, entry, instrs: self.instrs };
         if !program.contains(entry) {
             return Err(ProgramBuildError::EntryOutOfRange { entry });
         }
+        program.entry = entry;
         for (at, kind) in program.iter() {
             if let Some(target) = kind.static_target() {
                 if !program.contains(target) {
@@ -281,6 +403,8 @@ impl ProgramBuilder {
                 }
             }
         }
+        program.words.shrink_to_fit();
+        program.wide.shrink_to_fit();
         Ok(program)
     }
 }
@@ -399,6 +523,62 @@ mod tests {
         assert_eq!(q.fetch(Addr::new(0x1000)), p.fetch(Addr::new(0x1000)));
         assert!(p.with_instr_unchecked(Addr::new(0x2000), InstrKind::Seq).is_none());
         assert!(p.with_instr_unchecked(Addr::new(0x0ffc), InstrKind::Seq).is_none());
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_word() {
+        // Targets at the base, in the image, at the largest offset the
+        // 29-bit payload holds, and escaping: below the base or past the
+        // payload.
+        let last = 0x1000 + (1 << 31) - 4;
+        let targets = [0x1000, 0x100c, last, 0x0ffc, 0, last + 4, 0xdead_0000, !3];
+        let mut b = ProgramBuilder::new(Addr::new(0x1000));
+        let mut want = vec![InstrKind::Seq, InstrKind::Return];
+        want.extend([InstrKind::IndirectJump, InstrKind::IndirectCall]);
+        for t in targets.map(Addr::new) {
+            want.extend([
+                InstrKind::CondBranch { target: t },
+                InstrKind::Jump { target: t },
+                InstrKind::Call { target: t },
+            ]);
+        }
+        for &k in &want {
+            b.push(k);
+        }
+        let kinds: Vec<InstrKind> = b.image.iter().map(|(_, k)| k).collect();
+        assert_eq!(kinds, want);
+        assert_eq!(b.image.wide.len(), 5 * 3, "five targets escape");
+    }
+
+    #[test]
+    fn an_image_costs_four_bytes_per_instruction() {
+        let p = tiny();
+        assert_eq!(p.heap_bytes(), 4 * p.len());
+        let q = p.with_instr_unchecked(Addr::new(0x1004), InstrKind::Jump { target: Addr::new(0) });
+        let q = q.unwrap();
+        assert!(q.heap_bytes() >= 4 * q.len() + std::mem::size_of::<InstrKind>(), "one escape");
+    }
+
+    #[test]
+    fn patching_re_encodes_and_equality_ignores_escape_numbering() {
+        // A target patched out of range and back leaves a stale escape
+        // entry; the image still equals one built directly.
+        let mut b = ProgramBuilder::new(Addr::new(0x1000));
+        let j = b.push(InstrKind::Jump { target: Addr::new(0) });
+        b.push(InstrKind::Seq);
+        b.patch_target(j, Addr::new(0x1004));
+        b.set_entry(Addr::new(0x1000));
+        let patched = b.finish().unwrap();
+        assert_eq!(patched.fetch(j), Some(InstrKind::Jump { target: Addr::new(0x1004) }));
+
+        let mut b = ProgramBuilder::new(Addr::new(0x1000));
+        b.push(InstrKind::Jump { target: Addr::new(0x1004) });
+        b.push(InstrKind::Seq);
+        b.set_entry(Addr::new(0x1000));
+        let direct = b.finish().unwrap();
+        assert_eq!(patched, direct);
+        let other = direct.with_instr_unchecked(j, InstrKind::Jump { target: Addr::new(0x1000) });
+        assert_ne!(other.unwrap(), direct);
     }
 
     #[test]

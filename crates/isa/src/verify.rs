@@ -212,15 +212,17 @@ where
         (i < len).then_some(i)
     };
     let addr_of = |i: usize| Addr::new(base.raw() + i as u64 * INSTR_BYTES);
-    let kinds = &program.instrs;
 
     let mut issues = Vec::new();
 
     // Pass 1 — static target resolution, over the whole image (a dead
     // dangling branch is still a defect: a wrong-path walk may fetch it).
     let mut dispatch_idx: Vec<Option<Vec<usize>>> = vec![None; len];
-    for (i, &kind) in kinds.iter().enumerate() {
-        let at = addr_of(i);
+    let mut conds = Vec::new();
+    for (i, (at, kind)) in program.iter().enumerate() {
+        if kind.is_conditional() {
+            conds.push(i);
+        }
         if let Some(target) = kind.static_target() {
             if idx_of(target).is_none() {
                 issues.push(CfgIssue::TargetOutOfImage { at, target });
@@ -266,7 +268,7 @@ where
     }
     while let Some((i, d)) = work.pop() {
         let fall = |i: usize| (i + 1 < len).then_some(i + 1);
-        match kinds[i] {
+        match program.kind_at(i) {
             InstrKind::Seq => match fall(i) {
                 Some(n) => push(n, d, &mut seen, &mut work),
                 None => fallthrough_escapes[i] = true,
@@ -332,7 +334,7 @@ where
     if entry_idx.is_some() {
         for (i, &s) in seen.iter().enumerate() {
             if s == 0 {
-                issues.push(CfgIssue::Unreachable { at: addr_of(i), kind: kinds[i] });
+                issues.push(CfgIssue::Unreachable { at: addr_of(i), kind: program.kind_at(i) });
             }
         }
     }
@@ -350,9 +352,9 @@ where
             wp_work.push(i);
         }
     };
-    for (i, &kind) in kinds.iter().enumerate() {
-        if seen[i] != 0 && kind.is_conditional() {
-            if let Some(t) = kind.static_target().and_then(idx_of) {
+    for &i in &conds {
+        if seen[i] != 0 {
+            if let Some(t) = program.kind_at(i).static_target().and_then(idx_of) {
                 wp_push(t, &mut wp, &mut wp_work);
             }
             if i + 1 < len {
@@ -363,7 +365,8 @@ where
         }
     }
     while let Some(i) = wp_work.pop() {
-        match kinds[i] {
+        let kind = program.kind_at(i);
+        match kind {
             InstrKind::Seq => {
                 if i + 1 < len {
                     wp_push(i + 1, &mut wp, &mut wp_work);
@@ -407,7 +410,7 @@ where
                 for &t in dispatch_idx[i].as_deref().unwrap_or_default() {
                     wp_push(t, &mut wp, &mut wp_work);
                 }
-                if kinds[i] == InstrKind::IndirectCall {
+                if kind == InstrKind::IndirectCall {
                     if i + 1 < len {
                         wp_push(i + 1, &mut wp, &mut wp_work);
                     } else {
@@ -426,7 +429,7 @@ where
     CfgReport {
         instrs: len,
         reachable: seen.iter().filter(|&&s| s != 0).count(),
-        conditionals: kinds.iter().filter(|k| k.is_conditional()).count(),
+        conditionals: conds.len(),
         wrong_path_visited: wp.iter().filter(|&&v| v).count(),
         issues,
     }

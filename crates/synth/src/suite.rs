@@ -563,6 +563,14 @@ mod tests {
     }
 
     #[test]
+    fn every_suite_image_stores_at_most_four_bytes_per_instruction() {
+        for b in Benchmark::all() {
+            let p = b.workload().unwrap().shared_program();
+            assert!(p.heap_bytes() <= 4 * p.len(), "{}: {} bytes", b.name, p.heap_bytes());
+        }
+    }
+
+    #[test]
     fn by_name_round_trips() {
         for b in Benchmark::all() {
             assert_eq!(Benchmark::by_name(b.name).unwrap().name, b.name);

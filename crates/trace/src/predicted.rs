@@ -13,26 +13,32 @@
 //! Retired streams are *successor-consistent*: `next_pc` of instruction
 //! `i` equals `pc` of instruction `i + 1` (the engine's redirect logic
 //! depends on this, and [`PredictedTrace::record`] asserts it). Between
-//! two control transfers the path is straight-line code, so the whole
-//! stream follows from:
+//! two control transfers the path is straight-line code, and a transfer's
+//! kind and static target are the image's instruction at its PC. So the
+//! trace stores only what the image cannot tell:
 //!
 //! - the PC of the first instruction, and the instruction count;
-//! - per control transfer, in trace order: its trace index (`at`), its
-//!   kind class with the taken bit, its static target word, and the word
-//!   of its actual successor (`next`).
+//! - per control transfer, in trace order, its trace index (`at`,
+//!   4 bytes);
+//! - per conditional, its direction: one bit of the resolve-order
+//!   bitstream below;
+//! - per return or indirect transfer, the word of its actual successor
+//!   (4 bytes). A direct transfer's successor is its target when taken
+//!   and its fall-through when not.
 //!
-//! Instruction `idx` after transfer `k - 1` sits at
-//! `next[k-1] + 4·(idx − at[k-1] − 1)`, and the sequential run starting
-//! there is `at[k] − idx` long. That is 13 bytes per transfer and nothing
-//! per sequential instruction: a few bytes per instruction at the suite's
-//! branch densities.
+//! A walk reads the transfer at its PC from the image, then its
+//! direction or successor from the trace. Instruction `idx` after
+//! transfer `k - 1` sits at `succ(k-1) + 4·(idx − at[k-1] − 1)`, and the
+//! sequential run starting there is `at[k] − idx` long. That is 4 bytes
+//! per transfer, 4 more per return or indirect transfer, and nothing per
+//! sequential instruction: about 5 bytes per transfer at the suite's
+//! branch mixes.
 //!
-//! The trace also keeps the resolve-order conditional direction stream.
-//! This is the *predictor-outcome* layer: under resolve-time history
-//! update the global history register is a pure function of this stream,
-//! so an engine replaying the trace can assert its live predictor state
-//! against `specfetch_bpred::OutcomeReplay` independently of cache
-//! timing. (Fetch-time predictor state — BTB/RAS contents, speculative
+//! The conditional direction stream doubles as the *predictor-outcome*
+//! layer: under resolve-time history update the global history register
+//! is a pure function of this stream, so an engine replaying the trace
+//! can assert its live predictor state against
+//! `specfetch_bpred::OutcomeReplay` independently of cache timing. (Fetch-time predictor state — BTB/RAS contents, speculative
 //! history — is deliberately *not* precomputed: it depends on wrong-path
 //! fetch volume and therefore on cache geometry; see DESIGN.md.)
 //!
@@ -79,20 +85,6 @@ use specfetch_isa::{Addr, DynInstr, InstrKind, Program};
 
 use crate::PathSource;
 
-/// Transfer-kind classes, packed one byte per transfer with [`TAKEN`].
-const CLASS_COND: u8 = 0;
-const CLASS_JUMP: u8 = 1;
-const CLASS_CALL: u8 = 2;
-const CLASS_RETURN: u8 = 3;
-const CLASS_IND_JUMP: u8 = 4;
-const CLASS_IND_CALL: u8 = 5;
-
-/// The taken bit of a transfer's class byte.
-const TAKEN: u8 = 0x80;
-
-/// Sentinel target word for transfers with no static target.
-const NO_TARGET: u32 = u32::MAX;
-
 /// One recorded correct path, stored per control transfer.
 ///
 /// Created by [`PredictedTrace::record`]; replayed by any number of
@@ -107,14 +99,9 @@ pub struct PredictedTrace {
     first: u32,
     /// Per transfer, in trace order: its trace index.
     at: Vec<u32>,
-    /// Per transfer: kind class (`CLASS_*`), with [`TAKEN`] set when the
-    /// transfer was taken.
-    class: Vec<u8>,
-    /// Per transfer: static target word, [`NO_TARGET`] for returns and
-    /// indirect transfers.
-    target: Vec<u32>,
-    /// Per transfer: word index of the actual successor.
-    next: Vec<u32>,
+    /// Per return or indirect transfer, in trace order: word index of
+    /// its actual successor.
+    succ: Vec<u32>,
     /// Conditional direction bits in resolve order (= trace order),
     /// packed 64 per word.
     cond_taken: Vec<u64>,
@@ -128,9 +115,13 @@ impl PredictedTrace {
     ///
     /// # Panics
     ///
-    /// Panics if the stream is not successor-consistent (an instruction
-    /// that does not start where its predecessor said fetch goes next, or
-    /// a non-transfer that does not fall through), or if a PC's word index
+    /// Panics if the stream cannot be replayed from the trace and the
+    /// image: it is not successor-consistent (an instruction that does not
+    /// start where its predecessor said fetch goes next, or a non-transfer
+    /// that does not fall through), a transfer's kind differs from the
+    /// image's instruction at its PC, an unconditional transfer is not
+    /// taken, or a direct transfer does not go to its target when taken
+    /// and to its fall-through when not. Also panics if a PC's word index
     /// or the instruction count exceeds `u32::MAX`.
     pub fn record<S: PathSource>(source: &mut S, max_instrs: u64) -> Self {
         let program = source.shared_program();
@@ -139,9 +130,7 @@ impl PredictedTrace {
             program,
             len: 0,
             at: Vec::new(),
-            class: Vec::new(),
-            target: Vec::new(),
-            next: Vec::new(),
+            succ: Vec::new(),
             cond_taken: Vec::new(),
             n_conds: 0,
         };
@@ -151,31 +140,37 @@ impl PredictedTrace {
             if expect.is_none() {
                 trace.first = word32(d.pc);
             } else if expect != Some(d.pc) {
-                inconsistent(&d, "does not start where its predecessor went");
+                inconsistent(
+                    &d,
+                    "does not start where its predecessor went (not successor-consistent)",
+                );
             }
             expect = Some(d.next_pc);
             assert!(trace.len < u32::MAX as usize, "trace exceeds u32 instruction indices");
             let idx = trace.len as u32;
             trace.len += 1;
-            let (class, target) = match d.kind {
-                InstrKind::Seq => {
-                    if d.taken || d.next_pc != d.pc.next() {
-                        inconsistent(&d, "is not a transfer but does not fall through");
-                    }
-                    continue;
+            if !d.kind.is_branch() {
+                if d.taken || d.next_pc != d.pc.next() {
+                    inconsistent(&d, "is not a transfer but does not fall through");
                 }
-                InstrKind::CondBranch { target } => (CLASS_COND, word32(target)),
-                InstrKind::Jump { target } => (CLASS_JUMP, word32(target)),
-                InstrKind::Call { target } => (CLASS_CALL, word32(target)),
-                InstrKind::Return => (CLASS_RETURN, NO_TARGET),
-                InstrKind::IndirectJump => (CLASS_IND_JUMP, NO_TARGET),
-                InstrKind::IndirectCall => (CLASS_IND_CALL, NO_TARGET),
-            };
+                continue;
+            }
+            if trace.program.fetch(d.pc) != Some(d.kind) {
+                inconsistent(&d, "differs from the image's instruction at its PC");
+            }
+            if d.kind.is_unconditional() && !d.taken {
+                inconsistent(&d, "is unconditional but not taken");
+            }
             trace.at.push(idx);
-            trace.class.push(if d.taken { class | TAKEN } else { class });
-            trace.target.push(target);
-            trace.next.push(word32(d.next_pc));
-            if class == CLASS_COND {
+            match d.kind.static_target() {
+                Some(target) => {
+                    if d.next_pc != if d.taken { target } else { d.pc.next() } {
+                        inconsistent(&d, "is direct but misses its target or fall-through");
+                    }
+                }
+                None => trace.succ.push(word32(d.next_pc)),
+            }
+            if d.kind.is_conditional() {
                 if trace.n_conds.is_multiple_of(64) {
                     trace.cond_taken.push(0);
                 }
@@ -186,9 +181,7 @@ impl PredictedTrace {
             }
         }
         trace.at.shrink_to_fit();
-        trace.class.shrink_to_fit();
-        trace.target.shrink_to_fit();
-        trace.next.shrink_to_fit();
+        trace.succ.shrink_to_fit();
         trace.cond_taken.shrink_to_fit();
         trace
     }
@@ -229,21 +222,13 @@ impl PredictedTrace {
     /// Heap footprint of the trace (excluding the shared image).
     pub fn heap_bytes(&self) -> usize {
         self.at.capacity() * std::mem::size_of::<u32>()
-            + self.class.capacity()
-            + self.target.capacity() * std::mem::size_of::<u32>()
-            + self.next.capacity() * std::mem::size_of::<u32>()
+            + self.succ.capacity() * std::mem::size_of::<u32>()
             + self.cond_taken.capacity() * std::mem::size_of::<u64>()
     }
 
     /// A fresh replay cursor at the head of a shared trace.
     pub fn source(trace: &Arc<PredictedTrace>) -> PredictedSource {
-        PredictedSource {
-            trace: Arc::clone(trace),
-            idx: 0,
-            ord: 0,
-            pc: Addr::from_word(u64::from(trace.first)),
-            run_end: trace.transfer_at(0),
-        }
+        PredictedSource { walk: trace.head(), trace: Arc::clone(trace) }
     }
 
     /// Number of transfers in `start..end`.
@@ -255,26 +240,40 @@ impl PredictedTrace {
     /// Materialises instructions `start..end` into a [`DecodeWindow`].
     /// `start_ord` must be the number of transfers before `start`
     /// (callers advance it with [`PredictedTrace::branches_in`]).
+    ///
+    /// The walk to `start` begins at the head of the trace, a step per
+    /// run: only the benchmark ledger's decode probe calls this.
     pub fn decode_window(&self, start: usize, end: usize, start_ord: usize) -> DecodeWindow {
         debug_assert_eq!(start_ord, self.branches_in(0, start), "window ordinal out of sync");
         let end = end.min(self.len);
+        let mut walk = self.head();
+        while walk.idx < start {
+            match walk.run_end.min(start) - walk.idx {
+                0 => walk.step(self),
+                n => walk.skip(n),
+            }
+        }
         let mut instrs = Vec::with_capacity(end.saturating_sub(start));
-        let mut ord = start_ord;
-        for idx in start..end {
-            // The PC follows the last transfer before `idx`.
-            let (base, from) = match ord.checked_sub(1) {
-                None => (self.first, 0),
-                Some(k) => (self.next[k], self.at[k] as usize + 1),
-            };
-            let pc = Addr::from_word(u64::from(base) + (idx - from) as u64);
-            if self.transfer_at(ord) == idx {
-                instrs.push(self.transfer(ord, pc));
-                ord += 1;
-            } else {
-                instrs.push(DynInstr::seq(pc));
+        while walk.idx < end {
+            match walk.run_end.min(end) - walk.idx {
+                0 => {
+                    instrs.push(self.transfer(&walk));
+                    walk.step(self);
+                }
+                n => {
+                    let pc = walk.pc.word_index();
+                    instrs.extend((pc..pc + n as u64).map(|w| DynInstr::seq(Addr::from_word(w))));
+                    walk.skip(n);
+                }
             }
         }
         DecodeWindow { start, instrs }
+    }
+
+    /// A walk at the head of the trace.
+    fn head(&self) -> Walk {
+        let pc = Addr::from_word(u64::from(self.first));
+        Walk { idx: 0, ord: 0, cond: 0, ind: 0, pc, run_end: self.transfer_at(0) }
     }
 
     /// Trace index of the `ord`-th transfer, or [`PredictedTrace::len`]
@@ -284,37 +283,90 @@ impl PredictedTrace {
         self.at.get(ord).map_or(self.len, |&a| a as usize)
     }
 
-    /// Rebuilds the `ord`-th transfer, which sits at `pc`.
+    /// Rebuilds the transfer `walk` stands at: its kind and static target
+    /// from the image, its direction and successor from the trace.
     #[inline]
-    fn transfer(&self, ord: usize, pc: Addr) -> DynInstr {
-        let class = self.class[ord];
-        let target = Addr::from_word(u64::from(self.target[ord]));
-        let kind = match class & !TAKEN {
-            CLASS_COND => InstrKind::CondBranch { target },
-            CLASS_JUMP => InstrKind::Jump { target },
-            CLASS_CALL => InstrKind::Call { target },
-            CLASS_RETURN => InstrKind::Return,
-            CLASS_IND_JUMP => InstrKind::IndirectJump,
-            CLASS_IND_CALL => InstrKind::IndirectCall,
-            c => unreachable!("invalid branch class {c}"),
+    fn transfer(&self, walk: &Walk) -> DynInstr {
+        let pc = walk.pc;
+        let kind = self.program.fetch(pc).unwrap_or(InstrKind::Seq);
+        debug_assert!(kind.is_branch(), "recorded transfer at {pc} is no transfer in the image");
+        let (taken, next_pc) = match kind.static_target() {
+            Some(target) => {
+                let taken = !kind.is_conditional() || self.cond_taken(walk.cond);
+                (taken, if taken { target } else { pc.next() })
+            }
+            None => (true, Addr::from_word(u64::from(self.succ[walk.ind]))),
         };
-        let next_pc = Addr::from_word(u64::from(self.next[ord]));
-        DynInstr { pc, kind, taken: class & TAKEN != 0, next_pc }
+        DynInstr { pc, kind, taken, next_pc }
     }
 }
 
-/// The panic of [`PredictedTrace::record`] on a stream that is not
-/// successor-consistent, kept out of the recording loop.
+/// The panic of [`PredictedTrace::record`] on a stream it cannot replay,
+/// kept out of the recording loop.
 #[cold]
 #[inline(never)]
 fn inconsistent(d: &DynInstr, what: &str) -> ! {
-    panic!("stream is not successor-consistent: {d} {what}")
+    panic!("stream cannot be replayed from its trace and image: {d} {what}")
 }
 
 fn word32(pc: Addr) -> u32 {
     let word = pc.word_index();
     assert!(word <= u64::from(u32::MAX), "image exceeds u32 word indices");
     word as u32
+}
+
+/// A position in a [`PredictedTrace`]: the walk a [`PredictedSource`]
+/// and [`PredictedTrace::decode_window`] share.
+#[derive(Clone, Debug)]
+struct Walk {
+    /// Trace index of the next instruction.
+    idx: usize,
+    /// Number of transfers before `idx`.
+    ord: usize,
+    /// Number of conditionals before `idx`.
+    cond: usize,
+    /// Number of returns and indirect transfers before `idx`.
+    ind: usize,
+    /// PC of instruction `idx`.
+    pc: Addr,
+    /// Trace index of transfer `ord` (`len` when none is left).
+    run_end: usize,
+}
+
+impl Walk {
+    #[inline]
+    fn peek(&self, trace: &PredictedTrace) -> Option<DynInstr> {
+        if self.idx < self.run_end {
+            Some(DynInstr::seq(self.pc))
+        } else {
+            (self.idx < trace.len).then(|| trace.transfer(self))
+        }
+    }
+
+    #[inline]
+    fn skip(&mut self, n: usize) {
+        debug_assert!(n <= self.run_end - self.idx, "skip crosses a transfer");
+        self.idx += n;
+        self.pc = Addr::from_word(self.pc.word_index() + n as u64);
+    }
+
+    #[inline]
+    fn step(&mut self, trace: &PredictedTrace) {
+        if self.idx < self.run_end {
+            self.skip(1);
+        } else if self.idx < trace.len {
+            let d = trace.transfer(self);
+            if d.kind.is_conditional() {
+                self.cond += 1;
+            } else if d.kind.static_target().is_none() {
+                self.ind += 1;
+            }
+            self.pc = d.next_pc;
+            self.idx += 1;
+            self.ord += 1;
+            self.run_end = trace.transfer_at(self.ord);
+        }
+    }
 }
 
 /// A replay cursor over a shared [`PredictedTrace`].
@@ -327,14 +379,7 @@ fn word32(pc: Addr) -> u32 {
 #[derive(Clone, Debug)]
 pub struct PredictedSource {
     trace: Arc<PredictedTrace>,
-    /// Trace index of the next instruction.
-    idx: usize,
-    /// Number of transfers before `idx`.
-    ord: usize,
-    /// PC of instruction `idx`.
-    pc: Addr,
-    /// Trace index of transfer `ord` (`len` when none is left).
-    run_end: usize,
+    walk: Walk,
 }
 
 impl PredictedSource {
@@ -346,45 +391,32 @@ impl PredictedSource {
     /// Trace index of the next instruction.
     #[inline]
     pub fn position(&self) -> usize {
-        self.idx
+        self.walk.idx
     }
 
     /// The next instruction, without consuming it.
     #[inline]
     pub fn peek(&self) -> Option<DynInstr> {
-        if self.idx < self.run_end {
-            Some(DynInstr::seq(self.pc))
-        } else {
-            (self.idx < self.trace.len).then(|| self.trace.transfer(self.ord, self.pc))
-        }
+        self.walk.peek(&self.trace)
     }
 
     /// Number of non-transfer instructions from the cursor to the next
     /// transfer (or the end of the trace); zero at a transfer.
     #[inline]
     pub fn run_len(&self) -> usize {
-        self.run_end - self.idx
+        self.walk.run_end - self.walk.idx
     }
 
     /// Steps past `n` non-transfer instructions (`n <= run_len()`).
     #[inline]
     pub fn skip(&mut self, n: usize) {
-        debug_assert!(n <= self.run_len(), "skip crosses a transfer");
-        self.idx += n;
-        self.pc = Addr::from_word(self.pc.word_index() + n as u64);
+        self.walk.skip(n);
     }
 
     /// Steps past the next instruction, whatever its kind.
     #[inline]
     pub fn step(&mut self) {
-        if self.idx < self.run_end {
-            self.skip(1);
-        } else if self.idx < self.trace.len {
-            self.pc = Addr::from_word(u64::from(self.trace.next[self.ord]));
-            self.idx += 1;
-            self.ord += 1;
-            self.run_end = self.trace.transfer_at(self.ord);
-        }
+        self.walk.step(&self.trace);
     }
 }
 
@@ -677,10 +709,48 @@ mod tests {
     }
 
     #[test]
-    fn the_trace_stores_thirteen_bytes_per_transfer() {
+    fn the_trace_stores_four_bytes_per_transfer_and_four_per_indirect_successor() {
+        // Kinds and static targets come from the image; the trace keeps
+        // each transfer's index, each return's and indirect transfer's
+        // successor, and one direction bit per conditional (one word here).
         let p = program();
         let trace = record(&p, u64::MAX);
-        let transfers = path(&p).iter().filter(|d| d.is_branch()).count();
-        assert_eq!(trace.heap_bytes(), 13 * transfers + 8);
+        let want = path(&p);
+        let transfers = want.iter().filter(|d| d.is_branch()).count();
+        let indirect = want.iter().filter(|d| d.is_branch() && d.kind.static_target().is_none());
+        assert_eq!(trace.heap_bytes(), 4 * transfers + 4 * indirect.count() + 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from the image")]
+    fn record_rejects_a_transfer_the_image_does_not_hold() {
+        // The image has a call at 0x1004; the stream claims a jump there.
+        let p = program();
+        let at = Addr::new(0x1004);
+        let bad = DynInstr::branch(at, InstrKind::Jump { target: Addr::new(0x101c) }, true, at);
+        let path = vec![DynInstr::seq(Addr::new(0x1000)), bad];
+        PredictedTrace::record(&mut VecSource::new(p, path), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "unconditional but not taken")]
+    fn record_rejects_an_unconditional_transfer_that_is_not_taken() {
+        let p = program();
+        let at = Addr::new(0x1004);
+        let kind = p.fetch(at).unwrap();
+        let call = DynInstr { pc: at, kind, taken: false, next_pc: at.next() };
+        let path = vec![DynInstr::seq(Addr::new(0x1000)), call];
+        PredictedTrace::record(&mut VecSource::new(p, path), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "misses its target or fall-through")]
+    fn record_rejects_a_direct_transfer_that_goes_elsewhere() {
+        // The call at 0x1004 targets 0x101c but the stream lands at 0x1008.
+        let p = program();
+        let at = Addr::new(0x1004);
+        let call = DynInstr::branch(at, p.fetch(at).unwrap(), true, Addr::new(0x1008));
+        let path = vec![DynInstr::seq(Addr::new(0x1000)), call];
+        PredictedTrace::record(&mut VecSource::new(p, path), u64::MAX);
     }
 }
