@@ -17,7 +17,11 @@
 //!   cells under the existing per-point isolation.
 //!
 //! Analysis is memoized per process (one verifier walk per benchmark,
-//! ever), so the preflight adds nothing measurable to a sweep.
+//! ever), so the preflight adds nothing measurable to a sweep. Each
+//! benchmark has its own once-cell: the memo's lock is held only to find
+//! that cell, so different benchmarks generate and verify in parallel,
+//! and a repeated preflight reads the stored verdict without copying the
+//! report.
 //!
 //! The `--corrupt-target <bench>` hook ([`set_corrupt_target`]) redirects
 //! one conditional branch of the named benchmark's image out of the image
@@ -26,7 +30,7 @@
 //! shipping a broken generator.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use specfetch_core::SpecfetchError;
 use specfetch_isa::CfgReport;
@@ -38,15 +42,31 @@ use crate::{Format, Table};
 /// Memoized per-benchmark analysis outcome. [`SpecfetchError`] is not
 /// `Clone`, so generation failures are stored as their detail string and
 /// re-wrapped on every read.
-#[derive(Clone)]
 enum Memo {
     Report(CfgReport),
     WorkloadFail(String),
 }
 
-fn memo() -> &'static Mutex<HashMap<&'static str, Memo>> {
-    static MEMO: OnceLock<Mutex<HashMap<&'static str, Memo>>> = OnceLock::new();
+fn workload_error(bench: &Benchmark, detail: &str) -> SpecfetchError {
+    SpecfetchError::Workload { bench: bench.name.to_owned(), detail: detail.to_owned() }
+}
+
+type MemoCell = Arc<OnceLock<Memo>>;
+
+fn memo() -> &'static Mutex<HashMap<&'static str, MemoCell>> {
+    static MEMO: OnceLock<Mutex<HashMap<&'static str, MemoCell>>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Reads `bench`'s memoized outcome, computing it on first request. The
+/// memo's lock is released before anything is generated: a second
+/// caller for the same benchmark waits on its cell, not on the map.
+fn with_memo<R>(bench: &Benchmark, read: impl FnOnce(&Memo) -> R) -> R {
+    let cell = {
+        let mut map = memo().lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(map.entry(bench.name).or_default())
+    };
+    read(cell.get_or_init(|| compute(bench)))
 }
 
 static CORRUPT_TARGET: OnceLock<String> = OnceLock::new();
@@ -98,15 +118,10 @@ fn compute(bench: &Benchmark) -> Memo {
 /// [`SpecfetchError::Workload`] if the workload fails to generate at all
 /// (there is then no image to analyze).
 pub fn analyze_benchmark(bench: &Benchmark) -> Result<CfgReport, SpecfetchError> {
-    let mut map = memo().lock().unwrap_or_else(PoisonError::into_inner);
-    let entry = map.entry(bench.name).or_insert_with(|| compute(bench)).clone();
-    drop(map);
-    match entry {
-        Memo::Report(r) => Ok(r),
-        Memo::WorkloadFail(detail) => {
-            Err(SpecfetchError::Workload { bench: bench.name.to_owned(), detail })
-        }
-    }
+    with_memo(bench, |memo| match memo {
+        Memo::Report(r) => Ok(r.clone()),
+        Memo::WorkloadFail(detail) => Err(workload_error(bench, detail)),
+    })
 }
 
 /// The go/no-go analysis gate the runner fires before simulating a
@@ -118,12 +133,13 @@ pub fn analyze_benchmark(bench: &Benchmark) -> Result<CfgReport, SpecfetchError>
 /// image fails verification; [`SpecfetchError::Workload`] if it cannot
 /// even be generated.
 pub fn preflight(bench: &Benchmark) -> Result<(), SpecfetchError> {
-    let report = analyze_benchmark(bench)?;
-    if report.is_ok() {
-        Ok(())
-    } else {
-        Err(SpecfetchError::Analysis { bench: bench.name.to_owned(), report })
-    }
+    with_memo(bench, |memo| match memo {
+        Memo::Report(r) if r.is_ok() => Ok(()),
+        Memo::Report(r) => {
+            Err(SpecfetchError::Analysis { bench: bench.name.to_owned(), report: r.clone() })
+        }
+        Memo::WorkloadFail(detail) => Err(workload_error(bench, detail)),
+    })
 }
 
 /// Analyzes every benchmark in suite order (the `--analyze` CLI mode).
@@ -180,7 +196,8 @@ mod tests {
         let a = analyze_benchmark(b).unwrap();
         let c = analyze_benchmark(b).unwrap();
         assert_eq!(a, c);
-        assert!(memo().lock().unwrap_or_else(PoisonError::into_inner).contains_key("li"));
+        let map = memo().lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(map.get("li").is_some_and(|cell| cell.get().is_some()));
     }
 
     #[test]

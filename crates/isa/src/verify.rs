@@ -186,9 +186,59 @@ impl fmt::Display for CfgReport {
     }
 }
 
-/// Depth-class bits for the reachability walk.
-const DEPTH_ZERO: u8 = 1;
-const DEPTH_POS: u8 = 2;
+/// Per-instruction flag bits, one byte per instruction: the depth
+/// classes the correct-path walk reached it at, whether the wrong-path
+/// closure visits it, and the three findings reported per site.
+const DEPTH_ZERO: u8 = 1 << 0;
+const DEPTH_POS: u8 = 1 << 1;
+const WRONG_PATH: u8 = 1 << 2;
+const RETURN_UNDERFLOW: u8 = 1 << 3;
+const FALLTHROUGH_ESCAPE: u8 = 1 << 4;
+const WRONG_PATH_ESCAPE: u8 = 1 << 5;
+const REACHED: u8 = DEPTH_ZERO | DEPTH_POS;
+
+/// Sets `bit` on instruction `i`; true if it was not set before.
+fn mark(flags: &mut [u8], i: usize, bit: u8) -> bool {
+    let new = flags[i] & bit == 0;
+    flags[i] |= bit;
+    new
+}
+
+/// Does execution continue at the next instruction after `kind` (for a
+/// call, once the callee returns)?
+fn falls_through(kind: InstrKind) -> bool {
+    !matches!(kind, InstrKind::Jump { .. } | InstrKind::Return | InstrKind::IndirectJump)
+}
+
+/// Walks the straight-line run from instruction `i` (already marked
+/// `bit`): `visit` sees each instruction of the run, and the walk
+/// continues through a fall-through until it meets an instruction that
+/// already has `bit`. A run that falls off the image end sets `escape`
+/// on its last instruction.
+fn walk_run(
+    program: &Program,
+    flags: &mut [u8],
+    mut i: usize,
+    bit: u8,
+    escape: u8,
+    mut visit: impl FnMut(&mut [u8], usize, InstrKind),
+) {
+    loop {
+        let kind = program.kind_at(i);
+        visit(flags, i, kind);
+        if !falls_through(kind) {
+            return;
+        }
+        if i + 1 == flags.len() {
+            flags[i] |= escape;
+            return;
+        }
+        i += 1;
+        if !mark(flags, i, bit) {
+            return;
+        }
+    }
+}
 
 /// Statically verifies `program`'s control-flow graph.
 ///
@@ -197,10 +247,13 @@ const DEPTH_POS: u8 = 2;
 /// itself reported as [`CfgIssue::MissingDispatch`]. Callers without any
 /// indirect-dispatch knowledge can pass `|_| None`.
 ///
+/// Besides the image, the walk keeps one flag byte per instruction and
+/// the borrowed tables of the indirect sites.
+///
 /// See the [module docs](self) for the exact invariants checked.
-pub fn verify_cfg<F>(program: &Program, dispatch: F) -> CfgReport
+pub fn verify_cfg<'a, F>(program: &Program, dispatch: F) -> CfgReport
 where
-    F: Fn(Addr) -> Option<Vec<Addr>>,
+    F: Fn(Addr) -> Option<&'a [Addr]>,
 {
     let len = program.len();
     let base = program.base();
@@ -217,12 +270,12 @@ where
 
     // Pass 1 — static target resolution, over the whole image (a dead
     // dangling branch is still a defect: a wrong-path walk may fetch it).
-    let mut dispatch_idx: Vec<Option<Vec<usize>>> = vec![None; len];
-    let mut conds = Vec::new();
+    // `tables` holds the table of each indirect site that has one, in
+    // image order, so the walks can binary-search it.
+    let mut tables: Vec<(usize, &[Addr])> = Vec::new();
+    let mut conditionals = 0;
     for (i, (at, kind)) in program.iter().enumerate() {
-        if kind.is_conditional() {
-            conds.push(i);
-        }
+        conditionals += usize::from(kind.is_conditional());
         if let Some(target) = kind.static_target() {
             if idx_of(target).is_none() {
                 issues.push(CfgIssue::TargetOutOfImage { at, target });
@@ -232,205 +285,132 @@ where
             match dispatch(at) {
                 None => issues.push(CfgIssue::MissingDispatch { at }),
                 Some(targets) => {
-                    let mut resolved = Vec::with_capacity(targets.len());
-                    for target in targets {
-                        match idx_of(target) {
-                            Some(j) => resolved.push(j),
-                            None => {
-                                issues.push(CfgIssue::DispatchTargetOutOfImage { at, target });
-                            }
+                    for &target in targets {
+                        if idx_of(target).is_none() {
+                            issues.push(CfgIssue::DispatchTargetOutOfImage { at, target });
                         }
                     }
-                    dispatch_idx[i] = Some(resolved);
+                    tables.push((i, targets));
                 }
             }
         }
     }
+    // The in-image dispatch targets of indirect site `i`.
+    let targets_of = |i: usize| {
+        let table =
+            tables.binary_search_by_key(&i, |&(site, _)| site).map_or(&[][..], |k| tables[k].1);
+        table.iter().filter_map(move |&t| idx_of(t))
+    };
 
     // Pass 2 — correct-path reachability over (instruction, depth-class)
-    // states.
+    // states. Only branch targets go through the worklist: a state's
+    // straight-line run is marked in place. Each reachable conditional
+    // seeds the wrong-path closure with both its successors (whichever
+    // way the branch actually goes, the *other* successor is the wrong
+    // path a speculative policy fetches).
     let entry_idx = idx_of(program.entry());
     if entry_idx.is_none() {
         issues.push(CfgIssue::EntryOutOfImage { entry: program.entry() });
     }
-    let mut seen = vec![0u8; len];
+    let mut flags = vec![0u8; len];
     let mut work: Vec<(usize, u8)> = Vec::new();
-    let push = |i: usize, d: u8, seen: &mut Vec<u8>, work: &mut Vec<(usize, u8)>| {
-        if seen[i] & d == 0 {
-            seen[i] |= d;
-            work.push((i, d));
-        }
-    };
-    let mut fallthrough_escapes = vec![false; len];
-    let mut return_underflows = vec![false; len];
+    let mut wp_work: Vec<usize> = Vec::new();
     if let Some(e) = entry_idx {
-        push(e, DEPTH_ZERO, &mut seen, &mut work);
+        flags[e] |= DEPTH_ZERO;
+        work.push((e, DEPTH_ZERO));
     }
     while let Some((i, d)) = work.pop() {
-        let fall = |i: usize| (i + 1 < len).then_some(i + 1);
-        match program.kind_at(i) {
-            InstrKind::Seq => match fall(i) {
-                Some(n) => push(n, d, &mut seen, &mut work),
-                None => fallthrough_escapes[i] = true,
-            },
-            InstrKind::CondBranch { target } => {
-                if let Some(t) = idx_of(target) {
-                    push(t, d, &mut seen, &mut work);
+        walk_run(program, &mut flags, i, d, FALLTHROUGH_ESCAPE, |flags, i, kind| {
+            let mut push = |t: usize, d: u8| {
+                if mark(flags, t, d) {
+                    work.push((t, d));
                 }
-                match fall(i) {
-                    Some(n) => push(n, d, &mut seen, &mut work),
-                    None => fallthrough_escapes[i] = true,
-                }
-            }
-            InstrKind::Jump { target } => {
-                if let Some(t) = idx_of(target) {
-                    push(t, d, &mut seen, &mut work);
-                }
-            }
-            InstrKind::Call { target } => {
-                if let Some(t) = idx_of(target) {
-                    push(t, DEPTH_POS, &mut seen, &mut work);
-                }
+            };
+            match kind {
+                InstrKind::Seq => {}
+                InstrKind::Jump { target } => idx_of(target).into_iter().for_each(|t| push(t, d)),
                 // The matched return resumes at the call's fall-through,
                 // at the caller's own depth.
-                match fall(i) {
-                    Some(n) => push(n, d, &mut seen, &mut work),
-                    None => fallthrough_escapes[i] = true,
+                InstrKind::Call { target } => {
+                    idx_of(target).into_iter().for_each(|t| push(t, DEPTH_POS));
                 }
-            }
-            InstrKind::Return => {
-                if d == DEPTH_ZERO {
-                    return_underflows[i] = true;
+                InstrKind::CondBranch { target } => {
+                    let taken = idx_of(target);
+                    taken.into_iter().for_each(|t| push(t, d));
+                    let fall = (i + 1 < len).then_some(i + 1);
+                    for t in taken.into_iter().chain(fall) {
+                        if mark(flags, t, WRONG_PATH) {
+                            wp_work.push(t);
+                        }
+                    }
+                    if fall.is_none() {
+                        flags[i] |= WRONG_PATH_ESCAPE;
+                    }
                 }
                 // At positive depth the continuation is the matching
                 // call's fall-through, already a successor of the call.
-            }
-            InstrKind::IndirectJump => {
-                for &t in dispatch_idx[i].as_deref().unwrap_or_default() {
-                    push(t, d, &mut seen, &mut work);
-                }
-            }
-            InstrKind::IndirectCall => {
-                for &t in dispatch_idx[i].as_deref().unwrap_or_default() {
-                    push(t, DEPTH_POS, &mut seen, &mut work);
-                }
-                match fall(i) {
-                    Some(n) => push(n, d, &mut seen, &mut work),
-                    None => fallthrough_escapes[i] = true,
-                }
-            }
-        }
-    }
-    for (i, &underflow) in return_underflows.iter().enumerate() {
-        if underflow {
-            issues.push(CfgIssue::ReturnUnderflow { at: addr_of(i) });
-        }
-    }
-    for (i, &escape) in fallthrough_escapes.iter().enumerate() {
-        if escape {
-            issues.push(CfgIssue::FallthroughEscape { at: addr_of(i) });
-        }
-    }
-    if entry_idx.is_some() {
-        for (i, &s) in seen.iter().enumerate() {
-            if s == 0 {
-                issues.push(CfgIssue::Unreachable { at: addr_of(i), kind: program.kind_at(i) });
-            }
-        }
-    }
-
-    // Pass 3 — wrong-path closure. Seeds are both successors of every
-    // reachable conditional (whichever way the branch actually goes, the
-    // *other* successor is the wrong path a speculative policy fetches);
-    // the walk is decode-guided from there.
-    let mut wp = vec![false; len];
-    let mut wp_work: Vec<usize> = Vec::new();
-    let mut wp_escapes = vec![false; len];
-    let wp_push = |i: usize, wp: &mut Vec<bool>, wp_work: &mut Vec<usize>| {
-        if !wp[i] {
-            wp[i] = true;
-            wp_work.push(i);
-        }
-    };
-    for &i in &conds {
-        if seen[i] != 0 {
-            if let Some(t) = program.kind_at(i).static_target().and_then(idx_of) {
-                wp_push(t, &mut wp, &mut wp_work);
-            }
-            if i + 1 < len {
-                wp_push(i + 1, &mut wp, &mut wp_work);
-            } else {
-                wp_escapes[i] = true;
-            }
-        }
-    }
-    while let Some(i) = wp_work.pop() {
-        let kind = program.kind_at(i);
-        match kind {
-            InstrKind::Seq => {
-                if i + 1 < len {
-                    wp_push(i + 1, &mut wp, &mut wp_work);
-                } else {
-                    wp_escapes[i] = true;
-                }
-            }
-            InstrKind::CondBranch { target } => {
-                // On a wrong path the predictor may steer either way.
-                if let Some(t) = idx_of(target) {
-                    wp_push(t, &mut wp, &mut wp_work);
-                }
-                if i + 1 < len {
-                    wp_push(i + 1, &mut wp, &mut wp_work);
-                } else {
-                    wp_escapes[i] = true;
-                }
-            }
-            InstrKind::Jump { target } => {
-                if let Some(t) = idx_of(target) {
-                    wp_push(t, &mut wp, &mut wp_work);
-                }
-            }
-            InstrKind::Call { target } => {
-                if let Some(t) = idx_of(target) {
-                    wp_push(t, &mut wp, &mut wp_work);
-                }
-                // A wrong-path return can resume at the call's return site.
-                if i + 1 < len {
-                    wp_push(i + 1, &mut wp, &mut wp_work);
-                } else {
-                    wp_escapes[i] = true;
-                }
-            }
-            // Decode cannot compute these targets; the walk halts unless
-            // the BTB supplies one — and every BTB-predictable target is a
-            // dispatch-table entry (indirect) or a call return site
-            // (return), both already in the closure.
-            InstrKind::Return => {}
-            InstrKind::IndirectJump | InstrKind::IndirectCall => {
-                for &t in dispatch_idx[i].as_deref().unwrap_or_default() {
-                    wp_push(t, &mut wp, &mut wp_work);
-                }
-                if kind == InstrKind::IndirectCall {
-                    if i + 1 < len {
-                        wp_push(i + 1, &mut wp, &mut wp_work);
-                    } else {
-                        wp_escapes[i] = true;
+                InstrKind::Return => {
+                    if d == DEPTH_ZERO {
+                        flags[i] |= RETURN_UNDERFLOW;
                     }
                 }
+                InstrKind::IndirectJump => targets_of(i).for_each(|t| push(t, d)),
+                InstrKind::IndirectCall => targets_of(i).for_each(|t| push(t, DEPTH_POS)),
             }
-        }
+        });
     }
-    for (i, &escape) in wp_escapes.iter().enumerate() {
-        if escape {
-            issues.push(CfgIssue::WrongPathEscape { at: addr_of(i) });
-        }
+
+    // Pass 3 — the decode-guided wrong-path closure from those seeds.
+    while let Some(i) = wp_work.pop() {
+        walk_run(program, &mut flags, i, WRONG_PATH, WRONG_PATH_ESCAPE, |flags, i, kind| {
+            let push = |t: usize| {
+                if mark(flags, t, WRONG_PATH) {
+                    wp_work.push(t);
+                }
+            };
+            match kind {
+                // On a wrong path the predictor may steer a conditional
+                // either way, and a wrong-path return can resume at a
+                // call's return site (its fall-through).
+                InstrKind::Seq => {}
+                InstrKind::CondBranch { target }
+                | InstrKind::Jump { target }
+                | InstrKind::Call { target } => idx_of(target).into_iter().for_each(push),
+                // Decode cannot compute these targets; the walk halts
+                // unless the BTB supplies one — and every BTB-predictable
+                // target is a dispatch-table entry (indirect) or a call
+                // return site (return), both already in the closure.
+                InstrKind::Return => {}
+                InstrKind::IndirectJump | InstrKind::IndirectCall => targets_of(i).for_each(push),
+            }
+        });
     }
+
+    // Per-site findings, each kind in image order.
+    let sites = |bit: u8, set: bool| {
+        flags.iter().enumerate().filter(move |&(_, &f)| (f & bit != 0) == set).map(|(i, _)| i)
+    };
+    issues.extend(
+        sites(RETURN_UNDERFLOW, true).map(|i| CfgIssue::ReturnUnderflow { at: addr_of(i) }),
+    );
+    issues.extend(
+        sites(FALLTHROUGH_ESCAPE, true).map(|i| CfgIssue::FallthroughEscape { at: addr_of(i) }),
+    );
+    if entry_idx.is_some() {
+        issues.extend(
+            sites(REACHED, false)
+                .map(|i| CfgIssue::Unreachable { at: addr_of(i), kind: program.kind_at(i) }),
+        );
+    }
+    issues.extend(
+        sites(WRONG_PATH_ESCAPE, true).map(|i| CfgIssue::WrongPathEscape { at: addr_of(i) }),
+    );
 
     CfgReport {
         instrs: len,
-        reachable: seen.iter().filter(|&&s| s != 0).count(),
-        conditionals: conds.len(),
-        wrong_path_visited: wp.iter().filter(|&&v| v).count(),
+        reachable: sites(REACHED, true).count(),
+        conditionals,
+        wrong_path_visited: sites(WRONG_PATH, true).count(),
         issues,
     }
 }
@@ -524,7 +504,8 @@ mod tests {
         b.set_entry(entry);
         let p = b.finish().unwrap();
         let bad = Addr::new(0x4000);
-        let r = verify_cfg(&p, |_| Some(vec![bad]));
+        let table = [bad];
+        let r = verify_cfg(&p, |_| Some(&table[..]));
         assert!(r.issues.contains(&CfgIssue::DispatchTargetOutOfImage { at: entry, target: bad }));
     }
 
@@ -539,7 +520,8 @@ mod tests {
         assert!(no_table
             .issues
             .contains(&CfgIssue::Unreachable { at: island, kind: p.fetch(island).unwrap() }));
-        let with_table = verify_cfg(&p, |at| (at == entry).then(|| vec![island]));
+        let table = [island];
+        let with_table = verify_cfg(&p, |at| (at == entry).then_some(&table[..]));
         assert!(with_table.is_ok(), "{with_table}");
     }
 

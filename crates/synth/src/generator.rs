@@ -155,26 +155,26 @@ struct Emitter {
 }
 
 impl Emitter {
-    fn emit_stmts(&mut self, stmts: &[Stmt]) {
+    fn emit_stmts(&mut self, stmts: Vec<Stmt>) {
         for s in stmts {
             self.emit(s);
         }
     }
 
-    fn emit(&mut self, stmt: &Stmt) {
+    fn emit(&mut self, stmt: Stmt) {
         match stmt {
             Stmt::Block(n) => {
-                self.builder.push_seq(*n);
+                self.builder.push_seq(n);
             }
             Stmt::Loop { trip, body } => {
                 let top = self.builder.next_addr();
                 self.emit_stmts(body);
                 let b = self.builder.push(InstrKind::CondBranch { target: top });
-                self.behaviors.insert(b.word_index(), BranchBehavior::Loop { trip: *trip });
+                self.behaviors.insert(b.word_index(), BranchBehavior::Loop { trip });
             }
             Stmt::If { behavior, then_, else_ } => {
                 let b = self.builder.push(InstrKind::CondBranch { target: BASE });
-                self.behaviors.insert(b.word_index(), behavior.clone());
+                self.behaviors.insert(b.word_index(), behavior);
                 self.emit_stmts(then_);
                 if else_.is_empty() {
                     let join = self.builder.next_addr();
@@ -190,11 +190,11 @@ impl Emitter {
             }
             Stmt::Call(idx) => {
                 let c = self.builder.push(InstrKind::Call { target: BASE });
-                self.call_fixups.push((c, *idx));
+                self.call_fixups.push((c, idx));
             }
             Stmt::ICall(entries) => {
                 let ic = self.builder.push(InstrKind::IndirectCall);
-                self.dispatch_fixups.push((ic, entries.clone()));
+                self.dispatch_fixups.push((ic, entries));
             }
         }
     }
@@ -212,15 +212,6 @@ pub fn generate(spec: &WorkloadSpec) -> Result<Workload, SpecError> {
     spec.validate()?;
     let mut g = Gen { spec, rng: SynthRng::seed_from_u64(spec.seed), calls_in_fn: 0 };
 
-    // Function bodies (ASTs) first, so emission order is free to follow
-    // index order while all randomness stays in one deterministic stream.
-    let mut bodies = Vec::with_capacity(spec.n_functions);
-    for fn_idx in 0..spec.n_functions {
-        let n = g.rng.gen_range(spec.stmts_per_fn.0..=spec.stmts_per_fn.1);
-        g.calls_in_fn = 0;
-        bodies.push(g.stmts(n, fn_idx, 0, 0));
-    }
-
     let mut e = Emitter {
         builder: ProgramBuilder::new(BASE),
         behaviors: HashMap::new(),
@@ -228,8 +219,14 @@ pub fn generate(spec: &WorkloadSpec) -> Result<Workload, SpecError> {
         dispatch_fixups: Vec::new(),
     };
 
+    // Generate one function's body, emit it and drop it, so only one AST
+    // is ever alive. Emission must draw no randomness: interleaved with
+    // generation, it would otherwise change the stream and the image.
     let mut fn_entries = Vec::with_capacity(spec.n_functions);
-    for body in &bodies {
+    for fn_idx in 0..spec.n_functions {
+        let n = g.rng.gen_range(spec.stmts_per_fn.0..=spec.stmts_per_fn.1);
+        g.calls_in_fn = 0;
+        let body = g.stmts(n, fn_idx, 0, 0);
         fn_entries.push(e.builder.next_addr());
         e.emit_stmts(body);
         e.builder.push(InstrKind::Return);

@@ -85,7 +85,7 @@ impl Workload {
     /// speculative policies to be comparable at all.
     pub fn analyze(&self) -> CfgReport {
         let mut report = specfetch_isa::verify_cfg(self.program(), |at| {
-            self.dispatch_at(at).map(|t| t.targets().to_vec())
+            self.dispatch_at(at).map(DispatchTable::targets)
         });
         for (at, kind) in self.program().iter() {
             if kind.is_conditional() && self.behavior_at(at).is_none() {

@@ -72,7 +72,7 @@ fn verifier_statistics_stay_consistent_under_in_image_retarget() {
         .program()
         .with_instr_unchecked(at, specfetch_isa::InstrKind::CondBranch { target: at })
         .unwrap();
-    let r = verify_cfg(&p, |a| w.dispatch_at(a).map(|t| t.targets().to_vec()));
+    let r = verify_cfg(&p, |a| w.dispatch_at(a).map(|t| t.targets()));
     assert!(r.reachable <= r.instrs);
     let dead = r.issues.iter().filter(|i| matches!(i, CfgIssue::Unreachable { .. })).count();
     assert_eq!(r.reachable + dead, r.instrs, "reachability and dead-code reports disagree");
