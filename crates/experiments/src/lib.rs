@@ -61,8 +61,8 @@ pub use parallel::{par_map, try_par_map};
 pub use registry::{ExperimentEntry, REGISTRY};
 pub use report::ExperimentReport;
 pub use runner::{
-    run_grid, simulate_benchmark, suite_results, try_run_grid, BenchResult, CellFailure, FailKind,
-    GridCell, GridPoint, Measured,
+    run_grid, simulate_benchmark, simulate_trace, suite_results, try_run_grid, BenchResult,
+    CellFailure, FailKind, GridCell, GridPoint, Measured,
 };
 pub use scenario::{run_scenario, ConfigPoint, Metric, Scenario, ScenarioGrid};
 pub use specfetch_core::SpecfetchError;

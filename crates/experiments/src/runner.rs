@@ -11,10 +11,11 @@
 //!   tests, benches, and examples, where a failure is a bug.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use specfetch_core::{run_lockstep, FrontEnd, SimConfig, SimResult, SpecfetchError};
 use specfetch_synth::suite::Benchmark;
+use specfetch_trace::PredictedTrace;
 
 use crate::fault::{self, FaultAction};
 use crate::parallel::panic_message;
@@ -580,18 +581,11 @@ fn settle(
 }
 
 /// The one executor every grid runs on, in process or in a `--workers`
-/// child: simulates `bench`'s first `instrs` instructions under each of
-/// `cfgs` as **one config-lockstep batch** over the shared trace (see
-/// [`run_lockstep`] and DESIGN §5h), returning one cell per configuration
-/// in order. It only computes: [`plan_group`] has already resolved what
-/// the memo or the result store holds, and [`settle`] records what this
-/// returns.
-///
-/// - a panicking lane yields `FAILED(...)` for its configuration while
-///   sibling lanes complete;
-/// - a configuration the front end rejects fails its cell with the
-///   reason [`specfetch_core::Simulator`] panics with;
-/// - failing to record the trace fails every configuration.
+/// child: fetches `bench`'s shared trace of its first `instrs`
+/// instructions and hands it to [`simulate_trace`]. It only computes:
+/// [`plan_group`] has already resolved what the memo or the result
+/// store holds, and [`settle`] records what this returns. Failing to
+/// record the trace fails every configuration.
 ///
 /// An empty batch (the planner resolved every point) records no trace.
 pub(crate) fn simulate_configs(
@@ -602,10 +596,22 @@ pub(crate) fn simulate_configs(
     if cfgs.is_empty() {
         return Vec::new();
     }
-    let trace = match crate::trace_cache::try_predicted_trace(bench, instrs) {
-        Ok(trace) => trace,
-        Err(e) => return vec![Err(CellFailure::from_error(&e)); cfgs.len()],
-    };
+    match crate::trace_cache::try_predicted_trace(bench, instrs) {
+        Ok(trace) => simulate_trace(&trace, cfgs),
+        Err(e) => vec![Err(CellFailure::from_error(&e)); cfgs.len()],
+    }
+}
+
+/// Simulates `trace` under each of `cfgs` as **one config-lockstep
+/// batch** (see [`run_lockstep`] and DESIGN §5h), returning one cell per
+/// configuration in order. A benchmark's grid group and a trace file's
+/// `--explain` point both run here.
+///
+/// - a panicking lane yields `FAILED(...)` for its configuration while
+///   sibling lanes complete;
+/// - a configuration the front end rejects fails its cell with the
+///   reason [`specfetch_core::Simulator`] panics with.
+pub fn simulate_trace(trace: &Arc<PredictedTrace>, cfgs: &[SimConfig]) -> Vec<GridCell> {
     let mut cells: Vec<GridCell> = Vec::with_capacity(cfgs.len());
     let (mut lanes, mut fronts) = (Vec::new(), Vec::new());
     for (k, &cfg) in cfgs.iter().enumerate() {
@@ -621,7 +627,7 @@ pub(crate) fn simulate_configs(
             }
         }
     }
-    for (k, outcome) in lanes.into_iter().zip(run_lockstep(&trace, fronts)) {
+    for (k, outcome) in lanes.into_iter().zip(run_lockstep(trace, fronts)) {
         cells[k] = outcome.map_err(|p| CellFailure::from_panic(p.as_ref()));
     }
     cells

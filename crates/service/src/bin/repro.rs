@@ -47,17 +47,17 @@ use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use specfetch_core::{SimResult, Simulator};
+use specfetch_core::SimResult;
 use specfetch_experiments::fault::FaultPlan;
 use specfetch_experiments::sweep::AXES;
 use specfetch_experiments::{
-    analysis, diag, fault, journal, parse_explain, registry, result_store, supervise, try_run_grid,
-    worker, Driver, ExplainSpec, Format, GridPoint, JobSpec, PathInput, RunOptions, EXPERIMENT_IDS,
-    EXTRA_EXPERIMENT_IDS,
+    analysis, diag, fault, journal, parse_explain, registry, result_store, simulate_trace,
+    supervise, try_run_grid, worker, Driver, ExplainSpec, Format, GridPoint, JobSpec, PathInput,
+    RunOptions, EXPERIMENT_IDS, EXTRA_EXPERIMENT_IDS,
 };
 use specfetch_service::{http, Controller, ControllerConfig};
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::{read_trace_file, PathSource};
+use specfetch_trace::read_trace_file;
 
 /// Usage problems abort before any experiment runs.
 const EXIT_USAGE: u8 = 2;
@@ -595,7 +595,9 @@ fn main() -> ExitCode {
 /// `--explain`: simulates one point and prints its measurement bundle.
 /// A benchmark point is a one-cell grid, so it shares the memo, the
 /// result store and the worker pool with sweep cells and matches the
-/// sweep cell of the same configuration.
+/// sweep cell of the same configuration. A trace file's point runs on
+/// the same lockstep executor, over the file read straight into a
+/// shared trace of at most `--instrs` instructions.
 fn explain(spec: &ExplainSpec, opts: &RunOptions) -> ExitCode {
     let result = match &spec.input {
         PathInput::Bench(bench) => {
@@ -613,10 +615,14 @@ fn explain(spec: &ExplainSpec, opts: &RunOptions) -> ExitCode {
                 }
             }
         }
-        PathInput::Trace(path) => match read_trace_file(path) {
-            // `parse_explain` validated the configuration.
-            Ok(trace) => Simulator::new(spec.cfg)
-                .run(trace.into_source().take_instrs(opts.instrs_per_benchmark)),
+        PathInput::Trace(path) => match read_trace_file(path, opts.instrs_per_benchmark) {
+            Ok(trace) => match simulate_trace(&Arc::new(trace), &[spec.cfg]).remove(0) {
+                Ok(r) => r,
+                Err(f) => {
+                    eprintln!("error: {}: {}", path.display(), f.cell());
+                    return ExitCode::FAILURE;
+                }
+            },
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;

@@ -749,16 +749,12 @@ fn explain_failures_exit_1() {
 #[test]
 fn explain_replays_a_trace_file_in_either_format() {
     use specfetch_synth::{Workload, WorkloadSpec};
-    use specfetch_trace::{write_trace_binary, write_trace_text, Trace};
 
     let w = Workload::generate(&WorkloadSpec::c_like("cli-trace", 3)).unwrap();
-    let trace = Trace::record(&mut w.executor(1), 20_000);
+    let trace = specfetch_trace::PredictedTrace::record(&mut w.executor(1), 20_000);
     let dir = scratch("explain-trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (text_path, bin_path, odd_path) =
-        (dir.join("t.sft"), dir.join("t.sftb"), dir.join("t.bin"));
-    write_trace_text(&trace, &mut std::fs::File::create(&text_path).unwrap()).unwrap();
-    write_trace_binary(&trace, &mut std::fs::File::create(&bin_path).unwrap()).unwrap();
+    let (text_path, bin_path) = write_trace_files(&dir, "t", &trace);
+    let odd_path = dir.join("t.bin");
     std::fs::copy(&bin_path, &odd_path).unwrap();
 
     let explain = |path: &std::path::Path| {
@@ -777,6 +773,137 @@ fn explain_replays_a_trace_file_in_either_format() {
         stderr(&odd).contains(&format!("unknown trace extension on {}", odd_path.display())),
         "{}",
         stderr(&odd)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Writes `trace` as `<dir>/<name>.sft` and `<dir>/<name>.sftb`.
+fn write_trace_files(
+    dir: &std::path::Path,
+    name: &str,
+    trace: &specfetch_trace::PredictedTrace,
+) -> (PathBuf, PathBuf) {
+    use specfetch_trace::{write_trace_binary, write_trace_text};
+    std::fs::create_dir_all(dir).unwrap();
+    let (text, binary) = (dir.join(format!("{name}.sft")), dir.join(format!("{name}.sftb")));
+    write_trace_text(trace, &mut std::fs::File::create(&text).unwrap()).unwrap();
+    write_trace_binary(trace, &mut std::fs::File::create(&binary).unwrap()).unwrap();
+    (text, binary)
+}
+
+/// A benchmark's path written to a file and explained from it is the
+/// benchmark's own point: one trace, one executor.
+#[test]
+fn explaining_a_suite_trace_file_prints_the_benchmark_point() {
+    let dir = scratch("explain-suite-file");
+    for name in ["li", "gcc"] {
+        let bench = specfetch_synth::suite::Benchmark::by_name(name).unwrap();
+        let trace =
+            specfetch_experiments::trace_cache::try_predicted_trace(bench, 200_000).unwrap();
+        let files = write_trace_files(&dir, name, &trace);
+        for policy in ["Pess", "Res", "Opt", "Dec"] {
+            let point = |input: String| {
+                let out = repro(&[
+                    "--explain",
+                    &format!("{input} policy={policy}"),
+                    "--instrs",
+                    "200000",
+                ]);
+                assert_eq!(out.status.code(), Some(0), "{input} {policy}: {}", stderr(&out));
+                stdout(&out)
+            };
+            let want = point(format!("bench={name}"));
+            for file in [&files.0, &files.1] {
+                assert_eq!(point(format!("trace={}", file.display())), want, "{policy}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A hand-written trace whose image sits far above 4 GiB words explains
+/// to the bundle it printed when files replayed through the
+/// per-instruction path.
+#[test]
+fn explain_pins_a_trace_at_a_high_base() {
+    let at = |i: u64| format!("{:#x}", 0x7fff_0000_0000u64 + 4 * i);
+    // 0: top; 1: call f; 9: loop back; 10: indirect call; 11: jump top;
+    // 20: f, returning at 25; 30: g, with a forward branch at 31 and a
+    // return at 35.
+    let mut text = format!("SFT1 text\nbase {}\nentry {}\nimage 40\n", at(0), at(0));
+    for i in 0..40 {
+        text += &match i {
+            1 => format!("c {}\n", at(20)),
+            9 => format!("b {}\n", at(0)),
+            10 => "y\n".into(),
+            11 => format!("j {}\n", at(0)),
+            25 | 35 => "r\n".into(),
+            31 => format!("b {}\n", at(35)),
+            _ => "s\n".into(),
+        }
+    }
+    let mut path = Vec::new();
+    for i in 0..500 {
+        path.push(format!("@ {}", at(2)));
+        if i % 5 != 4 {
+            path.push("t".into());
+            continue;
+        }
+        path.push("n".into());
+        path.push(format!("@ {}", at(30)));
+        path.push(if i % 10 == 4 { "t" } else { "n" }.into());
+        path.push(format!("@ {}", at(11)));
+    }
+    text += &format!("path {}\n{}\nend\n", path.len(), path.join("\n"));
+    let dir = scratch("explain-high-base");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("high.sft");
+    std::fs::write(&file, text).unwrap();
+
+    let out = repro(&["--explain", &format!("trace={} policy=Res", file.display())]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "policy:        Resume
+instructions:  8657
+cycles:        2248
+IPC:           3.851 (of 4 wide)
+ISPI:          0.0387
+  branch_full    0.0000
+  branch         0.0292
+  force_resolve  0.0000
+  rt_icache      0.0095
+  wrong_icache   0.0000
+  bus            0.0000
+miss rate:     0.06% correct-path
+branch events: 6 misfetch, 15 mispredict, 2 target-mispredict
+bpred:         cond 97.49% (583/598), btb hit 97.51%, ret miss 1/599, ind miss 1/99
+traffic:       5 fills (4 correct, 1 wrong, 0 prefetch, 0 target)
+classification: BM 0.06% SPo 0.00% SPr 0.00% WP 0.01% TR 1.20
+"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A file whose records disagree with its image is an error naming the
+/// file and the disagreement, not a bundle of the path up to it.
+#[test]
+fn explaining_a_trace_whose_records_disagree_with_the_image_fails() {
+    let dir = scratch("explain-bad-path");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("bad.sft");
+    // The call's return needs a successor; the file gives a direction.
+    let text = "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 3\nc 0x1008\ns\nr\npath 1\nn\nend\n";
+    std::fs::write(&file, text).unwrap();
+    let out = repro(&["--explain", &format!("trace={} policy=Res", file.display())]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert_eq!(
+        stderr(&out).trim_end(),
+        format!(
+            "error: parse {}: path record kind mismatch for instruction at 0x1008",
+            file.display()
+        )
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sft-tools stats   <trace>            # path statistics (Table 2 style)
-//! sft-tools info    <trace>            # image geometry and outcome counts
+//! sft-tools info    <trace>            # image geometry and path record count
 //! sft-tools convert <in> <out>         # text <-> binary by extension
 //! sft-tools head    <trace> [n]        # print the first n replayed instructions
 //! ```
@@ -10,47 +10,52 @@
 //! Format is chosen by extension: `.sft` = text, `.sftb` = binary.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use specfetch_trace::{
-    read_trace_file, write_trace_binary, write_trace_text, PathSource, Trace, TraceStats,
+    read_trace_file, write_trace_binary, write_trace_text, PathSource, PredictedTrace, TraceError,
+    TraceStats,
 };
 
-fn load(path: &Path) -> Result<Trace, String> {
-    read_trace_file(path).map_err(|e| e.to_string())
+/// The file's path, walked for at most `max_instrs` instructions.
+fn load(path: &Path, max_instrs: u64) -> Result<Arc<PredictedTrace>, String> {
+    read_trace_file(path, max_instrs).map(Arc::new).map_err(|e| e.to_string())
 }
 
-fn store(trace: &Trace, path: &Path) -> Result<(), String> {
-    let file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
-    let mut writer = BufWriter::new(file);
-    let r = match path.extension().and_then(|e| e.to_str()) {
-        Some("sft") => write_trace_text(trace, &mut writer),
-        Some("sftb") => write_trace_binary(trace, &mut writer),
+fn store(trace: &PredictedTrace, path: &Path) -> Result<(), String> {
+    let binary = match path.extension().and_then(|e| e.to_str()) {
+        Some("sft") => false,
+        Some("sftb") => true,
         other => return Err(format!("unknown trace extension {other:?} (expected .sft or .sftb)")),
     };
-    r.map_err(|e| format!("write {}: {e}", path.display()))
+    let file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
+    let mut writer = BufWriter::new(file);
+    let r = if binary {
+        write_trace_binary(trace, &mut writer)
+    } else {
+        write_trace_text(trace, &mut writer)
+    };
+    // Dropping a `BufWriter` would discard the error of its last write.
+    r.and_then(|()| writer.flush().map_err(TraceError::Io))
+        .map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 fn cmd_info(path: &Path) -> Result<(), String> {
-    let trace = load(path)?;
+    let trace = load(path, u64::MAX)?;
     let p = trace.program();
     println!("image:    {} instructions ({} KB)", p.len(), p.footprint_bytes() / 1024);
     println!("base:     {}", p.base());
     println!("entry:    {}", p.entry());
     println!("branches: {} static", p.static_branch_count());
-    println!("outcomes: {} recorded", trace.outcomes().len());
+    println!("outcomes: {} recorded", trace.record_count());
     Ok(())
 }
 
 fn cmd_stats(path: &Path) -> Result<(), String> {
-    let trace = load(path)?;
-    let mut source = trace.into_source();
-    let stats = TraceStats::from_source(&mut source);
-    if let Some(e) = source.error() {
-        return Err(format!("replay failed: {e}"));
-    }
+    let stats = TraceStats::from_source(&mut PredictedTrace::source(&load(path, u64::MAX)?));
     println!("instructions: {}", stats.instrs);
     println!("branches:     {} ({:.1}%)", stats.branches, stats.branch_pct());
     println!(
@@ -67,21 +72,15 @@ fn cmd_stats(path: &Path) -> Result<(), String> {
 }
 
 fn cmd_convert(input: &Path, output: &Path) -> Result<(), String> {
-    let trace = load(input)?;
-    store(&trace, output)?;
+    store(&*load(input, u64::MAX)?, output)?;
     println!("converted {} -> {}", input.display(), output.display());
     Ok(())
 }
 
 fn cmd_head(path: &Path, n: usize) -> Result<(), String> {
-    let trace = load(path)?;
-    let mut source = trace.into_source();
-    for _ in 0..n {
-        let Some(d) = source.next_instr() else { break };
+    let mut source = PredictedTrace::source(&load(path, n as u64)?);
+    while let Some(d) = source.next_instr() {
         println!("{d}");
-    }
-    if let Some(e) = source.error() {
-        return Err(format!("replay failed: {e}"));
     }
     Ok(())
 }

@@ -30,7 +30,8 @@ use std::io::{Read, Write};
 
 use specfetch_isa::{Addr, InstrKind, ProgramBuilder, INSTR_BYTES};
 
-use crate::{Outcome, Trace, TraceError};
+use crate::predicted::{FileWalk, Record};
+use crate::{PredictedTrace, TraceError};
 
 const MAGIC: &[u8; 4] = b"SFTB";
 /// The version this build writes.
@@ -83,12 +84,12 @@ impl<W: Write> Write for HashWriter<W> {
 }
 
 /// Serialises a trace in the binary format (version 2: with a checksum
-/// footer).
+/// footer): its image, then one path record per data-dependent transfer.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] on write failure.
-pub fn write_trace_binary<W: Write>(trace: &Trace, w: &mut W) -> Result<(), TraceError> {
+pub fn write_trace_binary<W: Write>(trace: &PredictedTrace, w: &mut W) -> Result<(), TraceError> {
     let mut w = HashWriter { inner: w, hash: Fnv64::new() };
     let p = trace.program();
     w.write_all(MAGIC)?;
@@ -116,12 +117,12 @@ pub fn write_trace_binary<W: Write>(trace: &Trace, w: &mut W) -> Result<(), Trac
             InstrKind::IndirectCall => w.write_all(&[6])?,
         }
     }
-    w.write_all(&(trace.outcomes().len() as u64).to_le_bytes())?;
-    for o in trace.outcomes() {
-        match o {
-            Outcome::Cond { taken: false } => w.write_all(&[0])?,
-            Outcome::Cond { taken: true } => w.write_all(&[1])?,
-            Outcome::Indirect { target } => {
+    w.write_all(&(trace.record_count() as u64).to_le_bytes())?;
+    for record in trace.records() {
+        match record {
+            Record::Taken(false) => w.write_all(&[0])?,
+            Record::Taken(true) => w.write_all(&[1])?,
+            Record::Target(target) => {
                 w.write_all(&[2])?;
                 w.write_all(&target.raw().to_le_bytes())?;
             }
@@ -198,17 +199,25 @@ impl<R: Read> Cursor<R> {
     }
 }
 
-/// Parses a trace in the binary format.
+/// Parses a trace in the binary format, walking its path from the
+/// image's entry for at most `max_instrs` instructions.
 ///
 /// Accepts version 1 (no checksum footer, the original layout) and
 /// version 2 (checksum-verified); rejects newer versions with
-/// [`TraceError::BadHeader`] rather than guessing at their layout.
+/// [`TraceError::BadHeader`] rather than guessing at their layout. The
+/// whole file is read and its checksum verified before a path that
+/// disagrees with the image is reported, so a corrupted file reads as
+/// corrupted.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError`] on I/O failure, a bad magic/version, a truncated
-/// or malformed record, a checksum mismatch, or an invalid embedded image.
-pub fn read_trace_binary<R: Read>(reader: R) -> Result<Trace, TraceError> {
+/// or malformed record, a checksum mismatch, an invalid embedded image,
+/// or path records that disagree with the image.
+pub fn read_trace_binary<R: Read>(
+    reader: R,
+    max_instrs: u64,
+) -> Result<PredictedTrace, TraceError> {
     let mut c = Cursor { reader, offset: 0, hash: Fnv64::new() };
 
     let magic: [u8; 4] = c.bytes()?;
@@ -249,45 +258,41 @@ pub fn read_trace_binary<R: Read>(reader: R) -> Result<Trace, TraceError> {
     let program = builder.finish()?;
 
     let n_path = c.u64()?;
-    let mut outcomes = Vec::with_capacity(n_path.min(1 << 24) as usize);
+    let mut walk = FileWalk::new(program, max_instrs);
     for _ in 0..n_path {
         let at = c.offset;
-        let o = match c.u8()? {
-            0 => Outcome::not_taken(),
-            1 => Outcome::taken(),
-            2 => Outcome::indirect(c.addr()?),
+        walk.push(match c.u8()? {
+            0 => Record::Taken(false),
+            1 => Record::Taken(true),
+            2 => Record::Target(c.addr()?),
             tag => {
-                return Err(TraceError::Malformed { at, detail: format!("bad outcome tag {tag}") });
+                return Err(TraceError::Malformed { at, detail: format!("bad path tag {tag}") });
             }
-        };
-        outcomes.push(o);
+        });
     }
 
     if version >= 2 {
         c.verify_footer()?;
     }
 
-    Ok(Trace::new(program, outcomes))
+    walk.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::write_trace_text;
+    use crate::{read_trace_text, write_trace_text};
 
-    fn sample_trace() -> Trace {
-        let mut b = ProgramBuilder::new(Addr::new(0x2000));
-        let entry = b.push(InstrKind::Seq);
-        b.push(InstrKind::CondBranch { target: entry });
-        b.push(InstrKind::Jump { target: entry });
-        b.push(InstrKind::Call { target: entry });
-        b.push(InstrKind::Return);
-        b.push(InstrKind::IndirectJump);
-        b.push(InstrKind::IndirectCall);
-        b.set_entry(entry);
-        let outcomes =
-            vec![Outcome::taken(), Outcome::not_taken(), Outcome::indirect(Addr::new(0x2004))];
-        Trace::new(b.finish().unwrap(), outcomes)
+    /// Every instruction kind, image[1] a conditional; the path loops
+    /// once and leaves through the call and both indirect transfers.
+    fn sample_trace() -> PredictedTrace {
+        let text = "SFT1 text\nbase 0x2000\nentry 0x2000\nimage 7\ns\nb 0x2000\nc 0x2014\nx\n\
+                    j 0x2000\nr\ny\npath 5\nt\nn\n@ 0x200c\n@ 0x2018\n@ 0x2000\nend\n";
+        read_trace_text(text.as_bytes(), u64::MAX).unwrap()
+    }
+
+    fn read(bytes: &[u8]) -> Result<PredictedTrace, TraceError> {
+        read_trace_binary(bytes, u64::MAX)
     }
 
     fn encoded() -> Vec<u8> {
@@ -301,8 +306,11 @@ mod tests {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_trace_binary(&t, &mut buf).unwrap();
-        let back = read_trace_binary(buf.as_slice()).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back, t);
+        let mut again = Vec::new();
+        write_trace_binary(&back, &mut again).unwrap();
+        assert_eq!(again, buf);
     }
 
     #[test]
@@ -317,7 +325,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let e = read_trace_binary(&b"NOPE"[..]).unwrap_err();
+        let e = read(b"NOPE").unwrap_err();
         assert!(matches!(e, TraceError::BadHeader { .. }));
     }
 
@@ -326,7 +334,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"SFTB");
         buf.extend_from_slice(&9u16.to_le_bytes());
-        let e = read_trace_binary(buf.as_slice()).unwrap_err();
+        let e = read(&buf).unwrap_err();
         let TraceError::BadHeader { detail } = &e else { panic!("wrong variant: {e}") };
         assert!(detail.contains("version 9"), "{detail}");
     }
@@ -336,7 +344,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"SFTB");
         buf.extend_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(read_trace_binary(buf.as_slice()), Err(TraceError::BadHeader { .. })));
+        assert!(matches!(read(&buf), Err(TraceError::BadHeader { .. })));
     }
 
     #[test]
@@ -351,9 +359,25 @@ mod tests {
         buf.extend_from_slice(&1u64.to_le_bytes()); // n_image
         buf.push(0); // Seq
         buf.extend_from_slice(&0u64.to_le_bytes()); // n_path
-        let t = read_trace_binary(buf.as_slice()).unwrap();
+        let t = read(&buf).unwrap();
         assert_eq!(t.program().len(), 1);
-        assert!(t.outcomes().is_empty());
+        assert_eq!((t.len(), t.record_count()), (1, 0));
+    }
+
+    #[test]
+    fn counts_far_past_the_end_of_the_file_are_malformed_not_allocated() {
+        for (n_image, n_path) in [(1, u64::MAX), (u64::MAX, 0)] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"SFTB");
+            buf.extend_from_slice(&2u16.to_le_bytes());
+            buf.extend_from_slice(&0u64.to_le_bytes()); // base
+            buf.extend_from_slice(&0u64.to_le_bytes()); // entry
+            buf.extend_from_slice(&n_image.to_le_bytes());
+            buf.push(0); // Seq
+            buf.extend_from_slice(&n_path.to_le_bytes());
+            let e = read(&buf).unwrap_err();
+            assert!(matches!(e, TraceError::Malformed { .. }), "{e}");
+        }
     }
 
     #[test]
@@ -362,7 +386,7 @@ mod tests {
         // Any strict prefix must fail (never panic, never succeed) —
         // including the prefix that is only missing the checksum footer.
         for cut in 0..buf.len() {
-            let r = read_trace_binary(&buf[..cut]);
+            let r = read(&buf[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes unexpectedly parsed");
         }
     }
@@ -372,7 +396,7 @@ mod tests {
         let mut buf = encoded();
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        let e = read_trace_binary(buf.as_slice()).unwrap_err();
+        let e = read(&buf).unwrap_err();
         assert!(matches!(e, TraceError::Checksum { .. }), "wrong variant: {e}");
     }
 
@@ -384,7 +408,7 @@ mod tests {
         // First CondBranch target starts after magic(4)+ver(2)+base(8)+
         // entry(8)+n_image(8)+opcode(1)+opcode(1) = 32.
         buf[32] ^= 0x08;
-        let e = read_trace_binary(buf.as_slice()).unwrap_err();
+        let e = read(&buf).unwrap_err();
         assert!(matches!(e, TraceError::Checksum { .. }), "wrong variant: {e}");
     }
 
@@ -397,7 +421,7 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes()); // entry
         buf.extend_from_slice(&1u64.to_le_bytes()); // n_image
         buf.push(99); // bad opcode
-        let e = read_trace_binary(buf.as_slice()).unwrap_err();
+        let e = read(&buf).unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 
@@ -407,7 +431,7 @@ mod tests {
         buf.extend_from_slice(b"SFTB");
         buf.extend_from_slice(&1u16.to_le_bytes());
         buf.extend_from_slice(&2u64.to_le_bytes()); // misaligned base
-        let e = read_trace_binary(buf.as_slice()).unwrap_err();
+        let e = read(&buf).unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 }

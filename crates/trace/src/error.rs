@@ -1,11 +1,11 @@
-//! Trace I/O and replay errors.
+//! Trace file errors.
 
 use std::fmt;
 use std::io;
 
 use specfetch_isa::Addr;
 
-/// Errors from parsing, writing, or replaying a trace.
+/// Errors from reading or writing a trace file.
 #[derive(Debug)]
 pub enum TraceError {
     /// An underlying I/O failure.
@@ -32,17 +32,31 @@ pub enum TraceError {
     },
     /// The program image embedded in the trace failed validation.
     BadImage(specfetch_isa::ProgramBuildError),
-    /// Replay walked to a PC outside the program image.
+    /// A path record sends the walk to a PC outside the program image.
     WalkedOffImage {
         /// The out-of-range PC.
         pc: Addr,
     },
-    /// Replay found an outcome of the wrong kind for the instruction at
-    /// `pc` (e.g. a direction bit where an indirect target was needed).
-    OutcomeMismatch {
-        /// The instruction whose outcome was malformed.
+    /// A path record of the wrong kind for the instruction at `pc` (a
+    /// direction where a successor was needed, or the reverse).
+    RecordMismatch {
+        /// The instruction the record was meant for.
         pc: Addr,
     },
+    /// The walk fell off the end of the image with path records left.
+    RecordsPastEnd {
+        /// The image end.
+        pc: Addr,
+    },
+    /// The path runs without records for longer than the image: a loop
+    /// of direct transfers that never ends, so the file cannot say how
+    /// long the recorded run was.
+    EndlessLoop {
+        /// The instruction at which the stretch outgrew the image.
+        pc: Addr,
+    },
+    /// The path is longer than `u32::MAX` instructions.
+    PathTooLong,
 }
 
 impl fmt::Display for TraceError {
@@ -58,11 +72,19 @@ impl fmt::Display for TraceError {
             ),
             TraceError::BadImage(e) => write!(f, "invalid program image in trace: {e}"),
             TraceError::WalkedOffImage { pc } => {
-                write!(f, "replay walked off the program image at {pc}")
+                write!(f, "path walked off the program image at {pc}")
             }
-            TraceError::OutcomeMismatch { pc } => {
-                write!(f, "outcome kind mismatch for instruction at {pc}")
+            TraceError::RecordMismatch { pc } => {
+                write!(f, "path record kind mismatch for instruction at {pc}")
             }
+            TraceError::RecordsPastEnd { pc } => {
+                write!(f, "path records left when the path reached the image end at {pc}")
+            }
+            TraceError::EndlessLoop { pc } => write!(
+                f,
+                "path loops without records at {pc} (a stretch longer than the image never ends)"
+            ),
+            TraceError::PathTooLong => write!(f, "path exceeds u32::MAX instructions"),
         }
     }
 }
@@ -102,7 +124,10 @@ mod tests {
             TraceError::Checksum { expected: 1, found: 2 },
             TraceError::BadImage(specfetch_isa::ProgramBuildError::Empty),
             TraceError::WalkedOffImage { pc: Addr::new(4) },
-            TraceError::OutcomeMismatch { pc: Addr::new(8) },
+            TraceError::RecordMismatch { pc: Addr::new(8) },
+            TraceError::RecordsPastEnd { pc: Addr::new(12) },
+            TraceError::EndlessLoop { pc: Addr::new(16) },
+            TraceError::PathTooLong,
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -6,7 +6,7 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
 
-use crate::{read_trace_binary, read_trace_text, Trace, TraceError};
+use crate::{read_trace_binary, read_trace_text, PredictedTrace, TraceError};
 
 /// Why [`read_trace_file`] could not load a file. Every variant names
 /// the file it is about.
@@ -43,7 +43,8 @@ impl std::error::Error for TraceFileError {
     }
 }
 
-/// Reads a whole trace file, choosing the format by extension: `.sft`
+/// Reads a whole trace file into a [`PredictedTrace`] of at most
+/// `max_instrs` instructions, choosing the format by extension: `.sft`
 /// is text ([`read_trace_text`]) and `.sftb` is binary
 /// ([`read_trace_binary`]).
 ///
@@ -52,7 +53,7 @@ impl std::error::Error for TraceFileError {
 /// [`TraceFileError::UnknownExtension`] before touching the file if the
 /// extension is neither; otherwise the open or parse failure, tagged
 /// with the path.
-pub fn read_trace_file(path: &Path) -> Result<Trace, TraceFileError> {
+pub fn read_trace_file(path: &Path, max_instrs: u64) -> Result<PredictedTrace, TraceFileError> {
     let binary = match path.extension().and_then(|e| e.to_str()) {
         Some("sft") => false,
         Some("sftb") => true,
@@ -60,22 +61,22 @@ pub fn read_trace_file(path: &Path) -> Result<Trace, TraceFileError> {
     };
     let file = File::open(path).map_err(|e| TraceFileError::Open(path.to_owned(), e))?;
     let reader = BufReader::new(file);
-    let trace = if binary { read_trace_binary(reader) } else { read_trace_text(reader) };
+    let trace = if binary {
+        read_trace_binary(reader, max_instrs)
+    } else {
+        read_trace_text(reader, max_instrs)
+    };
     trace.map_err(|e| TraceFileError::Parse(path.to_owned(), e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{write_trace_binary, write_trace_text, Outcome};
-    use specfetch_isa::{Addr, InstrKind, ProgramBuilder};
+    use crate::{write_trace_binary, write_trace_text};
 
-    fn sample() -> Trace {
-        let mut b = ProgramBuilder::new(Addr::new(0x40));
-        let top = b.push_seq(2);
-        b.push(InstrKind::CondBranch { target: top });
-        b.set_entry(top);
-        Trace::new(b.finish().unwrap(), vec![Outcome::taken(), Outcome::not_taken()])
+    fn sample() -> PredictedTrace {
+        let text = "SFT1 text\nbase 0x40\nentry 0x40\nimage 3\ns\ns\nb 0x40\npath 2\nt\nn\nend\n";
+        read_trace_text(text.as_bytes(), u64::MAX).unwrap()
     }
 
     #[test]
@@ -87,14 +88,14 @@ mod tests {
         write_trace_binary(&sample(), &mut File::create(&binary).unwrap()).unwrap();
         std::fs::copy(&binary, &other).unwrap();
 
-        assert_eq!(read_trace_file(&text).unwrap(), sample());
-        assert_eq!(read_trace_file(&binary).unwrap(), sample());
-        let e = read_trace_file(&other).unwrap_err();
+        assert_eq!(read_trace_file(&text, u64::MAX).unwrap(), sample());
+        assert_eq!(read_trace_file(&binary, u64::MAX).unwrap(), sample());
+        let e = read_trace_file(&other, u64::MAX).unwrap_err();
         assert!(matches!(e, TraceFileError::UnknownExtension(_)), "{e}");
         assert!(e.to_string().contains("t.bin"), "{e}");
         // Text read as binary: the extension decides, and the error names the file.
         std::fs::copy(&text, &binary).unwrap();
-        let e = read_trace_file(&binary).unwrap_err();
+        let e = read_trace_file(&binary, u64::MAX).unwrap_err();
         assert!(e.to_string().starts_with(&format!("parse {}: ", binary.display())), "{e}");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -102,7 +103,7 @@ mod tests {
 
     #[test]
     fn a_missing_file_is_an_open_error() {
-        let e = read_trace_file(Path::new("/nonexistent/x.sftb")).unwrap_err();
+        let e = read_trace_file(Path::new("/nonexistent/x.sftb"), u64::MAX).unwrap_err();
         assert!(e.to_string().starts_with("open /nonexistent/x.sftb: "), "{e}");
     }
 }

@@ -22,9 +22,12 @@
 //!   4 bytes);
 //! - per conditional, its direction: one bit of the resolve-order
 //!   bitstream below;
-//! - per return or indirect transfer, the word of its actual successor
-//!   (4 bytes). A direct transfer's successor is its target when taken
-//!   and its fall-through when not.
+//! - per return or indirect transfer, its actual successor (4 bytes). A
+//!   direct transfer's successor is its target when taken and its
+//!   fall-through when not.
+//!
+//! PCs are stored as word offsets from the image base, so an image may
+//! sit anywhere in the address space.
 //!
 //! A walk reads the transfer at its PC from the image, then its
 //! direction or successor from the trace. Instruction `idx` after
@@ -41,6 +44,13 @@
 //! `specfetch_bpred::OutcomeReplay` independently of cache timing. (Fetch-time predictor state — BTB/RAS contents, speculative
 //! history — is deliberately *not* precomputed: it depends on wrong-path
 //! fetch volume and therefore on cache geometry; see DESIGN.md.)
+//!
+//! A trace file holds the same facts: the image, then one record per
+//! conditional (its direction) and per return or indirect transfer (its
+//! successor). [`crate::read_trace_text`] and [`crate::read_trace_binary`]
+//! feed those records to one walk here, which follows the image from its
+//! entry and builds the trace directly; the writers emit them back from
+//! the trace.
 //!
 //! The trace depends on the path alone — no cache or predictor parameters
 //! — so one `Arc<PredictedTrace>` serves every grid point of a benchmark.
@@ -83,7 +93,7 @@ use std::sync::Arc;
 
 use specfetch_isa::{Addr, DynInstr, InstrKind, Program};
 
-use crate::PathSource;
+use crate::{PathSource, TraceError};
 
 /// One recorded correct path, stored per control transfer.
 ///
@@ -93,13 +103,16 @@ use crate::PathSource;
 #[derive(Clone, PartialEq, Debug)]
 pub struct PredictedTrace {
     program: Arc<Program>,
+    /// Word index of the image base; `first` and `succ` are offsets
+    /// from it.
+    base: u64,
     /// Number of recorded instructions.
     len: usize,
-    /// Word index of the first instruction.
+    /// Word offset of the first instruction.
     first: u32,
     /// Per transfer, in trace order: its trace index.
     at: Vec<u32>,
-    /// Per return or indirect transfer, in trace order: word index of
+    /// Per return or indirect transfer, in trace order: word offset of
     /// its actual successor.
     succ: Vec<u32>,
     /// Conditional direction bits in resolve order (= trace order),
@@ -121,24 +134,16 @@ impl PredictedTrace {
     /// that does not fall through), a transfer's kind differs from the
     /// image's instruction at its PC, an unconditional transfer is not
     /// taken, or a direct transfer does not go to its target when taken
-    /// and to its fall-through when not. Also panics if a PC's word index
-    /// or the instruction count exceeds `u32::MAX`.
+    /// and to its fall-through when not. Also panics if the instruction
+    /// count exceeds `u32::MAX`, or a PC lies below the image base or
+    /// `u32::MAX` words or more above it.
     pub fn record<S: PathSource>(source: &mut S, max_instrs: u64) -> Self {
-        let program = source.shared_program();
-        let mut trace = PredictedTrace {
-            first: word32(program.entry()),
-            program,
-            len: 0,
-            at: Vec::new(),
-            succ: Vec::new(),
-            cond_taken: Vec::new(),
-            n_conds: 0,
-        };
+        let mut trace = PredictedTrace::empty(source.shared_program());
         let mut expect: Option<Addr> = None;
         while (trace.len as u64) < max_instrs {
             let Some(d) = source.next_instr() else { break };
             if expect.is_none() {
-                trace.first = word32(d.pc);
+                trace.first = trace.offset(d.pc);
             } else if expect != Some(d.pc) {
                 inconsistent(
                     &d,
@@ -147,43 +152,80 @@ impl PredictedTrace {
             }
             expect = Some(d.next_pc);
             assert!(trace.len < u32::MAX as usize, "trace exceeds u32 instruction indices");
-            let idx = trace.len as u32;
-            trace.len += 1;
             if !d.kind.is_branch() {
                 if d.taken || d.next_pc != d.pc.next() {
                     inconsistent(&d, "is not a transfer but does not fall through");
                 }
-                continue;
-            }
-            if trace.program.fetch(d.pc) != Some(d.kind) {
+            } else if trace.program.fetch(d.pc) != Some(d.kind) {
                 inconsistent(&d, "differs from the image's instruction at its PC");
-            }
-            if d.kind.is_unconditional() && !d.taken {
+            } else if d.kind.is_unconditional() && !d.taken {
                 inconsistent(&d, "is unconditional but not taken");
+            } else if d
+                .kind
+                .static_target()
+                .is_some_and(|target| d.next_pc != if d.taken { target } else { d.pc.next() })
+            {
+                inconsistent(&d, "is direct but misses its target or fall-through");
             }
-            trace.at.push(idx);
-            match d.kind.static_target() {
-                Some(target) => {
-                    if d.next_pc != if d.taken { target } else { d.pc.next() } {
-                        inconsistent(&d, "is direct but misses its target or fall-through");
-                    }
-                }
-                None => trace.succ.push(word32(d.next_pc)),
-            }
-            if d.kind.is_conditional() {
-                if trace.n_conds.is_multiple_of(64) {
-                    trace.cond_taken.push(0);
-                }
-                if let Some(w) = trace.cond_taken.last_mut() {
-                    *w |= u64::from(d.taken) << (trace.n_conds % 64);
-                }
-                trace.n_conds += 1;
-            }
+            trace.push(d.kind, d.taken, d.next_pc);
         }
-        trace.at.shrink_to_fit();
-        trace.succ.shrink_to_fit();
-        trace.cond_taken.shrink_to_fit();
+        trace.shrink();
         trace
+    }
+
+    /// A trace of no instructions, starting at the image's entry.
+    fn empty(program: Arc<Program>) -> Self {
+        let mut trace = PredictedTrace {
+            base: program.base().word_index(),
+            first: 0,
+            program,
+            len: 0,
+            at: Vec::new(),
+            succ: Vec::new(),
+            cond_taken: Vec::new(),
+            n_conds: 0,
+        };
+        trace.first = trace.offset(trace.program.entry());
+        trace
+    }
+
+    /// Word offset of `pc` from the image base.
+    #[inline]
+    fn offset(&self, pc: Addr) -> u32 {
+        pc.word_index()
+            .checked_sub(self.base)
+            .and_then(|w| u32::try_from(w).ok())
+            .unwrap_or_else(|| panic!("{pc} is outside the image's u32 word offsets"))
+    }
+
+    /// Appends the next instruction, already checked against the image:
+    /// its kind, direction and successor.
+    #[inline]
+    fn push(&mut self, kind: InstrKind, taken: bool, next_pc: Addr) {
+        let idx = self.len as u32;
+        self.len += 1;
+        if !kind.is_branch() {
+            return;
+        }
+        self.at.push(idx);
+        if kind.static_target().is_none() {
+            let succ = self.offset(next_pc);
+            self.succ.push(succ);
+        } else if kind.is_conditional() {
+            if self.n_conds.is_multiple_of(64) {
+                self.cond_taken.push(0);
+            }
+            if let Some(w) = self.cond_taken.last_mut() {
+                *w |= u64::from(taken) << (self.n_conds % 64);
+            }
+            self.n_conds += 1;
+        }
+    }
+
+    fn shrink(&mut self) {
+        self.at.shrink_to_fit();
+        self.succ.shrink_to_fit();
+        self.cond_taken.shrink_to_fit();
     }
 
     /// Number of recorded instructions.
@@ -210,6 +252,30 @@ impl PredictedTrace {
     /// Number of conditional branches in the trace.
     pub fn cond_count(&self) -> usize {
         self.n_conds
+    }
+
+    /// Number of data-dependent transfers in the trace (conditionals,
+    /// returns and indirect transfers): one path record each in a trace
+    /// file.
+    pub fn record_count(&self) -> usize {
+        self.n_conds + self.succ.len()
+    }
+
+    /// The trace's path records in trace order: a conditional's
+    /// direction, or a return's or indirect transfer's successor.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let mut walk = self.head();
+        std::iter::from_fn(move || loop {
+            walk.skip(walk.run_end - walk.idx);
+            let d = walk.peek(self)?;
+            walk.step(self);
+            if d.kind.is_conditional() {
+                return Some(Record::Taken(d.taken));
+            }
+            if d.kind.static_target().is_none() {
+                return Some(Record::Target(d.next_pc));
+            }
+        })
     }
 
     /// Direction of the `k`-th conditional (resolve order).
@@ -272,7 +338,7 @@ impl PredictedTrace {
 
     /// A walk at the head of the trace.
     fn head(&self) -> Walk {
-        let pc = Addr::from_word(u64::from(self.first));
+        let pc = Addr::from_word(self.base + u64::from(self.first));
         Walk { idx: 0, ord: 0, cond: 0, ind: 0, pc, run_end: self.transfer_at(0) }
     }
 
@@ -295,7 +361,7 @@ impl PredictedTrace {
                 let taken = !kind.is_conditional() || self.cond_taken(walk.cond);
                 (taken, if taken { target } else { pc.next() })
             }
-            None => (true, Addr::from_word(u64::from(self.succ[walk.ind]))),
+            None => (true, Addr::from_word(self.base + u64::from(self.succ[walk.ind]))),
         };
         DynInstr { pc, kind, taken, next_pc }
     }
@@ -309,10 +375,113 @@ fn inconsistent(d: &DynInstr, what: &str) -> ! {
     panic!("stream cannot be replayed from its trace and image: {d} {what}")
 }
 
-fn word32(pc: Addr) -> u32 {
-    let word = pc.word_index();
-    assert!(word <= u64::from(u32::MAX), "image exceeds u32 word indices");
-    word as u32
+/// One record of a trace file's path section.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum Record {
+    /// A conditional branch's direction: `true` if taken.
+    Taken(bool),
+    /// A return's or indirect transfer's successor.
+    Target(Addr),
+}
+
+/// Builds a [`PredictedTrace`] from an image and a trace file's path
+/// records, fed one at a time as a reader decodes them.
+///
+/// The walk follows the image from its entry: sequential instructions
+/// and direct transfers advance by themselves, each conditional takes a
+/// direction record, and each return or indirect transfer a successor
+/// record. It stops at `max_instrs` instructions (later records are
+/// read but not walked), at a data-dependent transfer once the records
+/// have run out, or at the end of the image. Anything else is a
+/// [`TraceError`]: a record of the wrong kind, a successor outside the
+/// image, records left at the image end, a stretch without records
+/// longer than the image (which can only be a loop that never ends) or
+/// more than `u32::MAX` instructions. The first error sticks, so a
+/// reader can finish the file (and check its checksum) before reporting
+/// it.
+pub(crate) struct FileWalk {
+    trace: PredictedTrace,
+    pc: Addr,
+    max_instrs: u64,
+    /// Instructions walked since the last record.
+    stretch: usize,
+    error: Option<TraceError>,
+}
+
+impl FileWalk {
+    pub(crate) fn new(program: Program, max_instrs: u64) -> Self {
+        let pc = program.entry();
+        let trace = PredictedTrace::empty(Arc::new(program));
+        FileWalk { trace, pc, max_instrs, stretch: 0, error: None }
+    }
+
+    /// Walks to the next data-dependent transfer and applies `record`
+    /// there.
+    pub(crate) fn push(&mut self, record: Record) {
+        if self.error.is_none() {
+            self.error = self.walk(Some(record)).err();
+        }
+    }
+
+    /// Walks on without records to where the path ends.
+    pub(crate) fn finish(mut self) -> Result<PredictedTrace, TraceError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        self.walk(None)?;
+        self.trace.shrink();
+        Ok(self.trace)
+    }
+
+    fn walk(&mut self, record: Option<Record>) -> Result<(), TraceError> {
+        let program = Arc::clone(&self.trace.program);
+        while (self.trace.len as u64) < self.max_instrs {
+            let pc = self.pc;
+            // The entry, direct targets and walked successors all lie in
+            // the image, so only a fall-through reaches past it: its end.
+            let Some(kind) = program.fetch(pc) else {
+                return match record {
+                    Some(_) => Err(TraceError::RecordsPastEnd { pc }),
+                    None => Ok(()),
+                };
+            };
+            // (direction, successor, whether the record was used)
+            let (taken, next, used) = match (kind, record) {
+                (InstrKind::Seq, _) => (false, pc.next(), false),
+                (InstrKind::Jump { target } | InstrKind::Call { target }, _) => {
+                    (true, target, false)
+                }
+                (_, None) => return Ok(()),
+                (InstrKind::CondBranch { target }, Some(Record::Taken(taken))) => {
+                    (taken, if taken { target } else { pc.next() }, true)
+                }
+                (
+                    InstrKind::Return | InstrKind::IndirectJump | InstrKind::IndirectCall,
+                    Some(Record::Target(target)),
+                ) => {
+                    if !program.contains(target) {
+                        return Err(TraceError::WalkedOffImage { pc: target });
+                    }
+                    (true, target, true)
+                }
+                (_, Some(_)) => return Err(TraceError::RecordMismatch { pc }),
+            };
+            if self.trace.len == u32::MAX as usize {
+                return Err(TraceError::PathTooLong);
+            }
+            self.trace.push(kind, taken, next);
+            self.pc = next;
+            if used {
+                self.stretch = 0;
+                return Ok(());
+            }
+            self.stretch += 1;
+            if self.stretch > program.len() {
+                return Err(TraceError::EndlessLoop { pc });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A position in a [`PredictedTrace`]: the walk a [`PredictedSource`]
@@ -678,6 +847,26 @@ mod tests {
             0,
             "a path without transfers stores nothing per instruction"
         );
+        assert_eq!(replay(&trace), path);
+    }
+
+    #[test]
+    fn an_image_above_u32_words_replays() {
+        // PCs are stored as offsets from the base, so a base past 2^34
+        // bytes records and replays like any other.
+        let base = Addr::new(0x7fff_0000_0000);
+        let mut b = ProgramBuilder::new(base);
+        b.push(InstrKind::Call { target: base.offset_words(2) });
+        b.push(InstrKind::Jump { target: base });
+        b.push(InstrKind::Return);
+        b.set_entry(base);
+        let p = b.finish().unwrap();
+        let br = |w: i64, to: i64| {
+            let at = base.offset_words(w);
+            DynInstr::branch(at, p.fetch(at).unwrap(), true, base.offset_words(to))
+        };
+        let path = vec![br(0, 2), br(2, 1), br(1, 0), br(0, 2), br(2, 1)];
+        let trace = Arc::new(PredictedTrace::record(&mut VecSource::new(p, path.clone()), 9));
         assert_eq!(replay(&trace), path);
     }
 

@@ -8,9 +8,10 @@ use specfetch_isa::{DynInstr, Program};
 ///
 /// This is the simulator's input contract: a static [`Program`] image (used
 /// to walk wrong paths) plus a stream of retired correct-path instructions
-/// with ground-truth outcomes. Implementations include trace replay
-/// ([`crate::Replay`]), in-memory vectors ([`VecSource`]), and the synthetic
-/// workload interpreter in `specfetch-synth`.
+/// with ground-truth outcomes. Implementations include recorded-trace
+/// replay ([`crate::PredictedSource`], also what trace files load into),
+/// in-memory vectors ([`VecSource`]), and the synthetic workload
+/// interpreter in `specfetch-synth`.
 pub trait PathSource {
     /// The static image this path executes within.
     fn program(&self) -> &Program;

@@ -19,17 +19,13 @@ use crate::PathSource;
 /// # Examples
 ///
 /// ```
-/// use specfetch_isa::{Addr, InstrKind, ProgramBuilder};
-/// use specfetch_trace::{Outcome, Replay, TraceStats};
+/// use std::sync::Arc;
+/// use specfetch_trace::{read_trace_text, PredictedTrace, TraceStats};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = ProgramBuilder::new(Addr::new(0));
-/// let top = b.push(InstrKind::Seq);
-/// b.push(InstrKind::CondBranch { target: top });
-/// b.set_entry(top);
-/// let p = b.finish()?;
-/// let mut r = Replay::new(&p, vec![Outcome::taken(), Outcome::not_taken()].into_iter());
-/// let stats = TraceStats::from_source(&mut r);
+/// let text = "SFT1 text\nbase 0x0\nentry 0x0\nimage 2\ns\nb 0x0\npath 2\nt\nn\nend\n";
+/// let trace = Arc::new(read_trace_text(text.as_bytes(), u64::MAX)?);
+/// let stats = TraceStats::from_source(&mut PredictedTrace::source(&trace));
 /// assert_eq!(stats.instrs, 4);
 /// assert_eq!(stats.cond_branches, 2);
 /// assert_eq!(stats.taken_conds, 1);

@@ -23,14 +23,16 @@ use std::io::{BufRead, Write};
 
 use specfetch_isa::{Addr, InstrKind, ProgramBuilder};
 
-use crate::{Outcome, Trace, TraceError};
+use crate::predicted::{FileWalk, Record};
+use crate::{PredictedTrace, TraceError};
 
-/// Serialises a trace in the text format.
+/// Serialises a trace in the text format: its image, then one path
+/// record per data-dependent transfer.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] on write failure.
-pub fn write_trace_text<W: Write>(trace: &Trace, w: &mut W) -> Result<(), TraceError> {
+pub fn write_trace_text<W: Write>(trace: &PredictedTrace, w: &mut W) -> Result<(), TraceError> {
     let p = trace.program();
     writeln!(w, "SFT1 text")?;
     writeln!(w, "base {}", p.base())?;
@@ -47,12 +49,12 @@ pub fn write_trace_text<W: Write>(trace: &Trace, w: &mut W) -> Result<(), TraceE
             InstrKind::IndirectCall => writeln!(w, "y")?,
         }
     }
-    writeln!(w, "path {}", trace.outcomes().len())?;
-    for o in trace.outcomes() {
-        match o {
-            Outcome::Cond { taken: true } => writeln!(w, "t")?,
-            Outcome::Cond { taken: false } => writeln!(w, "n")?,
-            Outcome::Indirect { target } => writeln!(w, "@ {target}")?,
+    writeln!(w, "path {}", trace.record_count())?;
+    for record in trace.records() {
+        match record {
+            Record::Taken(true) => writeln!(w, "t")?,
+            Record::Taken(false) => writeln!(w, "n")?,
+            Record::Target(target) => writeln!(w, "@ {target}")?,
         }
     }
     writeln!(w, "end")?;
@@ -116,13 +118,18 @@ fn expect_kv(line: (u64, &str), key: &str) -> Result<Addr, TraceError> {
     parse_addr(at, rest.trim())
 }
 
-/// Parses a trace in the text format.
+/// Parses a trace in the text format, walking its path from the image's
+/// entry for at most `max_instrs` instructions.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError`] on I/O failure, a bad header, a malformed record,
-/// or an image that fails [`ProgramBuilder::finish`] validation.
-pub fn read_trace_text<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
+/// an image that fails [`ProgramBuilder::finish`] validation, or path
+/// records that disagree with the image.
+pub fn read_trace_text<R: BufRead>(
+    reader: R,
+    max_instrs: u64,
+) -> Result<PredictedTrace, TraceError> {
     let mut lines = Lines { reader, line_no: 0, buf: String::new() };
 
     let (at, header) =
@@ -173,25 +180,24 @@ pub fn read_trace_text<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
     let program = builder.finish()?;
 
     let (at, path_hdr) = lines.next_line()?.ok_or_else(|| malformed(0, "missing path"))?;
-    let n_outcomes: usize = path_hdr
+    let n_records: u64 = path_hdr
         .strip_prefix("path")
         .and_then(|r| r.trim().parse().ok())
         .ok_or_else(|| malformed(at, format!("expected `path <count>`, got {path_hdr:?}")))?;
 
-    let mut outcomes = Vec::with_capacity(n_outcomes);
-    for _ in 0..n_outcomes {
+    let mut walk = FileWalk::new(program, max_instrs);
+    for _ in 0..n_records {
         let (at, s) = lines.next_line()?.ok_or_else(|| malformed(0, "truncated path"))?;
-        let o = match s {
-            "t" => Outcome::taken(),
-            "n" => Outcome::not_taken(),
+        walk.push(match s {
+            "t" => Record::Taken(true),
+            "n" => Record::Taken(false),
             _ => {
                 let rest = s
                     .strip_prefix('@')
-                    .ok_or_else(|| malformed(at, format!("bad outcome record {s:?}")))?;
-                Outcome::indirect(parse_addr(at, rest.trim())?)
+                    .ok_or_else(|| malformed(at, format!("bad path record {s:?}")))?;
+                Record::Target(parse_addr(at, rest.trim())?)
             }
-        };
-        outcomes.push(o);
+        });
     }
 
     let (at, end) = lines.next_line()?.ok_or_else(|| malformed(0, "missing end marker"))?;
@@ -199,7 +205,7 @@ pub fn read_trace_text<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
         return Err(malformed(at, format!("expected `end`, got {end:?}")));
     }
 
-    Ok(Trace::new(program, outcomes))
+    walk.finish()
 }
 
 #[cfg(test)]
@@ -207,89 +213,85 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn sample_trace() -> Trace {
-        let mut b = ProgramBuilder::new(Addr::new(0x1000));
-        let entry = b.push(InstrKind::Seq);
-        b.push(InstrKind::CondBranch { target: entry });
-        b.push(InstrKind::Call { target: entry });
-        b.push(InstrKind::Return);
-        b.push(InstrKind::IndirectJump);
-        b.push(InstrKind::IndirectCall);
-        b.push(InstrKind::Jump { target: entry });
-        b.set_entry(entry);
-        let program = b.finish().unwrap();
-        let outcomes =
-            vec![Outcome::taken(), Outcome::not_taken(), Outcome::indirect(Addr::new(0x1008))];
-        Trace::new(program, outcomes)
-    }
+    /// Every instruction kind; the path loops once, leaves through the
+    /// call, the indirect jump and the indirect call, and stops at the
+    /// conditional it reaches with no records left.
+    const SAMPLE: &str = "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 7\ns\nb 0x1000\nc 0x1014\n\
+                          x\nj 0x1000\nr\ny\npath 5\nt\nn\n@ 0x100c\n@ 0x1018\n@ 0x1000\nend\n";
 
-    fn round_trip(trace: &Trace) -> Trace {
-        let mut buf = Vec::new();
-        write_trace_text(trace, &mut buf).unwrap();
-        read_trace_text(Cursor::new(buf)).unwrap()
+    fn read(text: &str) -> Result<PredictedTrace, TraceError> {
+        read_trace_text(Cursor::new(text), u64::MAX)
     }
 
     #[test]
-    fn text_round_trip_preserves_everything() {
-        let t = sample_trace();
-        assert_eq!(round_trip(&t), t);
+    fn the_path_is_walked_from_the_image_and_written_back_unchanged() {
+        let t = read(SAMPLE).unwrap();
+        assert_eq!((t.len(), t.cond_count(), t.record_count()), (9, 2, 5));
+        let mut buf = Vec::new();
+        write_trace_text(&t, &mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), SAMPLE);
+        let capped = read_trace_text(Cursor::new(SAMPLE), 3).unwrap();
+        assert_eq!((capped.len(), capped.record_count()), (3, 1));
     }
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let mut buf = Vec::new();
-        write_trace_text(&sample_trace(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
         let noisy =
-            text.lines().map(|l| format!("{l}  # trailing comment\n\n")).collect::<String>();
-        let t = read_trace_text(Cursor::new(noisy)).unwrap();
-        assert_eq!(t, sample_trace());
+            SAMPLE.lines().map(|l| format!("{l}  # trailing comment\n\n")).collect::<String>();
+        assert_eq!(read(&noisy).unwrap(), read(SAMPLE).unwrap());
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let e = read_trace_text(Cursor::new("SFT9 text\n")).unwrap_err();
+        let e = read("SFT9 text\n").unwrap_err();
         assert!(matches!(e, TraceError::BadHeader { .. }));
     }
 
     #[test]
     fn rejects_empty_file() {
-        let e = read_trace_text(Cursor::new("")).unwrap_err();
+        let e = read("").unwrap_err();
         assert!(matches!(e, TraceError::BadHeader { .. }));
     }
 
     #[test]
     fn rejects_bad_instruction_record() {
-        let text = "SFT1 text\nbase 0x0\nentry 0x0\nimage 1\nz\npath 0\nend\n";
-        let e = read_trace_text(Cursor::new(text)).unwrap_err();
+        let e = read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\nz\npath 0\nend\n").unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 
     #[test]
     fn rejects_misaligned_address() {
-        let text = "SFT1 text\nbase 0x2\n";
-        let e = read_trace_text(Cursor::new(text)).unwrap_err();
+        let e = read("SFT1 text\nbase 0x2\n").unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 
     #[test]
     fn rejects_truncated_path_section() {
-        let text = "SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 2\nt\n";
-        let e = read_trace_text(Cursor::new(text)).unwrap_err();
+        let e = read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 2\nt\n").unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 
     #[test]
+    fn counts_far_past_the_end_of_the_file_are_malformed_not_allocated() {
+        for text in [
+            "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 1\ns\npath 99999999999999\n",
+            "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 99999999999999\ns\n",
+        ] {
+            let e = read(text).unwrap_err();
+            assert!(matches!(e, TraceError::Malformed { .. }), "{e}");
+        }
+    }
+
+    #[test]
     fn rejects_dangling_branch_target() {
-        let text = "SFT1 text\nbase 0x0\nentry 0x0\nimage 1\nb 0x100\npath 0\nend\n";
-        let e = read_trace_text(Cursor::new(text)).unwrap_err();
+        let e =
+            read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\nb 0x100\npath 0\nend\n").unwrap_err();
         assert!(matches!(e, TraceError::BadImage(_)));
     }
 
     #[test]
     fn rejects_missing_end_marker() {
-        let text = "SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 0\n";
-        let e = read_trace_text(Cursor::new(text)).unwrap_err();
+        let e = read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 0\n").unwrap_err();
         assert!(matches!(e, TraceError::Malformed { .. }));
     }
 }

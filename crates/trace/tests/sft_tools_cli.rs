@@ -2,9 +2,9 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::{Duration, Instant};
 
-use specfetch_isa::{Addr, InstrKind, ProgramBuilder};
-use specfetch_trace::{write_trace_binary, write_trace_text, Outcome, Trace};
+use specfetch_trace::{read_trace_text, write_trace_binary, write_trace_text, PredictedTrace};
 
 fn sft_tools() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sft_tools"))
@@ -18,13 +18,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn sample_trace() -> Trace {
-    let mut b = ProgramBuilder::new(Addr::new(0x1000));
-    let top = b.push_seq(3);
-    b.push(InstrKind::CondBranch { target: top });
-    b.push(InstrKind::Return);
-    b.set_entry(top);
-    Trace::new(b.finish().unwrap(), vec![Outcome::taken(), Outcome::taken(), Outcome::not_taken()])
+/// Three trips round a loop, then a return with no record left.
+fn sample_trace() -> PredictedTrace {
+    let text = "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 5\ns\ns\ns\nb 0x1000\nr\n\
+                path 3\nt\nt\nn\nend\n";
+    read_trace_text(text.as_bytes(), u64::MAX).unwrap()
 }
 
 #[test]
@@ -72,6 +70,15 @@ fn convert_round_trips_formats() {
     let original = std::fs::read_to_string(&text_path).unwrap();
     let round_tripped = std::fs::read_to_string(&back_path).unwrap();
     assert_eq!(original, round_tripped, "text -> binary -> text must be lossless");
+
+    // An unknown output extension fails before the output is created.
+    let odd_path = dir.join("a.bin");
+    let odd = sft_tools()
+        .args(["convert", text_path.to_str().unwrap(), odd_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!odd.status.success());
+    assert!(!odd_path.exists(), "no empty output file is left behind");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -170,6 +177,58 @@ fn version_from_the_future_is_rejected() {
     let (ok, err) = stats_stderr(&path);
     assert!(!ok);
     assert!(err.contains("unsupported trace version 1006"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_endless_loop_without_records_fails_fast() {
+    // A jump back to the entry with no path records: the file cannot say
+    // how long the loop ran, so every command rejects it rather than
+    // walking forever.
+    let dir = temp_dir("loop");
+    let path = dir.join("loop.sft");
+    std::fs::write(
+        &path,
+        "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 2\ns\nj 0x1000\npath 0\nend\n",
+    )
+    .unwrap();
+    for cmd in ["stats", "info", "head"] {
+        let mut child = sft_tools()
+            .args([cmd, path.to_str().unwrap()])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let start = Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if start.elapsed() > Duration::from_secs(20) {
+                child.kill().ok();
+                panic!("sft-tools {cmd} still walking the loop after 20 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("path loops without records at 0x1000"), "{cmd}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_path_count_past_the_end_of_the_file_is_malformed() {
+    let dir = temp_dir("count");
+    let path = dir.join("count.sft");
+    std::fs::write(
+        &path,
+        "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 1\ns\npath 99999999999999\n",
+    )
+    .unwrap();
+    let out = sft_tools().args(["info", path.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("malformed trace at 0: truncated path"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -71,5 +71,5 @@ pub mod prelude {
     };
     pub use specfetch_synth::suite::Benchmark;
     pub use specfetch_synth::{Workload, WorkloadSpec};
-    pub use specfetch_trace::{PathSource, Trace};
+    pub use specfetch_trace::{PathSource, PredictedTrace};
 }

@@ -1,4 +1,4 @@
-//! Replay-equivalence determinism: the shared-trace cache must be an
+//! Shared-trace equivalence and determinism: the trace cache must be an
 //! invisible optimisation.  Interpreting a benchmark afresh (the legacy
 //! interpret-per-run path, built here as the reference) and running it
 //! through the record-once/replay-many production path must produce
