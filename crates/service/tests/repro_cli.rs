@@ -207,6 +207,17 @@ fn the_full_report_matches_the_small_window_golden() {
 }
 
 #[test]
+fn the_ablations_match_their_golden() {
+    // The ablations are the only report bytes that run target
+    // prefetching, the stream buffer and prefetching on a pipelined bus.
+    let out = repro(&["--experiment", "extras", "--instrs", "20000"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let (got, want) = (stdout(&out), include_str!("golden/extras_20000.txt"));
+    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    assert!(got == want, "ablations drifted from the golden at line {first_diff:?}");
+}
+
+#[test]
 fn analyze_verifies_every_benchmark_and_matches_the_golden_table() {
     let out = repro(&["--analyze"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));

@@ -1,11 +1,17 @@
 //! Golden regression: each `MissGate` must reproduce the pre-refactor
 //! engine's per-benchmark `SimResult` exactly.
 //!
-//! The fixture was generated at commit d88d115 — the last revision where
-//! the five paper policies were `match` arms inside `Engine::on_miss` —
-//! by running this same harness with `SPECFETCH_REGEN_FIXTURE=1`. Any
-//! digest drift means the extracted gates changed simulated behaviour,
-//! which the refactor explicitly must not do.
+//! The gate fixture was generated at commit d88d115 — the last revision
+//! where the five paper policies were `match` arms inside
+//! `Engine::on_miss` — by running this same harness with
+//! `SPECFETCH_REGEN_FIXTURE=1`. Any digest drift means the extracted gates
+//! changed simulated behaviour, which the refactor explicitly must not do.
+//!
+//! The prefetch fixture pins every valid prefetcher combination (next-line,
+//! branch-target, both, the stream buffer, stream plus target) under every
+//! policy on a one- and a two-slot bus. It was recorded at commit ebea2e2,
+//! while the prefetchers were still boxed `PrefetchStage`s, with the same
+//! variable.
 
 use std::fmt::Write as _;
 
@@ -15,6 +21,20 @@ use specfetch::trace::PathSource;
 
 const INSTRS: u64 = 30_000;
 const FIXTURE: &str = include_str!("fixtures/gate_results.txt");
+
+const PREFETCH_INSTRS: u64 = 20_000;
+const PREFETCH_FIXTURE: &str = include_str!("fixtures/prefetch_results.txt");
+const PREFETCH_BENCHES: [&str; 3] = ["gcc", "li", "fpppp"];
+/// `(name, next-line, target, stream buffer)`: every combination that
+/// `SimConfig::validate` accepts (next-line and the stream buffer exclude
+/// each other).
+const PREFETCHERS: [(&str, bool, bool, bool); 5] = [
+    ("nl", true, false, false),
+    ("target", false, true, false),
+    ("nl+target", true, true, false),
+    ("stream", false, false, true),
+    ("stream+target", false, true, true),
+];
 
 fn digest(r: &SimResult) -> String {
     format!(
@@ -57,20 +77,55 @@ fn current() -> String {
     out
 }
 
-#[test]
-fn gates_reproduce_pre_refactor_results() {
-    let now = current();
+fn current_prefetch() -> String {
+    let mut out = String::new();
+    for name in PREFETCH_BENCHES {
+        let bench = Benchmark::by_name(name).expect("suite benchmark");
+        let w = bench.workload().expect("calibrated specs generate");
+        for (pf, prefetch, target_prefetch, stream_buffer) in PREFETCHERS {
+            for policy in FetchPolicy::ALL {
+                for bus_slots in [1, 2] {
+                    let mut cfg = SimConfig::paper_baseline();
+                    cfg.policy = policy;
+                    cfg.prefetch = prefetch;
+                    cfg.target_prefetch = target_prefetch;
+                    cfg.stream_buffer = stream_buffer;
+                    cfg.bus_slots = bus_slots;
+                    let path = w.executor(bench.path_seed()).take_instrs(PREFETCH_INSTRS);
+                    let r = Simulator::new(cfg).run(path);
+                    let p = policy.short_name();
+                    writeln!(out, "{name} {pf} {p} bus={bus_slots} {}", digest(&r)).unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Compares `now` with a committed fixture line by line, or rewrites the
+/// fixture when `SPECFETCH_REGEN_FIXTURE` is set.
+fn check(now: &str, file: &str, fixture: &str) {
     if std::env::var_os("SPECFETCH_REGEN_FIXTURE").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/gate_results.txt");
-        std::fs::write(path, &now).expect("write fixture");
+        let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, now).expect("write fixture");
         return;
     }
-    for (got, want) in now.lines().zip(FIXTURE.lines()) {
+    for (got, want) in now.lines().zip(fixture.lines()) {
         assert_eq!(got, want, "SimResult digest drifted from the pre-refactor engine");
     }
     assert_eq!(
         now.lines().count(),
-        FIXTURE.lines().count(),
+        fixture.lines().count(),
         "fixture row count changed — regenerate deliberately, never casually"
     );
+}
+
+#[test]
+fn gates_reproduce_pre_refactor_results() {
+    check(&current(), "gate_results.txt", FIXTURE);
+}
+
+#[test]
+fn prefetchers_reproduce_pre_refactor_results() {
+    check(&current_prefetch(), "prefetch_results.txt", PREFETCH_FIXTURE);
 }
