@@ -15,7 +15,7 @@ pub enum Purpose {
     DemandCorrect,
     /// A demand miss issued while on a wrong path.
     DemandWrong,
-    /// A next-line prefetch.
+    /// A next-line or stream-buffer prefetch.
     Prefetch,
     /// A branch-target prefetch (the Smith & Hsu '92 extension).
     TargetPrefetch,
@@ -174,7 +174,7 @@ impl Bus {
         self.demand_wrong
     }
 
-    /// Next-line prefetch fills issued.
+    /// Next-line and stream-buffer prefetch fills issued.
     pub fn prefetch_count(&self) -> u64 {
         self.prefetches
     }

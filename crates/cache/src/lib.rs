@@ -1,8 +1,8 @@
 //! Instruction-cache and memory-channel substrate for `specfetch`.
 //!
 //! The paper studies a **blocking** I-cache with, at most, one outstanding
-//! request to the next level of the hierarchy, plus two one-line buffers
-//! that give the Resume policy and next-line prefetching their
+//! request to the next level of the hierarchy, plus the one-line buffer
+//! that gives the Resume policy and next-line prefetching their
 //! almost-free hardware cost:
 //!
 //! - [`ICache`]: a set-associative (direct-mapped in the paper) instruction
@@ -11,13 +11,13 @@
 //! - [`Bus`]: the single-transaction channel to the next level; whoever
 //!   holds it (demand miss or prefetch) blocks everyone else until the
 //!   miss penalty elapses — the source of the paper's `bus` ISPI component.
-//! - [`ResumeBuffer`]: the Resume policy's one-line fill buffer. A
-//!   wrong-path fill that completes after a squash drains here; it is
-//!   written into the cache at the next miss, which also checks the buffer
-//!   to avoid a redundant memory request.
+//! - [`LineBuffer`]: the one-line fill buffer shared by the Resume policy
+//!   and both prefetch buffers. Resume parks a wrong-path fill that
+//!   completes after a squash, a prefetcher each completed prefetch; the
+//!   line is written into the cache at the next miss, which also checks
+//!   the buffer to avoid a redundant memory request.
 //! - [`NextLinePrefetcher`]: the paper's "maximal fetchahead and first
-//!   time referenced" next-line prefetch variant, with its own one-line
-//!   buffer and the same deferred-write rule.
+//!   time referenced" next-line prefetch variant.
 //! - [`TargetPrefetcher`]: the Smith & Hsu '92 branch-target prefetch
 //!   extension (combined with next-line it approximates Pierce & Mudge's
 //!   wrong-path prefetching, both related-work baselines in the paper).
@@ -46,8 +46,8 @@
 mod bus;
 mod config;
 mod icache;
+mod line_buffer;
 mod prefetch;
-mod resume;
 mod stats;
 mod stream;
 mod target_prefetch;
@@ -55,8 +55,8 @@ mod target_prefetch;
 pub use bus::{Bus, Purpose, Transaction};
 pub use config::{CacheConfig, CacheConfigError};
 pub use icache::ICache;
-pub use prefetch::{NextLinePrefetcher, PrefetchDecision};
-pub use resume::ResumeBuffer;
+pub use line_buffer::LineBuffer;
+pub use prefetch::{drain_prefetch, NextLinePrefetcher};
 pub use stats::CacheStats;
 pub use stream::StreamBuffer;
 pub use target_prefetch::TargetPrefetcher;

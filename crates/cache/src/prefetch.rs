@@ -2,21 +2,18 @@
 
 use specfetch_isa::LineAddr;
 
-use crate::{Bus, ICache, Purpose};
+use crate::{Bus, ICache, LineBuffer, Purpose};
 
-/// What a prefetch trigger decided.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum PrefetchDecision {
-    /// The accessed line's first-ref bit was clear: nothing to do.
-    NotTriggered,
-    /// The next line is already resident (or buffered or in flight); the
-    /// bit was cleared without a memory request.
-    AlreadyCovered,
-    /// A prefetch of the next line was issued on the bus.
-    Issued,
-    /// The bus was busy; the bit stays set and the trigger will retry on a
-    /// later access.
-    BusBusy,
+/// Writes a prefetch buffer's parked line into the cache unless it is
+/// already resident: "written before the next prefetch is issued or at
+/// the next I-cache miss, whichever comes first" (§3). Both prefetchers
+/// write by this rule; the Resume path writes its line unconditionally.
+pub fn drain_prefetch(buffer: &mut LineBuffer, icache: &mut ICache) {
+    if let Some(line) = buffer.take() {
+        if !icache.contains(line) {
+            icache.fill(line);
+        }
+    }
 }
 
 /// The paper's next-line prefetch variant.
@@ -24,45 +21,36 @@ pub enum PrefetchDecision {
 /// When a line is loaded into the cache its first-time-referenced bit is
 /// set (see [`ICache::fill`]). When the fetch unit reads from a line whose
 /// bit is set, the prefetcher tries to fetch line *i+1*: if it is already
-/// resident the bit is simply cleared; if the bus is free a prefetch is
-/// issued (and the bit cleared); if the bus is busy nothing happens and the
-/// trigger retries on a later access.
+/// resident (or buffered, or in flight) the bit is simply cleared; if the
+/// bus is free a prefetch is issued (and the bit cleared); if the bus is
+/// busy nothing happens and the trigger retries on a later access.
 ///
-/// A completed prefetch parks in a one-line buffer and is "written before
-/// the next prefetch is issued or at the next I-cache miss, whichever
-/// comes first" (§3) — [`NextLinePrefetcher::drain_into`] implements the
-/// write, and the engine calls it at both of those points.
+/// A completed prefetch parks in [`NextLinePrefetcher::buffer`] and is
+/// written by [`drain_prefetch`]; the prefetcher itself drains the buffer
+/// before it issues, the engine at every I-cache miss.
 ///
 /// # Examples
 ///
 /// ```
-/// use specfetch_cache::{Bus, CacheConfig, ICache, NextLinePrefetcher, PrefetchDecision};
+/// use specfetch_cache::{Bus, CacheConfig, ICache, NextLinePrefetcher};
 /// use specfetch_isa::LineAddr;
 ///
 /// let mut cache = ICache::new(&CacheConfig::paper_8k());
 /// let mut bus = Bus::new();
-/// let mut pf = NextLinePrefetcher::new();
+/// let mut pf = NextLinePrefetcher::default();
 ///
 /// cache.fill(LineAddr::new(10)); // sets the first-ref bit
-/// let d = pf.trigger(0, LineAddr::new(10), &mut cache, &mut bus, 5);
-/// assert_eq!(d, PrefetchDecision::Issued);
+/// pf.trigger(0, LineAddr::new(10), &mut cache, &mut bus, 5);
 /// assert!(!cache.first_ref_set(LineAddr::new(10)));
 /// assert_eq!(bus.current().unwrap().line, LineAddr::new(11));
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct NextLinePrefetcher {
-    buffered: Option<LineAddr>,
-    triggers: u64,
-    issued: u64,
-    buffer_hits: u64,
+    /// The completed prefetch waiting to be written.
+    pub buffer: LineBuffer,
 }
 
 impl NextLinePrefetcher {
-    /// A prefetcher with an empty buffer.
-    pub fn new() -> Self {
-        NextLinePrefetcher::default()
-    }
-
     /// Runs the trigger check for a fetch access to `line` (which hit in
     /// the cache). `penalty` is the line-fill latency.
     pub fn trigger(
@@ -72,75 +60,21 @@ impl NextLinePrefetcher {
         icache: &mut ICache,
         bus: &mut Bus,
         penalty: u64,
-    ) -> PrefetchDecision {
+    ) {
         if !icache.first_ref_set(line) {
-            return PrefetchDecision::NotTriggered;
+            return;
         }
-        self.triggers += 1;
         let next = line.next();
-        let in_flight = bus.in_flight(next);
-        if icache.contains(next) || self.buffered == Some(next) || in_flight {
+        if icache.contains(next) || self.buffer.holds(next) || bus.in_flight(next) {
             icache.clear_first_ref(line);
-            return PrefetchDecision::AlreadyCovered;
+            return;
         }
         if !bus.is_free() {
-            return PrefetchDecision::BusBusy;
+            return;
         }
-        // "The prefetched line is written before the next prefetch is
-        // issued": drain the buffer first.
-        self.drain_into(icache);
+        drain_prefetch(&mut self.buffer, icache);
         icache.clear_first_ref(line);
         bus.start(now, next, penalty, Purpose::Prefetch);
-        self.issued += 1;
-        PrefetchDecision::Issued
-    }
-
-    /// Parks a completed prefetch transaction's line in the buffer.
-    pub fn complete(&mut self, line: LineAddr) {
-        debug_assert!(self.buffered.is_none(), "prefetch buffer overwritten before draining");
-        self.buffered = Some(line);
-    }
-
-    /// Writes the buffered line (if any) into the cache. The engine calls
-    /// this at every I-cache miss and the prefetcher itself calls it before
-    /// issuing the next prefetch.
-    pub fn drain_into(&mut self, icache: &mut ICache) {
-        if let Some(line) = self.buffered.take() {
-            if !icache.contains(line) {
-                icache.fill(line);
-            }
-        }
-    }
-
-    /// Does the buffer currently hold `line`? (A demand miss to a buffered
-    /// line costs nothing — the engine checks this before going to
-    /// memory.) Counts a buffer hit when it matches.
-    pub fn buffer_satisfies(&mut self, line: LineAddr) -> bool {
-        let hit = self.buffered == Some(line);
-        if hit {
-            self.buffer_hits += 1;
-        }
-        hit
-    }
-
-    /// The buffered line, if any.
-    pub fn buffered(&self) -> Option<LineAddr> {
-        self.buffered
-    }
-
-    /// Times the trigger condition fired (first-ref bit seen set).
-    pub fn triggers(&self) -> u64 {
-        self.triggers
-    }
-
-    /// Prefetches actually issued on the bus.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Demand misses satisfied from the prefetch buffer.
-    pub fn buffer_hits(&self) -> u64 {
-        self.buffer_hits
     }
 }
 
@@ -150,7 +84,12 @@ mod tests {
     use crate::CacheConfig;
 
     fn setup() -> (ICache, Bus, NextLinePrefetcher) {
-        (ICache::new(&CacheConfig::paper_8k()), Bus::new(), NextLinePrefetcher::new())
+        (ICache::new(&CacheConfig::paper_8k()), Bus::new(), NextLinePrefetcher::default())
+    }
+
+    /// Completes the bus's oldest transaction into the prefetch buffer.
+    fn land(b: &mut Bus, pf: &mut NextLinePrefetcher, now: u64) {
+        pf.buffer.park(b.take_completed(now).unwrap().line);
     }
 
     #[test]
@@ -158,23 +97,23 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         c.clear_first_ref(LineAddr::new(1));
-        let d = pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
-        assert_eq!(d, PrefetchDecision::NotTriggered);
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
         assert!(b.is_free());
+        assert_eq!(b.total_traffic(), 0);
     }
 
     #[test]
     fn issues_and_clears_bit() {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
-        assert_eq!(pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5), PrefetchDecision::Issued);
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
         assert!(!c.first_ref_set(LineAddr::new(1)));
-        assert_eq!(b.prefetch_count(), 1);
+        assert_eq!(b.current().unwrap().line, LineAddr::new(2));
+        assert_eq!(b.current().unwrap().purpose, Purpose::Prefetch);
         // Second access: bit clear, no re-trigger.
-        assert_eq!(
-            pf.trigger(1, LineAddr::new(1), &mut c, &mut b, 5),
-            PrefetchDecision::NotTriggered
-        );
+        b.take_completed(5);
+        pf.trigger(6, LineAddr::new(1), &mut c, &mut b, 5);
+        assert_eq!(b.prefetch_count(), 1);
     }
 
     #[test]
@@ -182,12 +121,20 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         c.fill(LineAddr::new(2));
-        assert_eq!(
-            pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5),
-            PrefetchDecision::AlreadyCovered
-        );
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
         assert!(!c.first_ref_set(LineAddr::new(1)));
         assert_eq!(b.total_traffic(), 0);
+    }
+
+    #[test]
+    fn buffered_next_line_clears_bit_without_traffic() {
+        let (mut c, mut b, mut pf) = setup();
+        c.fill(LineAddr::new(1));
+        pf.buffer.park(LineAddr::new(2));
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
+        assert!(!c.first_ref_set(LineAddr::new(1)));
+        assert_eq!(b.total_traffic(), 0);
+        assert!(pf.buffer.holds(LineAddr::new(2)), "a covered trigger does not drain");
     }
 
     #[test]
@@ -195,11 +142,14 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         b.start(0, LineAddr::new(99), 20, Purpose::DemandCorrect);
         c.fill(LineAddr::new(1));
-        assert_eq!(pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5), PrefetchDecision::BusBusy);
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
         assert!(c.first_ref_set(LineAddr::new(1)), "bit must stay set for retry");
+        assert_eq!(b.prefetch_count(), 0);
         // Bus frees up; retry succeeds.
         b.take_completed(20);
-        assert_eq!(pf.trigger(21, LineAddr::new(1), &mut c, &mut b, 5), PrefetchDecision::Issued);
+        pf.trigger(21, LineAddr::new(1), &mut c, &mut b, 5);
+        assert_eq!(b.prefetch_count(), 1);
+        assert!(!c.first_ref_set(LineAddr::new(1)));
     }
 
     #[test]
@@ -210,10 +160,8 @@ mod tests {
         c.fill(LineAddr::new(1 + 256)); // evicts line 1 (direct mapped, 256 sets)
         c.fill(LineAddr::new(1));
         // Retrigger for line 2 while its prefetch is still in flight.
-        assert_eq!(
-            pf.trigger(1, LineAddr::new(1), &mut c, &mut b, 5),
-            PrefetchDecision::AlreadyCovered
-        );
+        pf.trigger(1, LineAddr::new(1), &mut c, &mut b, 5);
+        assert!(!c.first_ref_set(LineAddr::new(1)));
         assert_eq!(b.prefetch_count(), 1);
     }
 
@@ -222,14 +170,25 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
-        let tx = b.take_completed(5).unwrap();
-        pf.complete(tx.line);
-        assert_eq!(pf.buffered(), Some(LineAddr::new(2)));
+        land(&mut b, &mut pf, 5);
+        assert!(pf.buffer.holds(LineAddr::new(2)));
         assert!(!c.contains(LineAddr::new(2)), "not written until drain");
-        pf.drain_into(&mut c);
+        drain_prefetch(&mut pf.buffer, &mut c);
         assert!(c.contains(LineAddr::new(2)));
         assert!(c.first_ref_set(LineAddr::new(2)), "prefetched lines re-arm the bit");
-        assert_eq!(pf.buffered(), None);
+        assert!(!pf.buffer.is_occupied());
+    }
+
+    #[test]
+    fn draining_a_resident_line_writes_nothing() {
+        let (mut c, _, mut pf) = setup();
+        c.fill(LineAddr::new(2));
+        c.clear_first_ref(LineAddr::new(2));
+        pf.buffer.park(LineAddr::new(2));
+        drain_prefetch(&mut pf.buffer, &mut c);
+        assert!(!c.first_ref_set(LineAddr::new(2)), "a resident line is not refilled");
+        assert_eq!(c.stats().fills, 1);
+        assert!(!pf.buffer.is_occupied());
     }
 
     #[test]
@@ -237,32 +196,11 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
-        pf.complete(b.take_completed(5).unwrap().line); // line 2 buffered
+        land(&mut b, &mut pf, 5); // line 2 buffered
         c.fill(LineAddr::new(10));
-        assert_eq!(pf.trigger(6, LineAddr::new(10), &mut c, &mut b, 5), PrefetchDecision::Issued);
+        pf.trigger(6, LineAddr::new(10), &mut c, &mut b, 5);
+        assert_eq!(b.current().unwrap().line, LineAddr::new(11));
         assert!(c.contains(LineAddr::new(2)), "buffer drained before new issue");
-        assert_eq!(pf.buffered(), None);
-    }
-
-    #[test]
-    fn buffer_satisfies_demand_miss() {
-        let (mut c, mut b, mut pf) = setup();
-        c.fill(LineAddr::new(1));
-        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
-        pf.complete(b.take_completed(5).unwrap().line);
-        assert!(pf.buffer_satisfies(LineAddr::new(2)));
-        assert!(!pf.buffer_satisfies(LineAddr::new(3)));
-        assert_eq!(pf.buffer_hits(), 1);
-    }
-
-    #[test]
-    fn stats_track_triggers_and_issues() {
-        let (mut c, mut b, mut pf) = setup();
-        c.fill(LineAddr::new(1));
-        c.fill(LineAddr::new(2));
-        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5); // covered
-        pf.trigger(1, LineAddr::new(2), &mut c, &mut b, 5); // issued (line 3)
-        assert_eq!(pf.triggers(), 2);
-        assert_eq!(pf.issued(), 1);
+        assert!(!pf.buffer.is_occupied());
     }
 }

@@ -5,27 +5,34 @@ use std::collections::VecDeque;
 
 use specfetch_isa::LineAddr;
 
+use crate::{Bus, ICache, Purpose};
+
 /// A single FIFO stream buffer.
 ///
 /// On a demand miss the buffer (re)allocates a *stream*: it prefetches the
-/// lines sequentially following the miss, as bus slots allow, into a
-/// small FIFO. A later miss that matches the FIFO **head** is served from
-/// the buffer (the line moves into the cache for free) and the stream
-/// continues; a miss that does not match the head restarts the stream —
-/// Jouppi's buffers only compare the head entry.
+/// lines sequentially following the miss, one bus transaction at a time,
+/// into a small FIFO. A later miss that matches the FIFO **head** is
+/// served from the buffer (the line moves into the cache for free) and the
+/// stream continues; a miss that does not match the head restarts the
+/// stream — Jouppi's buffers only compare the head entry.
 ///
 /// # Examples
 ///
 /// ```
-/// use specfetch_cache::StreamBuffer;
+/// use specfetch_cache::{Bus, CacheConfig, ICache, StreamBuffer};
 /// use specfetch_isa::LineAddr;
 ///
+/// let mut cache = ICache::new(&CacheConfig::paper_8k());
+/// let mut bus = Bus::new();
 /// let mut sb = StreamBuffer::new(4);
-/// sb.restart(LineAddr::new(11)); // a miss on line 10 allocates 11..
-/// assert_eq!(sb.want_fetch(), Some(LineAddr::new(11)));
-/// sb.note_issued(LineAddr::new(11)); // the engine put it on the bus
-/// sb.complete(LineAddr::new(11)); // ...and the fill returned
-/// assert!(sb.take_head(LineAddr::new(11)));
+///
+/// assert!(!sb.on_miss(LineAddr::new(10), &mut cache)); // allocates 11..
+/// sb.tick(0, &cache, &mut bus, 5);
+/// assert_eq!(bus.current().unwrap().line, LineAddr::new(11));
+/// let tx = bus.take_completed(5).unwrap();
+/// sb.complete(tx.line, None, &mut cache); // joins the FIFO
+/// assert!(sb.on_miss(LineAddr::new(11), &mut cache)); // served from the head
+/// assert!(cache.contains(LineAddr::new(11)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamBuffer {
@@ -36,9 +43,6 @@ pub struct StreamBuffer {
     next_fetch: Option<LineAddr>,
     /// A stream prefetch currently on the bus.
     in_flight: Option<LineAddr>,
-    restarts: u64,
-    issued: u64,
-    head_hits: u64,
 }
 
 impl StreamBuffer {
@@ -54,74 +58,78 @@ impl StreamBuffer {
             queue: VecDeque::with_capacity(depth),
             next_fetch: None,
             in_flight: None,
-            restarts: 0,
-            issued: 0,
-            head_hits: 0,
         }
     }
 
-    /// Reallocates the stream to begin at `first` (called on a demand miss
-    /// the buffer could not serve; `first` is the line after the miss).
-    pub fn restart(&mut self, first: LineAddr) {
-        self.queue.clear();
-        self.in_flight = None;
-        self.next_fetch = Some(first);
-        self.restarts += 1;
-    }
-
     /// The line the stream wants to prefetch next, if it has capacity.
-    pub fn want_fetch(&self) -> Option<LineAddr> {
-        if self.queue.len() + self.in_flight_slots() >= self.depth {
+    fn want_fetch(&self) -> Option<LineAddr> {
+        if self.queue.len() + usize::from(self.in_flight.is_some()) >= self.depth {
             return None;
         }
         self.next_fetch
     }
 
-    /// Marks the stream's next line as issued on the bus.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if called without [`StreamBuffer::want_fetch`]
-    /// being `Some` (an engine sequencing bug).
-    pub fn note_issued(&mut self, line: LineAddr) {
-        debug_assert_eq!(self.next_fetch, Some(line), "stream issued out of order");
-        self.next_fetch = Some(line.next());
-        self.issued += 1;
-        self.in_flight = Some(line);
+    /// Once per cycle, before fetch: skips the stream past lines that are
+    /// already resident, then issues the first line that is not, if no
+    /// stream prefetch is outstanding and the bus has a free slot.
+    pub fn tick(&mut self, now: u64, icache: &ICache, bus: &mut Bus, penalty: u64) {
+        while let Some(line) = self.want_fetch() {
+            if icache.contains(line) {
+                self.next_fetch = Some(line.next());
+                continue;
+            }
+            // One outstanding stream prefetch at a time: the FIFO tracks
+            // a single in-flight line, so issuing a second on a pipelined
+            // bus would orphan the first (its completion would be dropped
+            // as stale, the FIFO would never fill, and the slot churn
+            // would starve any pending demand fill forever). On a one-slot
+            // bus this check is redundant — the in-flight prefetch already
+            // occupies the only slot.
+            if self.in_flight.is_none() && bus.is_free() {
+                bus.start(now, line, penalty, Purpose::Prefetch);
+                self.next_fetch = Some(line.next());
+                self.in_flight = Some(line);
+            }
+            break;
+        }
     }
 
-    /// Advances the stream past a line that is already cached (no bus
-    /// transaction needed).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if `line` is not the stream's next fetch.
-    pub fn skip(&mut self, line: LineAddr) {
-        debug_assert_eq!(self.next_fetch, Some(line), "stream skipped out of order");
-        self.next_fetch = Some(line.next());
+    /// Would the stream use a free bus slot this cycle?
+    pub fn wants_bus(&self) -> bool {
+        self.in_flight.is_none() && self.want_fetch().is_some()
     }
 
-    /// A stream prefetch completed: the line joins the FIFO.
-    pub fn complete(&mut self, line: LineAddr) {
+    /// A stream prefetch of `line` completed: it joins the FIFO, unless it
+    /// belongs to a stream that has since restarted (then it is dropped).
+    /// When the demand miss `pending` waits on `line` and the line is now
+    /// the head, it moves on into the cache and this returns `true`.
+    pub fn complete(
+        &mut self,
+        line: LineAddr,
+        pending: Option<LineAddr>,
+        icache: &mut ICache,
+    ) -> bool {
         if self.in_flight == Some(line) {
             self.in_flight = None;
             self.queue.push_back(line);
         }
-        // A completion for a line from a stale (restarted) stream is
-        // dropped: the queue was cleared and the data is unwanted.
+        pending == Some(line) && self.take_head(line, icache)
     }
 
-    /// Does the FIFO head hold `line`? If so, consume it (the engine
-    /// moves it into the cache). A non-head match is *not* served —
-    /// Jouppi's buffers only compare the head.
-    pub fn take_head(&mut self, line: LineAddr) -> bool {
-        if self.queue.front() == Some(&line) {
-            self.queue.pop_front();
-            self.head_hits += 1;
-            true
-        } else {
-            false
+    /// A demand miss on `line`. A FIFO head holding it is written into the
+    /// cache (`true`). Otherwise the stream restarts after `line` (Jouppi),
+    /// unless `line` is the stream prefetch on the bus: the miss waits for
+    /// that instead ([`StreamBuffer::in_flight_is`]).
+    pub fn on_miss(&mut self, line: LineAddr, icache: &mut ICache) -> bool {
+        if self.take_head(line, icache) {
+            return true;
         }
+        if !self.in_flight_is(line) {
+            self.queue.clear();
+            self.in_flight = None;
+            self.next_fetch = Some(line.next());
+        }
+        false
     }
 
     /// Is a stream prefetch of `line` currently on the bus?
@@ -129,121 +137,133 @@ impl StreamBuffer {
         self.in_flight == Some(line)
     }
 
-    /// Is *any* stream prefetch currently on the bus? The stream tracks a
-    /// single outstanding transaction, so issuers must not start a second
-    /// one: [`StreamBuffer::note_issued`] would overwrite the first and
-    /// its completion would be dropped as stale.
-    pub fn prefetch_in_flight(&self) -> bool {
-        self.in_flight.is_some()
-    }
-
-    /// Lines currently buffered.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Is the FIFO empty?
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Stream reallocations (one per unserved miss).
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Prefetches issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Misses served from the head.
-    pub fn head_hits(&self) -> u64 {
-        self.head_hits
-    }
-
-    fn in_flight_slots(&self) -> usize {
-        usize::from(self.in_flight.is_some())
+    fn take_head(&mut self, line: LineAddr, icache: &mut ICache) -> bool {
+        if self.queue.front() != Some(&line) {
+            return false;
+        }
+        self.queue.pop_front();
+        icache.fill(line);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheConfig;
+
+    fn setup(slots: usize) -> (ICache, Bus) {
+        (ICache::new(&CacheConfig::paper_8k()), Bus::with_slots(slots))
+    }
+
+    /// Ticks once at `now` and lands whatever the stream issued; returns
+    /// the issued line.
+    fn stream_one(
+        sb: &mut StreamBuffer,
+        c: &mut ICache,
+        b: &mut Bus,
+        now: u64,
+    ) -> Option<LineAddr> {
+        sb.tick(now, c, b, 5);
+        let tx = b.take_completed(now + 5)?;
+        assert!(!sb.complete(tx.line, None, c));
+        Some(tx.line)
+    }
 
     #[test]
     fn allocates_and_streams_sequentially() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(4);
-        assert_eq!(sb.want_fetch(), None, "no stream before the first miss");
-        sb.restart(LineAddr::new(100));
+        assert!(!sb.wants_bus(), "no stream before the first miss");
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 0), None);
+        assert!(!sb.on_miss(LineAddr::new(99), &mut c));
         for i in 100..104 {
-            let want = sb.want_fetch().expect("capacity available");
-            assert_eq!(want, LineAddr::new(i));
-            sb.note_issued(want);
-            sb.complete(want);
+            assert!(sb.wants_bus());
+            assert_eq!(stream_one(&mut sb, &mut c, &mut b, i), Some(LineAddr::new(i)));
         }
-        assert_eq!(sb.want_fetch(), None, "FIFO full");
-        assert_eq!(sb.len(), 4);
+        assert!(!sb.wants_bus(), "FIFO full");
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 200), None);
+        assert_eq!(b.prefetch_count(), 4);
+        assert!(!c.contains(LineAddr::new(100)), "buffered lines stay out of the cache");
     }
 
     #[test]
     fn head_hit_consumes_and_frees_capacity() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(2);
-        sb.restart(LineAddr::new(10));
-        sb.note_issued(LineAddr::new(10));
-        sb.complete(LineAddr::new(10));
-        sb.note_issued(LineAddr::new(11));
-        sb.complete(LineAddr::new(11));
-        assert_eq!(sb.want_fetch(), None);
-        assert!(sb.take_head(LineAddr::new(10)));
-        assert_eq!(sb.want_fetch(), Some(LineAddr::new(12)));
-        assert_eq!(sb.head_hits(), 1);
+        sb.on_miss(LineAddr::new(9), &mut c);
+        stream_one(&mut sb, &mut c, &mut b, 0);
+        stream_one(&mut sb, &mut c, &mut b, 10);
+        assert!(!sb.wants_bus());
+        assert!(sb.on_miss(LineAddr::new(10), &mut c));
+        assert!(c.contains(LineAddr::new(10)));
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 20), Some(LineAddr::new(12)));
     }
 
     #[test]
-    fn non_head_match_is_not_served() {
+    fn a_non_head_match_is_not_served_and_restarts_the_stream() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(4);
-        sb.restart(LineAddr::new(20));
-        for i in 20..22 {
-            sb.note_issued(LineAddr::new(i));
-            sb.complete(LineAddr::new(i));
-        }
-        assert!(!sb.take_head(LineAddr::new(21)), "only the head is compared");
-        assert!(sb.take_head(LineAddr::new(20)));
-        assert!(sb.take_head(LineAddr::new(21)));
+        sb.on_miss(LineAddr::new(19), &mut c);
+        stream_one(&mut sb, &mut c, &mut b, 0);
+        stream_one(&mut sb, &mut c, &mut b, 10);
+        assert!(!sb.on_miss(LineAddr::new(21), &mut c), "only the head is compared");
+        assert!(!c.contains(LineAddr::new(21)));
+        assert!(!sb.on_miss(LineAddr::new(20), &mut c), "the restart dropped the FIFO");
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 20), Some(LineAddr::new(21)));
     }
 
     #[test]
     fn restart_discards_stale_stream_and_completions() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(4);
-        sb.restart(LineAddr::new(30));
-        sb.note_issued(LineAddr::new(30));
-        // Stream restarts (a miss elsewhere) while 30 is still in flight.
-        sb.restart(LineAddr::new(90));
-        sb.complete(LineAddr::new(30)); // stale completion dropped
-        assert!(sb.is_empty());
-        assert_eq!(sb.want_fetch(), Some(LineAddr::new(90)));
-        assert_eq!(sb.restarts(), 2);
+        sb.on_miss(LineAddr::new(29), &mut c);
+        sb.tick(0, &c, &mut b, 5); // 30 in flight
+                                   // The stream restarts (a miss elsewhere) while 30 is in flight.
+        assert!(!sb.on_miss(LineAddr::new(89), &mut c));
+        let tx = b.take_completed(5).unwrap();
+        assert!(!sb.complete(tx.line, Some(LineAddr::new(30)), &mut c), "stale completion");
+        assert!(!sb.on_miss(LineAddr::new(30), &mut c), "dropped, not buffered");
+        assert!(!c.contains(LineAddr::new(30)));
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 6), Some(LineAddr::new(31)));
     }
 
     #[test]
-    fn in_flight_tracking() {
+    fn a_miss_on_the_in_flight_line_waits_for_it() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(4);
-        sb.restart(LineAddr::new(40));
-        sb.note_issued(LineAddr::new(40));
+        sb.on_miss(LineAddr::new(39), &mut c);
+        sb.tick(0, &c, &mut b, 5);
         assert!(sb.in_flight_is(LineAddr::new(40)));
         assert!(!sb.in_flight_is(LineAddr::new(41)));
-        sb.complete(LineAddr::new(40));
+        assert!(!sb.on_miss(LineAddr::new(40), &mut c));
+        assert!(sb.in_flight_is(LineAddr::new(40)), "no restart under the pending miss");
+        let tx = b.take_completed(5).unwrap();
+        assert!(sb.complete(tx.line, Some(LineAddr::new(40)), &mut c));
+        assert!(c.contains(LineAddr::new(40)));
         assert!(!sb.in_flight_is(LineAddr::new(40)));
     }
 
     #[test]
-    fn skip_advances_without_buffering() {
+    fn resident_lines_are_skipped_without_traffic() {
+        let (mut c, mut b) = setup(1);
         let mut sb = StreamBuffer::new(4);
-        sb.restart(LineAddr::new(50));
-        sb.skip(LineAddr::new(50)); // already cached
-        assert_eq!(sb.want_fetch(), Some(LineAddr::new(51)));
-        assert!(sb.is_empty());
+        c.fill(LineAddr::new(50));
+        sb.on_miss(LineAddr::new(49), &mut c);
+        assert_eq!(stream_one(&mut sb, &mut c, &mut b, 0), Some(LineAddr::new(51)));
+        assert_eq!(b.prefetch_count(), 1);
+    }
+
+    #[test]
+    fn one_outstanding_prefetch_on_a_pipelined_bus() {
+        let (mut c, mut b) = setup(2);
+        let mut sb = StreamBuffer::new(4);
+        sb.on_miss(LineAddr::new(59), &mut c);
+        sb.tick(0, &c, &mut b, 5);
+        assert!(!sb.wants_bus());
+        sb.tick(1, &c, &mut b, 5);
+        assert!(b.is_free(), "the second slot stays free");
+        assert_eq!(b.prefetch_count(), 1);
     }
 
     #[test]

@@ -10,16 +10,16 @@
 
 use specfetch_isa::LineAddr;
 
-use crate::{Bus, ICache, PrefetchDecision, Purpose};
+use crate::{drain_prefetch, Bus, ICache, LineBuffer, Purpose};
 
 /// A direct-mapped table of `line -> last taken-successor line`, with the
-/// same one-line fill buffer and deferred-write rule as the next-line
-/// prefetcher.
+/// same one-line fill buffer and write rule ([`drain_prefetch`]) as the
+/// next-line prefetcher.
 ///
 /// # Examples
 ///
 /// ```
-/// use specfetch_cache::{Bus, CacheConfig, ICache, PrefetchDecision, TargetPrefetcher};
+/// use specfetch_cache::{Bus, CacheConfig, ICache, Purpose, TargetPrefetcher};
 /// use specfetch_isa::LineAddr;
 ///
 /// let mut cache = ICache::new(&CacheConfig::paper_8k());
@@ -28,18 +28,16 @@ use crate::{Bus, ICache, PrefetchDecision, Purpose};
 ///
 /// cache.fill(LineAddr::new(3));
 /// pf.train(LineAddr::new(3), LineAddr::new(40)); // a taken branch jumped 3 -> 40
-/// let d = pf.trigger(0, LineAddr::new(3), &mut cache, &mut bus, 5);
-/// assert_eq!(d, PrefetchDecision::Issued);
+/// pf.trigger(0, LineAddr::new(3), &mut cache, &mut bus, 5);
 /// assert_eq!(bus.current().unwrap().line, LineAddr::new(40));
+/// assert_eq!(bus.current().unwrap().purpose, Purpose::TargetPrefetch);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TargetPrefetcher {
     /// `table[line % len] = (line, successor)`.
     table: Vec<Option<(u64, LineAddr)>>,
-    buffered: Option<LineAddr>,
-    trained: u64,
-    issued: u64,
-    buffer_hits: u64,
+    /// The completed prefetch waiting to be written.
+    pub buffer: LineBuffer,
 }
 
 impl TargetPrefetcher {
@@ -50,13 +48,7 @@ impl TargetPrefetcher {
     /// Panics if `entries` is zero or not a power of two.
     pub fn new(entries: usize) -> Self {
         assert!(entries.is_power_of_two(), "table entries must be a power of two");
-        TargetPrefetcher {
-            table: vec![None; entries],
-            buffered: None,
-            trained: 0,
-            issued: 0,
-            buffer_hits: 0,
-        }
+        TargetPrefetcher { table: vec![None; entries], buffer: LineBuffer::default() }
     }
 
     fn slot(&self, line: LineAddr) -> usize {
@@ -71,13 +63,6 @@ impl TargetPrefetcher {
         }
         let i = self.slot(from);
         self.table[i] = Some((from.index(), to));
-        self.trained += 1;
-    }
-
-    /// The remembered successor of `from`, if the table holds one.
-    pub fn predict(&self, from: LineAddr) -> Option<LineAddr> {
-        let (tag, to) = self.table[self.slot(from)]?;
-        (tag == from.index()).then_some(to)
     }
 
     /// Runs the trigger for a fetch access to `line`: if a successor is
@@ -89,65 +74,18 @@ impl TargetPrefetcher {
         icache: &mut ICache,
         bus: &mut Bus,
         penalty: u64,
-    ) -> PrefetchDecision {
-        let Some(to) = self.predict(line) else {
-            return PrefetchDecision::NotTriggered;
-        };
-        if icache.contains(to) || self.buffered == Some(to) || bus.prefetch_in_flight(to) {
-            return PrefetchDecision::AlreadyCovered;
+    ) {
+        let Some((tag, to)) = self.table[self.slot(line)] else { return };
+        if tag != line.index()
+            || icache.contains(to)
+            || self.buffer.holds(to)
+            || bus.prefetch_in_flight(to)
+            || !bus.is_free()
+        {
+            return;
         }
-        if !bus.is_free() {
-            return PrefetchDecision::BusBusy;
-        }
-        self.drain_into(icache);
+        drain_prefetch(&mut self.buffer, icache);
         bus.start(now, to, penalty, Purpose::TargetPrefetch);
-        self.issued += 1;
-        PrefetchDecision::Issued
-    }
-
-    /// Parks a completed target prefetch in the buffer.
-    pub fn complete(&mut self, line: LineAddr) {
-        debug_assert!(self.buffered.is_none(), "target buffer overwritten before draining");
-        self.buffered = Some(line);
-    }
-
-    /// Writes the buffered line into the cache (at a miss, or before the
-    /// next issue).
-    pub fn drain_into(&mut self, icache: &mut ICache) {
-        if let Some(line) = self.buffered.take() {
-            if !icache.contains(line) {
-                icache.fill(line);
-            }
-        }
-    }
-
-    /// Does the buffer hold `line`? Counts a hit when it matches.
-    pub fn buffer_satisfies(&mut self, line: LineAddr) -> bool {
-        let hit = self.buffered == Some(line);
-        if hit {
-            self.buffer_hits += 1;
-        }
-        hit
-    }
-
-    /// The buffered line, if any.
-    pub fn buffered(&self) -> Option<LineAddr> {
-        self.buffered
-    }
-
-    /// Training events observed.
-    pub fn trained(&self) -> u64 {
-        self.trained
-    }
-
-    /// Prefetches issued on the bus.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Demand misses satisfied from the buffer.
-    pub fn buffer_hits(&self) -> u64 {
-        self.buffer_hits
     }
 }
 
@@ -160,14 +98,19 @@ mod tests {
         (ICache::new(&CacheConfig::paper_8k()), Bus::new(), TargetPrefetcher::new(64))
     }
 
+    /// The line a trigger on `line` prefetches, if it issues one.
+    fn prefetched(pf: &mut TargetPrefetcher, line: u64) -> Option<LineAddr> {
+        let (mut c, mut b) = (ICache::new(&CacheConfig::paper_8k()), Bus::new());
+        pf.trigger(0, LineAddr::new(line), &mut c, &mut b, 5);
+        b.current().map(|tx| tx.line)
+    }
+
     #[test]
     fn untrained_never_triggers() {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
-        assert_eq!(
-            pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5),
-            PrefetchDecision::NotTriggered
-        );
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
+        assert_eq!(b.total_traffic(), 0);
     }
 
     #[test]
@@ -175,8 +118,7 @@ mod tests {
         let (_, _, mut pf) = setup();
         pf.train(LineAddr::new(5), LineAddr::new(6)); // next line
         pf.train(LineAddr::new(5), LineAddr::new(5)); // same line
-        assert_eq!(pf.predict(LineAddr::new(5)), None);
-        assert_eq!(pf.trained(), 0);
+        assert_eq!(prefetched(&mut pf, 5), None);
     }
 
     #[test]
@@ -184,9 +126,10 @@ mod tests {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         pf.train(LineAddr::new(1), LineAddr::new(30));
-        assert_eq!(pf.predict(LineAddr::new(1)), Some(LineAddr::new(30)));
-        assert_eq!(pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5), PrefetchDecision::Issued);
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
+        assert_eq!(b.current().unwrap().line, LineAddr::new(30));
         assert_eq!(b.target_prefetch_count(), 1);
+        assert_eq!(b.prefetch_count(), 0);
     }
 
     #[test]
@@ -194,7 +137,7 @@ mod tests {
         let (_, _, mut pf) = setup();
         pf.train(LineAddr::new(1), LineAddr::new(30));
         pf.train(LineAddr::new(1), LineAddr::new(50));
-        assert_eq!(pf.predict(LineAddr::new(1)), Some(LineAddr::new(50)));
+        assert_eq!(prefetched(&mut pf, 1), Some(LineAddr::new(50)));
     }
 
     #[test]
@@ -202,8 +145,8 @@ mod tests {
         let (_, _, mut pf) = setup(); // 64 slots
         pf.train(LineAddr::new(1), LineAddr::new(30));
         pf.train(LineAddr::new(65), LineAddr::new(90)); // same slot as 1
-        assert_eq!(pf.predict(LineAddr::new(1)), None);
-        assert_eq!(pf.predict(LineAddr::new(65)), Some(LineAddr::new(90)));
+        assert_eq!(prefetched(&mut pf, 1), None);
+        assert_eq!(prefetched(&mut pf, 65), Some(LineAddr::new(90)));
     }
 
     #[test]
@@ -212,29 +155,33 @@ mod tests {
         c.fill(LineAddr::new(1));
         c.fill(LineAddr::new(30));
         pf.train(LineAddr::new(1), LineAddr::new(30));
-        assert_eq!(
-            pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5),
-            PrefetchDecision::AlreadyCovered
-        );
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5); // resident
+        assert_eq!(b.total_traffic(), 0);
         pf.train(LineAddr::new(1), LineAddr::new(31));
+        pf.buffer.park(LineAddr::new(31));
+        pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5); // buffered
+        assert_eq!(b.total_traffic(), 0);
+        assert!(pf.buffer.holds(LineAddr::new(31)), "a covered trigger does not drain");
+        pf.train(LineAddr::new(1), LineAddr::new(32));
         b.start(0, LineAddr::new(99), 20, Purpose::DemandCorrect);
-        assert_eq!(pf.trigger(1, LineAddr::new(1), &mut c, &mut b, 5), PrefetchDecision::BusBusy);
+        pf.trigger(1, LineAddr::new(1), &mut c, &mut b, 5); // bus busy
+        assert_eq!(b.target_prefetch_count(), 0);
     }
 
     #[test]
-    fn buffer_lifecycle() {
+    fn buffer_drains_before_the_next_issue() {
         let (mut c, mut b, mut pf) = setup();
         c.fill(LineAddr::new(1));
         pf.train(LineAddr::new(1), LineAddr::new(30));
         pf.trigger(0, LineAddr::new(1), &mut c, &mut b, 5);
-        let tx = b.take_completed(5).unwrap();
-        pf.complete(tx.line);
-        assert!(pf.buffer_satisfies(LineAddr::new(30)));
-        assert!(!pf.buffer_satisfies(LineAddr::new(31)));
-        pf.drain_into(&mut c);
+        pf.buffer.park(b.take_completed(5).unwrap().line);
+        assert!(!c.contains(LineAddr::new(30)), "not written until drain");
+        c.fill(LineAddr::new(2));
+        pf.train(LineAddr::new(2), LineAddr::new(40));
+        pf.trigger(6, LineAddr::new(2), &mut c, &mut b, 5);
         assert!(c.contains(LineAddr::new(30)));
-        assert_eq!(pf.buffered(), None);
-        assert_eq!(pf.buffer_hits(), 1);
+        assert!(!pf.buffer.is_occupied());
+        assert_eq!(b.current().unwrap().line, LineAddr::new(40));
     }
 
     #[test]

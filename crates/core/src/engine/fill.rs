@@ -1,5 +1,5 @@
-//! Fill/resume stage: the bus, the prefetch pipeline, the resume buffer,
-//! and the pending-miss state machine.
+//! Fill/resume stage: the bus, the prefetchers, the resume buffer, and
+//! the pending-miss state machine.
 
 use specfetch_cache::Purpose;
 use specfetch_isa::{Addr, LineAddr};
@@ -10,19 +10,10 @@ use super::prefetch::MissOutcome;
 use super::{Engine, MissState, Mode, PendingMiss};
 
 impl<S: PathSource> Engine<S> {
-    /// Keeps the prefetch stages' pipelines fed (the stream buffer issues
-    /// one sequential prefetch per free bus slot, up to the FIFO depth).
-    pub(super) fn prefetch_tick(&mut self) {
-        if self.prefetchers.is_empty() {
-            return;
-        }
-        self.prefetchers.tick(self.cycle, &mut self.icache, &mut self.bus, self.cfg.miss_penalty);
-    }
-
     pub(super) fn process_bus(&mut self) {
         // Nothing can complete before the cached watermark; skip the poll.
-        // Prefetch stages start transactions without the engine seeing
-        // them, so the watermark is only trusted when none are configured.
+        // Prefetchers start transactions without the engine seeing them,
+        // so the watermark is only trusted when none are configured.
         if self.batch_ok && self.cycle < self.next_bus_at {
             return;
         }
@@ -59,7 +50,7 @@ impl<S: PathSource> Engine<S> {
                     } else if self.resume_buf.is_occupied() {
                         self.icache.fill(tx.line);
                     } else {
-                        self.resume_buf.store(tx.line);
+                        self.resume_buf.park(tx.line);
                     }
                 } else {
                     self.icache.fill(tx.line);
@@ -123,17 +114,13 @@ impl<S: PathSource> Engine<S> {
 
         if hit {
             self.last_blocked = None;
-            // Hit triggering walks the stages in reverse priority: target
-            // prefetches before next-line (Pierce & Mudge).
-            if !self.prefetchers.is_empty() {
-                self.prefetchers.on_hit(
-                    self.cycle,
-                    line,
-                    &mut self.icache,
-                    &mut self.bus,
-                    self.cfg.miss_penalty,
-                );
-            }
+            self.prefetchers.on_hit(
+                self.cycle,
+                line,
+                &mut self.icache,
+                &mut self.bus,
+                self.cfg.miss_penalty,
+            );
             return true;
         }
         if self.on_miss(line, correct) {
@@ -149,8 +136,6 @@ impl<S: PathSource> Engine<S> {
     fn on_miss(&mut self, line: LineAddr, correct: bool) -> bool {
         debug_assert!(self.pending.is_none(), "nested miss while one is pending");
 
-        // Offer the miss to the prefetch stages in service order: stream
-        // buffer, next-line buffer, target buffer.
         match self.prefetchers.on_demand_miss(line, &mut self.icache) {
             MissOutcome::Served => return true,
             MissOutcome::Pending => {
@@ -160,14 +145,8 @@ impl<S: PathSource> Engine<S> {
             MissOutcome::Unserved => {}
         }
 
-        // Resume buffer: same-line check avoids the memory request.
-        if self.resume_buf.holds(line) {
-            self.resume_buf.take();
-            self.icache.fill(line);
+        if self.drain_resume(line) {
             return true;
-        }
-        if let Some(parked) = self.resume_buf.take() {
-            self.icache.fill(parked);
         }
 
         // The missing line may already be on its way (a prefetch, or an
@@ -227,6 +206,17 @@ impl<S: PathSource> Engine<S> {
         }
     }
 
+    /// Writes the resume buffer's line into the cache, unconditionally
+    /// ("at the next I-cache miss"); returns `true` when it was `line`, so
+    /// the miss needs no memory request (the paper's index check).
+    fn drain_resume(&mut self, line: LineAddr) -> bool {
+        let parked = self.resume_buf.take();
+        if let Some(parked) = parked {
+            self.icache.fill(parked);
+        }
+        parked == Some(line)
+    }
+
     fn try_issue(&mut self, line: LineAddr) {
         // A prefetch or an orphaned resume-buffer fill may have delivered
         // (or be delivering) the line while we were gated; the paper calls
@@ -235,14 +225,9 @@ impl<S: PathSource> Engine<S> {
             self.pending = None;
             return;
         }
-        if self.resume_buf.holds(line) {
-            self.resume_buf.take();
-            self.icache.fill(line);
+        if self.drain_resume(line) {
             self.pending = None;
             return;
-        }
-        if let Some(parked) = self.resume_buf.take() {
-            self.icache.fill(parked);
         }
         if self.prefetchers.satisfy_gated(line, &mut self.icache) {
             self.pending = None;

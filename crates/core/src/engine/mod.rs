@@ -25,12 +25,13 @@
 //! |---|---|---|
 //! | fetch | `fetch` | per-cycle slot issue, branch prediction, divergence |
 //! | miss gate | [`gate`] | per-miss policy decision ([`MissGate`]) |
-//! | fill/resume | `fill` | bus, prefetch stages, resume buffer, pending-miss FSM |
+//! | fill/resume | `fill` | bus, resume buffer, pending-miss FSM |
+//! | prefetch | `prefetch` | stream, next-line and target prefetchers |
 //! | events | `events` | decode/resolve firing, squash, redirect, recovery |
 //! | account | `account` | lost-slot attribution (ISPI components) |
 //!
-//! Assembly — which gate, which prefetch stages — lives in
-//! [`crate::FrontEnd`].
+//! Assembly — which gate — lives in [`crate::FrontEnd`]; the prefetchers
+//! follow the configuration flags.
 
 mod account;
 mod events;
@@ -43,20 +44,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use specfetch_bpred::{BranchUnit, OutcomeReplay};
-use specfetch_cache::{Bus, ICache, ResumeBuffer};
+use specfetch_cache::{Bus, ICache, LineBuffer};
 use specfetch_isa::{Addr, DynInstr, InstrKind, LineAddr, Program};
 use specfetch_trace::{PathSource, PredictedSource, PredictedTrace};
 
 use crate::{IspiBreakdown, MissClass, SimConfig, SimResult};
 use gate::MissGate;
-use prefetch::{NextLineStage, Prefetchers, StreamStage, TargetStage};
-
-/// Entries in the target-prefetch table (Smith & Hsu used small
-/// direct-mapped tables; 64 matches the BTB's capacity class).
-const TARGET_PREFETCH_ENTRIES: usize = 64;
-
-/// Stream-buffer depth (Jouppi evaluated four-entry buffers).
-const STREAM_BUFFER_DEPTH: usize = 4;
+use prefetch::Prefetchers;
 
 /// What triggered the current wrong-path episode (Table 3 attribution).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -190,10 +184,10 @@ pub(crate) struct Engine<S: PathSource> {
     icache: ICache,
     shadow: Option<ICache>,
     bus: Bus,
-    resume_buf: ResumeBuffer,
+    /// The Resume policy's one-line buffer.
+    resume_buf: LineBuffer,
     /// The policy's per-miss decision procedure (see [`gate`]).
     gate: Box<dyn MissGate>,
-    /// Ordered prefetch pipeline (empty at the paper baseline).
     prefetchers: Prefetchers,
 
     /// The engine's own cursor into the shared trace when the source
@@ -237,9 +231,9 @@ pub(crate) struct Engine<S: PathSource> {
     next_event_at: u64,
     /// Earliest in-flight bus completion (`u64::MAX` when the bus is
     /// idle). Lets [`Engine::process_bus`] skip polling on completion-free
-    /// cycles. Only maintained while no prefetch stage is configured
-    /// (stages issue transactions behind the engine's back), so the skip
-    /// is gated on `batch_ok`.
+    /// cycles. Only maintained while no prefetcher is configured
+    /// (prefetchers issue transactions behind the engine's back), so the
+    /// skip is gated on `batch_ok`.
     next_bus_at: u64,
     /// Deadlock safety valve: `(instrs, cycle)` at the last forward
     /// progress.
@@ -269,16 +263,7 @@ impl<S: PathSource> Engine<S> {
             Some(c) => c.peek(),
             None => source.next_instr(),
         };
-        let mut prefetchers = Prefetchers::default();
-        if cfg.stream_buffer {
-            prefetchers.push(Box::new(StreamStage::new(STREAM_BUFFER_DEPTH)));
-        }
-        if cfg.prefetch {
-            prefetchers.push(Box::new(NextLineStage::new()));
-        }
-        if cfg.target_prefetch {
-            prefetchers.push(Box::new(TargetStage::new(TARGET_PREFETCH_ENTRIES)));
-        }
+        let prefetchers = Prefetchers::new(&cfg);
         let batch_ok = prefetchers.is_empty();
         let ghr_check = if cfg!(debug_assertions) && OutcomeReplay::models(cfg.bpred.ghr_update) {
             cursor.as_ref().map(|c| GhrCheck {
@@ -293,7 +278,7 @@ impl<S: PathSource> Engine<S> {
             icache: ICache::new(&cfg.icache),
             shadow: cfg.classify.then(|| ICache::new(&cfg.icache)),
             bus: Bus::with_slots(cfg.bus_slots),
-            resume_buf: ResumeBuffer::new(),
+            resume_buf: LineBuffer::default(),
             gate,
             prefetchers,
             cursor,
@@ -337,12 +322,12 @@ impl<S: PathSource> Engine<S> {
         self.into_result()
     }
 
-    /// One simulated cycle: bus completions, prefetch pipelines, branch
+    /// One simulated cycle: bus completions, the stream buffer, branch
     /// events, then the fetch slots (plus the bulk stall fast-forward).
     #[inline]
     fn step_cycle(&mut self) {
         self.process_bus();
-        self.prefetch_tick();
+        self.prefetchers.tick(self.cycle, &self.icache, &mut self.bus, self.cfg.miss_penalty);
         self.process_events();
         let stall = self.fetch_phase();
         self.cycle += 1;
@@ -414,8 +399,8 @@ impl<S: PathSource> Engine<S> {
             traffic_prefetch: self.bus.prefetch_count(),
             traffic_target_prefetch: self.bus.target_prefetch_count(),
             classification: self.cfg.classify.then_some(self.classification),
-            prefetches_issued: self.prefetchers.issued(),
-            prefetch_hits: self.prefetchers.buffer_hits(),
+            prefetches_issued: self.bus.prefetch_count() + self.bus.target_prefetch_count(),
+            prefetch_hits: self.prefetchers.hits,
         }
     }
 
@@ -440,7 +425,7 @@ impl<S: PathSource> Engine<S> {
         if !persists {
             return;
         }
-        // A prefetch stage with a free bus slot issues one prefetch per
+        // A stream buffer with a free bus slot issues one prefetch per
         // cycle, so those cycles are not idle; step them normally.
         if self.bus.is_free() && self.prefetchers.wants_bus() {
             return;

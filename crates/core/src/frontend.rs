@@ -12,9 +12,8 @@ use crate::{SimConfig, SimConfigError, SimResult};
 /// [`FrontEnd::build`] validates the configuration and selects the miss
 /// gate implementing `cfg.policy`; [`FrontEnd::with_gate`] swaps in any
 /// custom [`MissGate`], making new fetch policies a library-level
-/// extension rather than an engine change. The prefetch stages
-/// (next-line, target, stream buffer) are assembled from the
-/// configuration flags as composable pipeline stages.
+/// extension rather than an engine change. The prefetchers (next-line,
+/// target, stream buffer) follow the configuration flags.
 ///
 /// # Examples
 ///

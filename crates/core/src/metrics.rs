@@ -110,7 +110,7 @@ pub struct SimResult {
     pub traffic_demand_correct: u64,
     /// Memory transactions: wrong-path demand fills.
     pub traffic_demand_wrong: u64,
-    /// Memory transactions: next-line prefetches.
+    /// Memory transactions: next-line and stream-buffer prefetches.
     pub traffic_prefetch: u64,
     /// Memory transactions: target prefetches (zero unless the
     /// target-prefetch extension is enabled).

@@ -65,31 +65,41 @@ struct Lines<R> {
     reader: R,
     line_no: u64,
     buf: String,
+    /// The current meaningful line's byte range in `buf`.
+    span: std::ops::Range<usize>,
 }
 
 impl<R: BufRead> Lines<R> {
-    /// Next meaningful line (comments stripped, blanks skipped).
-    fn next_line(&mut self) -> Result<Option<(u64, &str)>, TraceError> {
+    /// Advances to the next meaningful line (comments stripped, blanks
+    /// skipped); `false` at the end of the file.
+    fn advance(&mut self) -> Result<bool, TraceError> {
         loop {
             self.buf.clear();
-            let n = self.reader.read_line(&mut self.buf)?;
-            if n == 0 {
-                return Ok(None);
+            if self.reader.read_line(&mut self.buf)? == 0 {
+                return Ok(false);
             }
             self.line_no += 1;
-            let mut line = self.buf.as_str();
-            if let Some(hash) = line.find('#') {
-                line = &line[..hash];
-            }
-            let line = line.trim();
-            if !line.is_empty() {
-                // Reborrow from buf with the trimmed range to satisfy the
-                // borrow checker via index arithmetic.
-                let start = line.as_ptr() as usize - self.buf.as_ptr() as usize;
-                let end = start + line.len();
-                return Ok(Some((self.line_no, &self.buf[start..end])));
+            let text = &self.buf[..self.buf.find('#').unwrap_or(self.buf.len())];
+            let (start, end) = (text.len() - text.trim_start().len(), text.trim_end().len());
+            if start < end {
+                self.span = start..end;
+                return Ok(true);
             }
         }
+    }
+
+    /// The current meaningful line and its number.
+    fn current(&self) -> (u64, &str) {
+        (self.line_no, &self.buf[self.span.clone()])
+    }
+
+    /// The next meaningful line; at the end of the file, a malformed-trace
+    /// error `missing` at the last line read.
+    fn require(&mut self, missing: &str) -> Result<(u64, &str), TraceError> {
+        if !self.advance()? {
+            return Err(malformed(self.line_no, missing));
+        }
+        Ok(self.current())
     }
 }
 
@@ -130,24 +140,26 @@ pub fn read_trace_text<R: BufRead>(
     reader: R,
     max_instrs: u64,
 ) -> Result<PredictedTrace, TraceError> {
-    let mut lines = Lines { reader, line_no: 0, buf: String::new() };
+    let mut lines = Lines { reader, line_no: 0, buf: String::new(), span: 0..0 };
 
-    let (at, header) =
-        lines.next_line()?.ok_or_else(|| TraceError::BadHeader { detail: "empty file".into() })?;
+    if !lines.advance()? {
+        return Err(TraceError::BadHeader { detail: "empty file".into() });
+    }
+    let (at, header) = lines.current();
     if header != "SFT1 text" {
         return Err(TraceError::BadHeader { detail: format!("line {at}: got {header:?}") });
     }
 
     let base = {
-        let line = lines.next_line()?.ok_or_else(|| malformed(0, "missing base"))?;
+        let line = lines.require("missing base")?;
         expect_kv(line, "base")?
     };
     let entry = {
-        let line = lines.next_line()?.ok_or_else(|| malformed(0, "missing entry"))?;
+        let line = lines.require("missing entry")?;
         expect_kv(line, "entry")?
     };
 
-    let (at, image_hdr) = lines.next_line()?.ok_or_else(|| malformed(0, "missing image"))?;
+    let (at, image_hdr) = lines.require("missing image")?;
     let count: usize = image_hdr
         .strip_prefix("image")
         .and_then(|r| r.trim().parse().ok())
@@ -155,7 +167,7 @@ pub fn read_trace_text<R: BufRead>(
 
     let mut builder = ProgramBuilder::new(base);
     for _ in 0..count {
-        let (at, s) = lines.next_line()?.ok_or_else(|| malformed(0, "truncated image"))?;
+        let (at, s) = lines.require("truncated image")?;
         let mut parts = s.split_whitespace();
         let Some(op) = parts.next() else {
             return Err(malformed(at, "blank instruction record"));
@@ -179,7 +191,7 @@ pub fn read_trace_text<R: BufRead>(
     builder.set_entry(entry);
     let program = builder.finish()?;
 
-    let (at, path_hdr) = lines.next_line()?.ok_or_else(|| malformed(0, "missing path"))?;
+    let (at, path_hdr) = lines.require("missing path")?;
     let n_records: u64 = path_hdr
         .strip_prefix("path")
         .and_then(|r| r.trim().parse().ok())
@@ -187,7 +199,7 @@ pub fn read_trace_text<R: BufRead>(
 
     let mut walk = FileWalk::new(program, max_instrs);
     for _ in 0..n_records {
-        let (at, s) = lines.next_line()?.ok_or_else(|| malformed(0, "truncated path"))?;
+        let (at, s) = lines.require("truncated path")?;
         walk.push(match s {
             "t" => Record::Taken(true),
             "n" => Record::Taken(false),
@@ -200,7 +212,7 @@ pub fn read_trace_text<R: BufRead>(
         });
     }
 
-    let (at, end) = lines.next_line()?.ok_or_else(|| malformed(0, "missing end marker"))?;
+    let (at, end) = lines.require("missing end marker")?;
     if end != "end" {
         return Err(malformed(at, format!("expected `end`, got {end:?}")));
     }
@@ -266,12 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncated_path_section() {
-        let e = read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 2\nt\n").unwrap_err();
-        assert!(matches!(e, TraceError::Malformed { .. }));
-    }
-
-    #[test]
     fn counts_far_past_the_end_of_the_file_are_malformed_not_allocated() {
         for text in [
             "SFT1 text\nbase 0x1000\nentry 0x1000\nimage 1\ns\npath 99999999999999\n",
@@ -283,15 +289,29 @@ mod tests {
     }
 
     #[test]
+    fn a_file_that_ends_inside_a_section_names_its_last_line() {
+        for (text, at, detail) in [
+            ("SFT1 text\n", 1, "missing base"),
+            ("SFT1 text\nbase 0x0\n", 2, "missing entry"),
+            ("SFT1 text\nbase 0x0\nentry 0x0\n", 3, "missing image"),
+            ("SFT1 text\nbase 0x0\nentry 0x0\nimage 3\ns\ns\n", 6, "truncated image"),
+            ("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\n\n# cut\n", 7, "missing path"),
+            ("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 2\nt\n", 7, "truncated path"),
+            ("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 0\n", 6, "missing end marker"),
+        ] {
+            match read(text).unwrap_err() {
+                TraceError::Malformed { at: got, detail: d } => {
+                    assert_eq!((got, d.as_str()), (at, detail), "{text:?}");
+                }
+                e => panic!("{text:?}: {e}"),
+            }
+        }
+    }
+
+    #[test]
     fn rejects_dangling_branch_target() {
         let e =
             read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\nb 0x100\npath 0\nend\n").unwrap_err();
         assert!(matches!(e, TraceError::BadImage(_)));
-    }
-
-    #[test]
-    fn rejects_missing_end_marker() {
-        let e = read("SFT1 text\nbase 0x0\nentry 0x0\nimage 1\ns\npath 0\n").unwrap_err();
-        assert!(matches!(e, TraceError::Malformed { .. }));
     }
 }

@@ -228,7 +228,7 @@ fn a_path_count_past_the_end_of_the_file_is_malformed() {
     let out = sft_tools().args(["info", path.to_str().unwrap()]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("malformed trace at 0: truncated path"), "{err}");
+    assert!(err.contains("malformed trace at 6: truncated path"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

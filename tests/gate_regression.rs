@@ -9,9 +9,9 @@
 //!
 //! The prefetch fixture pins every valid prefetcher combination (next-line,
 //! branch-target, both, the stream buffer, stream plus target) under every
-//! policy on a one- and a two-slot bus. It was recorded at commit ebea2e2,
-//! while the prefetchers were still boxed `PrefetchStage`s, with the same
-//! variable.
+//! policy on a one- and a two-slot bus. It was recorded with the same
+//! variable at commit ebea2e2, while the prefetchers were still boxed
+//! pipeline stages with their own copies of the one-line buffer.
 
 use std::fmt::Write as _;
 
