@@ -399,7 +399,6 @@ impl<S: PathSource> Engine<S> {
             traffic_prefetch: self.bus.prefetch_count(),
             traffic_target_prefetch: self.bus.target_prefetch_count(),
             classification: self.cfg.classify.then_some(self.classification),
-            prefetches_issued: self.bus.prefetch_count() + self.bus.target_prefetch_count(),
             prefetch_hits: self.prefetchers.hits,
         }
     }

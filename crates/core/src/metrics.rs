@@ -118,14 +118,18 @@ pub struct SimResult {
     /// Table 4 miss classification (present when the config enabled
     /// `classify`).
     pub classification: Option<MissClass>,
-    /// Prefetches issued (0 when prefetching is disabled).
-    pub prefetches_issued: u64,
     /// Demand misses satisfied by the prefetch buffer or an in-flight
     /// prefetch.
     pub prefetch_hits: u64,
 }
 
 impl SimResult {
+    /// Prefetches issued: every next-line, stream-buffer and target
+    /// prefetch transaction (0 when prefetching is disabled).
+    pub fn prefetches_issued(&self) -> u64 {
+        self.traffic_prefetch + self.traffic_target_prefetch
+    }
+
     /// Issue slots lost per correct-path instruction — the paper's primary
     /// metric.
     pub fn ispi(&self) -> f64 {
@@ -213,7 +217,6 @@ mod tests {
             traffic_prefetch: 0,
             traffic_target_prefetch: 0,
             classification: None,
-            prefetches_issued: 0,
             prefetch_hits: 0,
         }
     }

@@ -316,7 +316,7 @@ mod tests {
         pref.prefetch = true;
         let r0 = Simulator::new(base).run(src());
         let r1 = Simulator::new(pref).run(src());
-        assert!(r1.prefetches_issued > 0);
+        assert!(r1.prefetches_issued() > 0);
         // Steady state: without prefetch a line costs 2 fetch + 5 stall
         // cycles (ISPI 2.5); with next-line prefetch the 5-cycle fill
         // overlaps the 2 fetch cycles, leaving 3 stall cycles (ISPI 1.5).
@@ -417,7 +417,7 @@ mod tests {
         sb.stream_buffer = true;
         let r0 = Simulator::new(base).run(src());
         let r1 = Simulator::new(sb).run(src());
-        assert!(r1.prefetches_issued > 0, "stream must issue prefetches");
+        assert!(r1.prefetches_issued() > 0, "stream must issue prefetches");
         assert!(r1.prefetch_hits > 0, "misses must be served from the FIFO head");
         assert!(
             r1.ispi() < r0.ispi() * 0.75,
@@ -438,7 +438,7 @@ mod tests {
         let r0 = Simulator::new(base).run(w.executor(2).take_instrs(120_000));
         let r1 = Simulator::new(sb).run(w.executor(2).take_instrs(120_000));
         assert_eq!(r0.correct_instrs, r1.correct_instrs);
-        assert!(r1.prefetches_issued > 0);
+        assert!(r1.prefetches_issued() > 0);
         assert!(r1.prefetch_hits > 0);
         // On branchy code a naive single stream buffer sharing the one
         // blocking bus *loses*: nearly every miss restarts the stream and

@@ -12,9 +12,12 @@
 //! - [`analyze_benchmark`] / [`analyze_all`] back the `--analyze` CLI
 //!   mode and return the full typed [`CfgReport`];
 //! - [`preflight`] is the go/no-go gate the runner calls before
-//!   simulating a benchmark — its failures carry
+//!   simulating a point — its failures carry
 //!   [`SpecfetchError::Analysis`] and render as `FAILED(analysis: …)`
-//!   cells under the existing per-point isolation.
+//!   cells under the existing per-point isolation. It gates simulation,
+//!   not lookup: a point the memo or the result store already holds
+//!   reaches no engine and is never preflighted, so a fully warm replay
+//!   generates and verifies no image.
 //!
 //! Analysis is memoized per process (one verifier walk per benchmark,
 //! ever), so the preflight adds nothing measurable to a sweep. Each
@@ -27,7 +30,9 @@
 //! one conditional branch of the named benchmark's image out of the image
 //! before analysis, so the failure paths — typed diagnostics, exit codes,
 //! `FAILED(analysis: …)` cells — can be exercised end to end without
-//! shipping a broken generator.
+//! shipping a broken generator. The hook corrupts only the analysis
+//! copy: what simulates, and so what a stored result came from, is the
+//! real image.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -125,7 +130,8 @@ pub fn analyze_benchmark(bench: &Benchmark) -> Result<CfgReport, SpecfetchError>
 }
 
 /// The go/no-go analysis gate the runner fires before simulating a
-/// benchmark.
+/// point: only a point that is neither memoized nor stored, so a warm
+/// replay never calls it.
 ///
 /// # Errors
 ///

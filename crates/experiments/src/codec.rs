@@ -232,7 +232,6 @@ pub(crate) fn put_result(mut rec: Record, r: &SimResult) -> Record {
         traffic_prefetch,
         traffic_target_prefetch,
         classification,
-        prefetches_issued,
         prefetch_hits,
     } = *r;
     // Every value below is an integer or a policy token, so the tokens
@@ -253,7 +252,7 @@ pub(crate) fn put_result(mut rec: Record, r: &SimResult) -> Record {
          bp.ires={indirects_resolved} bp.imis={indirects_mispredicted} \
          tr.dc={traffic_demand_correct} tr.dw={traffic_demand_wrong} \
          tr.pf={traffic_prefetch} tr.tpf={traffic_target_prefetch} \
-         pf.issued={prefetches_issued} pf.hits={prefetch_hits} class={}",
+         pf.hits={prefetch_hits} class={}",
         policy.short_name(),
         u8::from(classification.is_some()),
     );
@@ -332,7 +331,6 @@ pub(crate) fn take_result(f: &mut Fields<'_>) -> Result<SimResult, SpecfetchErro
         traffic_demand_wrong: u("tr.dw")?,
         traffic_prefetch: u("tr.pf")?,
         traffic_target_prefetch: u("tr.tpf")?,
-        prefetches_issued: u("pf.issued")?,
         prefetch_hits: u("pf.hits")?,
         classification: match u("class")? {
             0 => None,

@@ -14,8 +14,8 @@
 //! config in its key, and a warm run serves it without recording,
 //! interpreting or generating the workload.
 //!
-//! Layout: `<dir>/v2/<bench>-<instrs>-<confighash:016x>.sr` for results
-//! and `<dir>/v2/path/<bench>-<instrs>.sr` for path entries. Each file
+//! Layout: `<dir>/v3/<bench>-<instrs>-<confighash:016x>.sr` for results
+//! and `<dir>/v3/path/<bench>-<instrs>.sr` for path entries. Each file
 //! is one sealed [`crate::codec`] record:
 //!
 //! ```text
@@ -50,13 +50,14 @@ use specfetch_trace::TraceStats;
 
 use crate::codec::{bad, put_result, take_result, Fields, Record};
 
-/// Version of the store's file format (the `v<N>` path segment).
-pub const FORMAT_VERSION: u32 = 2;
+/// Version of the store's file format (the `v<N>` path segment). v3
+/// dropped the derived `pf.issued` result field.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// What the store remembers about a grid point: a finished result, or —
 /// the negative cache (DESIGN §5j) — a *terminal* failure whose reason
 /// replays verbatim as `FAILED(...)` so resumed sweeps skip known-bad
-/// points. Interrupted points are never stored; `--retry-failed` makes
+/// points. Interrupted points and preflight verdicts are never stored; `--retry-failed` makes
 /// readers ignore `Failed` entries (a later success overwrites them).
 #[derive(Clone, PartialEq, Debug)]
 #[allow(clippy::large_enum_variant)] // transient return value, matched immediately
@@ -547,13 +548,13 @@ mod tests {
         let text = std::fs::read_to_string(path_entry_path(&dir, "li", 4_000)).unwrap();
         assert!(text.starts_with("kind=path bench=li window=4000 instrs=4000 "), "{text}");
         assert_eq!(text.lines().count(), 1, "one record per entry");
-        // The subdirectory keeps path entries out of `v2/*.sr` listings.
+        // The subdirectory keeps path entries out of `v3/*.sr` listings.
         let top: Vec<_> = std::fs::read_dir(dir.join(format!("v{FORMAT_VERSION}")))
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|x| x == "sr"))
             .collect();
-        assert!(top.is_empty(), "path entries leaked into v2/: {top:?}");
+        assert!(top.is_empty(), "path entries leaked into v3/: {top:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

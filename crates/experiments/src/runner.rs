@@ -70,10 +70,22 @@ pub struct CellFailure {
     pub reason: String,
     /// Whether the supervisor may retry this point.
     pub kind: FailKind,
-    /// Whether this failure was replayed from the negative cache or the
-    /// journal rather than produced by this run — replayed failures are
-    /// never re-persisted (the entry already exists).
-    pub(crate) replayed: bool,
+    /// Where the grid's terminal bookkeeping writes this failure.
+    pub(crate) persist: Persist,
+}
+
+/// Where a terminal failure is written once its grid settles.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum Persist {
+    /// The journal and the result store's negative cache.
+    Everywhere,
+    /// The journal only: a preflight verdict. The store key cannot see
+    /// what decided it (the `--corrupt-target` hook), and it is
+    /// recomputed in milliseconds.
+    JournalOnly,
+    /// Nowhere: replayed from the negative cache or the journal, which
+    /// already hold it.
+    Nowhere,
 }
 
 impl CellFailure {
@@ -87,28 +99,46 @@ impl CellFailure {
             SpecfetchError::Interrupted => FailKind::Interrupted,
             _ => FailKind::Terminal,
         };
-        CellFailure { reason: e.cell_reason(), kind, replayed: false }
+        CellFailure { reason: e.cell_reason(), kind, persist: Persist::Everywhere }
     }
 
     /// A failure from a captured panic payload (deterministic, terminal).
     fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
-        CellFailure { reason: panic_message(payload), kind: FailKind::Terminal, replayed: false }
+        CellFailure {
+            reason: panic_message(payload),
+            kind: FailKind::Terminal,
+            persist: Persist::Everywhere,
+        }
     }
 
     /// A terminal failure with an explicit reason.
     pub(crate) fn permanent(reason: impl Into<String>) -> Self {
-        CellFailure { reason: reason.into(), kind: FailKind::Terminal, replayed: false }
+        CellFailure {
+            reason: reason.into(),
+            kind: FailKind::Terminal,
+            persist: Persist::Everywhere,
+        }
     }
 
     /// A terminal failure replayed verbatim from the negative cache or
     /// the journal.
     pub(crate) fn from_replay(reason: impl Into<String>) -> Self {
-        CellFailure { reason: reason.into(), kind: FailKind::Terminal, replayed: true }
+        CellFailure { reason: reason.into(), kind: FailKind::Terminal, persist: Persist::Nowhere }
+    }
+
+    /// This failure as a preflight verdict, which only the journal
+    /// records.
+    fn journal_only(self) -> Self {
+        CellFailure { persist: Persist::JournalOnly, ..self }
     }
 
     /// A transient (retryable) failure with an explicit reason.
     pub(crate) fn transient(reason: impl Into<String>) -> Self {
-        CellFailure { reason: reason.into(), kind: FailKind::Transient, replayed: false }
+        CellFailure {
+            reason: reason.into(),
+            kind: FailKind::Transient,
+            persist: Persist::Everywhere,
+        }
     }
 
     /// A point drained by a shutdown request.
@@ -116,7 +146,7 @@ impl CellFailure {
         CellFailure {
             reason: "interrupted".to_owned(),
             kind: FailKind::Interrupted,
-            replayed: false,
+            persist: Persist::Everywhere,
         }
     }
 
@@ -134,7 +164,7 @@ pub type GridCell = Measured<SimResult>;
 
 /// Runs `f` under `catch_unwind`, turning a typed error or a panic into
 /// that cell's [`CellFailure`].
-pub(crate) fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
+fn isolate<T>(f: impl FnOnce() -> Result<T, SpecfetchError>) -> Measured<T> {
     match panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(Ok(r)) => Ok(r),
         Ok(Err(e)) => Err(CellFailure::from_error(&e)),
@@ -316,15 +346,13 @@ pub fn try_run_grid(points: &[GridPoint], opts: &RunOptions) -> Vec<GridCell> {
                 // A replayed failure (negative cache or journal) is
                 // already persisted — re-recording it would pollute the
                 // store counters and grow the WAL on every resume.
-                if !f.replayed {
-                    if let Some(jb) = jbase {
-                        journal::record_failed(
-                            opts.job,
-                            jb + i as u64,
-                            attempts[i].max(1),
-                            &f.reason,
-                        );
-                    }
+                if f.persist == Persist::Nowhere {
+                    continue;
+                }
+                if let Some(jb) = jbase {
+                    journal::record_failed(opts.job, jb + i as u64, attempts[i].max(1), &f.reason);
+                }
+                if f.persist == Persist::Everywhere {
                     let p = &points[i];
                     store::record_failed(p.benchmark, opts.instrs_per_benchmark, p.cfg, &f.reason);
                 }
@@ -499,17 +527,23 @@ struct GroupPlan {
     todo: Vec<(SimConfig, Option<FaultAction>)>,
 }
 
-/// The one prefilter every batch passes before it simulates:
+/// The one prefilter every batch passes before it simulates, in order:
 ///
-/// - each point's fault guard fires, in input order, then the static
-///   preflight — a structurally broken image must never reach the
-///   engine, and a failure here costs only that cell. A sharded pass
-///   (`route`) does not fire process faults (`abort`, `hang`,
-///   `exitcode`) in the parent; it routes them to the child that will
-///   run the point;
-/// - configurations are deduplicated and memo / result-store hits
-///   resolved BEFORE any trace work, so a fully warm batch never
-///   records, decodes or loads a trace.
+/// 1. each point's fault guard fires, in input order, so `--inject
+///    point=` numbering holds at any parallelism. A sharded pass
+///    (`route`) does not fire process faults (`abort`, `hang`,
+///    `exitcode`) in the parent; it routes them to the child that will
+///    run the point;
+/// 2. configurations are deduplicated;
+/// 3. memo / result-store hits are resolved BEFORE any image or trace
+///    work, so a fully warm batch never generates, verifies, records,
+///    decodes or loads anything;
+/// 4. the static preflight gates what is left to simulate — a
+///    structurally broken image must never reach the engine, and a
+///    failure here costs only that cell. A point that joins an
+///    already-queued configuration is preflighted too, from the
+///    memoized verdict. Preflight gates simulation, not lookup: a hit
+///    comes from an image that reached the engine, and is served.
 #[allow(clippy::too_many_arguments)]
 fn plan_group(
     bench: &'static Benchmark,
@@ -524,22 +558,15 @@ fn plan_group(
     for i in idxs {
         let fidx = base + i as u64;
         let routed = fault::peek(fidx, attempt).filter(|a| route && a.is_process_fault());
+        let cfg = points[i].cfg;
+        let queued = plan.todo.iter().position(|(c, _)| *c == cfg);
+        // A routed point must reach its child, hit or not.
         if routed.is_none() {
-            let pre = isolate(|| {
-                fault::guard(fidx, attempt, opts.point_timeout_secs)?;
-                crate::analysis::preflight(bench)
-            });
-            if let Err(f) = pre {
+            if let Err(f) = isolate(|| fault::guard(fidx, attempt, opts.point_timeout_secs)) {
                 plan.decided.push((i, Err(f)));
                 continue;
             }
-        }
-        let cfg = points[i].cfg;
-        if let Some((_, fault)) = plan.todo.iter_mut().find(|(c, _)| *c == cfg) {
-            *fault = fault.or(routed);
-        } else {
-            // A routed point must reach its child, hit or not.
-            let stored = routed
+            let stored = queued
                 .is_none()
                 .then(|| resolve_stored(bench, opts.instrs_per_benchmark, cfg, opts))
                 .flatten();
@@ -547,7 +574,14 @@ fn plan_group(
                 plan.decided.push((i, cell));
                 continue;
             }
-            plan.todo.push((cfg, routed));
+            if let Err(f) = isolate(|| crate::analysis::preflight(bench)) {
+                plan.decided.push((i, Err(f.journal_only())));
+                continue;
+            }
+        }
+        match queued {
+            Some(k) => plan.todo[k].1 = plan.todo[k].1.or(routed),
+            None => plan.todo.push((cfg, routed)),
         }
         plan.waiting.push(i);
     }

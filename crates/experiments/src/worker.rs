@@ -12,8 +12,8 @@
 //! `sum=<fnv1a>` checksum token (left out below):
 //!
 //! ```text
-//! parent → child   kind=hello proto=3
-//! child → parent   kind=hello proto=3
+//! parent → child   kind=hello proto=4
+//! child → parent   kind=hello proto=4
 //! parent → child   kind=group bench=li instrs=2000000 points=2
 //!                  kind=point idx=0 fault=none cfg=v=1\spolicy=Res\s...
 //!                  kind=point idx=1 fault=none cfg=v=1\spolicy=Pess\s...
@@ -23,15 +23,17 @@
 //!                  kind=done
 //! ```
 //!
-//! Children are pure compute: a child answers a group with the static
-//! preflight and the same executor the in-process path runs
-//! (`runner::simulate_configs`), and never opens the result store — its
-//! argv is just `--worker`, and the parent is the only process that
-//! persists results.
+//! Children are pure compute: a child answers a group with the same
+//! executor the in-process path runs (`runner::simulate_configs`), and
+//! never opens the result store — its argv is just `--worker`, and the
+//! parent is the only process that persists results. The parent's
+//! planner is the only preflight gate: a child holds no
+//! `--corrupt-target` hook, so a verdict of its own could only pass, and
+//! an image that fails to generate fails every cell in the executor.
 //!
 //! A failed cell carries its retry class (`fail`: `terminal` |
 //! `transient` | `interrupted`) so the parent treats a deterministic
-//! failure inside a worker — a real panic, an analysis error — exactly
+//! failure inside a worker — a real panic, a workload error — exactly
 //! like the in-process path would: terminal, never retried. Anything
 //! unrecognised stays transient, which is also what genuine
 //! worker-death fills (no cell at all) resolve to.
@@ -74,13 +76,14 @@ use specfetch_verify::{worker_step, DeadReason, Step, WorkerEvent, WorkerState};
 
 use crate::codec::{bad, put_result, take_result, Fields, Record};
 use crate::fault::{self, FaultAction};
-use crate::runner::{isolate, simulate_configs, CellFailure, FailKind, GridCell};
+use crate::runner::{simulate_configs, CellFailure, FailKind, GridCell};
 use crate::RunOptions;
 
 /// Version of the parent↔worker pipe protocol. v2 added the hello
 /// handshake, heartbeats and per-point fault forwarding (replacing the
-/// v1 `abort` flag); v3 replaced JSON lines with codec records.
-pub const PROTO_VERSION: u64 = 3;
+/// v1 `abort` flag); v3 replaced JSON lines with codec records; v4
+/// dropped the derived `pf.issued` result field.
+pub const PROTO_VERSION: u64 = 4;
 
 /// How often a worker child emits a heartbeat line. The CLI rejects
 /// `--heartbeat-ms` windows below twice this interval — a window shorter
@@ -544,10 +547,10 @@ fn emit(line: &str) -> std::io::Result<()> {
 
 /// The `--worker` child loop: handshake, then serve group requests from
 /// stdin until EOF, heartbeating every ~100ms throughout. A child is
-/// pure compute: it answers each group with the static preflight and
-/// the in-process executor (`runner::simulate_configs`, one lockstep
-/// batch over the shared trace), and never
-/// touches the result store or the journal — the parent plans the group
+/// pure compute: it answers each group with the in-process executor
+/// (`runner::simulate_configs`, one lockstep batch over the shared
+/// trace) and no preflight of its own, and never touches the result
+/// store or the journal — the parent plans the group
 /// and settles the reply. No fault plan is installed in children, so the
 /// only injected behaviour is the forwarded per-point fault.
 pub fn child_loop() -> std::process::ExitCode {
@@ -661,10 +664,7 @@ pub fn child_loop() -> std::process::ExitCode {
             _ => {}
         }
 
-        let cells = match isolate(|| crate::analysis::preflight(bench)) {
-            Ok(()) => simulate_configs(bench, instrs, &cfgs),
-            Err(f) => vec![Err(f); cfgs.len()],
-        };
+        let cells = simulate_configs(bench, instrs, &cfgs);
         let mut reply = String::new();
         for (i, cell) in cells.iter().enumerate() {
             let rec = Record::new("cell").u64("idx", i as u64);
@@ -707,7 +707,7 @@ mod tests {
         let e = validate_hello("{\"kind\":\"hello\",\"proto\":2}\n").unwrap_err();
         assert!(
             matches!(&e, SpecfetchError::WorkerProtocol { detail }
-                if detail.contains("v2") && detail.contains("v3")),
+                if detail.contains("v2") && detail.contains("v4")),
             "{e}"
         );
         assert!(
@@ -716,7 +716,7 @@ mod tests {
         for garbled in ["{\"kind\":\"hello\",\"proto\":3,\"x\":1}", "{\"kind\":\"hello\"}"] {
             let e = validate_hello(garbled).unwrap_err();
             assert!(
-                matches!(&e, SpecfetchError::WorkerProtocol { detail } if detail.contains("v3 hello"))
+                matches!(&e, SpecfetchError::WorkerProtocol { detail } if detail.contains("v4 hello"))
             );
         }
     }

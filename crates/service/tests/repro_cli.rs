@@ -270,19 +270,64 @@ fn analyze_usage_errors_exit_2_before_anything_runs() {
 
 #[test]
 fn corrupted_benchmark_renders_a_failed_analysis_cell_in_a_sweep() {
-    let out = repro(&[
+    let base = [
         "--sweep",
         "policy=Res bench=li,gcc metric=ispi",
         "--instrs",
         "2000",
         "--corrupt-target",
         "li",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "an analysis failure is a failed cell");
-    let text = stdout(&out);
-    assert!(text.contains("FAILED(analysis:"), "li's cell fails preflight: {text}");
-    assert!(text.contains("gcc"), "gcc still simulates: {text}");
-    assert!(!stdout(&out).contains("gcc	FAILED"), "gcc must not fail: {text}");
+    ];
+    // Sharded too: the parent's planner is the only gate, since a
+    // `--worker` child never holds the hook.
+    for extra in [&[][..], &["--workers", "1"]] {
+        let out = repro(&[&base[..], extra].concat());
+        assert_eq!(out.status.code(), Some(1), "an analysis failure is a failed cell {extra:?}");
+        let text = stdout(&out);
+        assert!(text.contains("FAILED(analysis:"), "li's cell fails preflight: {text}");
+        assert!(text.contains("gcc"), "gcc still simulates: {text}");
+        assert!(!text.contains("gcc	FAILED"), "gcc must not fail: {text}");
+    }
+}
+
+#[test]
+fn a_preflight_failure_is_not_stored() {
+    // The store key cannot see the hook: a negative entry written under
+    // it would fail li's clean image in every later run.
+    let dir = scratch("preflight-unstored");
+    let base =
+        ["--sweep", "policy=Res bench=li,gcc metric=ispi", "--instrs", "2000", "--result-dir"];
+    let args = [&base[..], &[dir.to_str().unwrap()]].concat();
+    let hooked = repro(&[&args[..], &["--corrupt-target", "li"]].concat());
+    assert_eq!(hooked.status.code(), Some(1), "{}", stderr(&hooked));
+    assert!(stdout(&hooked).contains("li       FAILED(analysis:"), "{}", stdout(&hooked));
+    assert_eq!(store_stats(&stderr(&hooked)), (0, 1), "only gcc's result is stored");
+
+    let clean = repro(&args);
+    assert_eq!(clean.status.code(), Some(0), "{}", stderr(&clean));
+    assert!(!stdout(&clean).contains("FAILED"), "li simulates: {}", stdout(&clean));
+    assert_eq!(store_stats(&stderr(&clean)), (1, 1), "gcc hits, li simulates");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_warm_replay_serves_a_corrupt_targets_hits() {
+    // Preflight gates simulation, not lookup: a stored result came from
+    // the real image, and the hook corrupts only the analysis copy.
+    let dir = scratch("warm-corrupt");
+    let args = ["--experiment", "all", "--instrs", "2000", "--result-dir", dir.to_str().unwrap()];
+    let cold = repro(&args);
+    assert_eq!(cold.status.code(), Some(0), "{}", stderr(&cold));
+    let (_, stores) = store_stats(&stderr(&cold));
+    assert!(stores > 0, "a cold run must populate the store");
+
+    let warm = repro(&[&args[..], &["--corrupt-target", "li"]].concat());
+    assert_eq!(warm.status.code(), Some(0), "{}", stderr(&warm));
+    let (got, want) = (stdout(&warm), include_str!("golden/all_2000.txt"));
+    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    assert!(got == want, "warm report drifted from the golden at line {first_diff:?}");
+    assert_eq!(store_stats(&stderr(&warm)), (stores, 0), "every point replays as a hit");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Parses the `[result-store] hits=H stores=S` stderr line.

@@ -58,7 +58,7 @@ fn digest(r: &SimResult) -> String {
         r.traffic_demand_wrong,
         r.traffic_prefetch,
         r.traffic_target_prefetch,
-        r.prefetches_issued,
+        r.prefetches_issued(),
         r.prefetch_hits,
     )
 }
