@@ -12,15 +12,36 @@
 //! policy on a one- and a two-slot bus. It was recorded with the same
 //! variable at commit ebea2e2, while the prefetchers were still boxed
 //! pipeline stages with their own copies of the one-line buffer.
+//!
+//! The path fixture pins every `SimResult` field, through the result
+//! codec, for each case the trace-equivalence suites once compared
+//! against a live interpreter: every policy, the sweep axes, the
+//! prefetchers and the stream buffer, speculative history, straight-line
+//! code on a 1K cache, a trace cut on a transfer and mid-run, the `gcc`
+//! and `li` suite paths, the three randomized lockstep grids, and the
+//! duplicate and single-lane batches. It was recorded with the same
+//! variable at commit 4c51594, while `Simulator::run` still fed the engine
+//! one live instruction at a time.
+
+mod common;
 
 use std::fmt::Write as _;
 
+use specfetch::bpred::GhrUpdate;
 use specfetch::core::{FetchPolicy, SimConfig, SimResult, Simulator};
+use specfetch::experiments::codec::encode_result;
+use specfetch::isa::{Addr, DynInstr, ProgramBuilder};
 use specfetch::synth::suite::Benchmark;
-use specfetch::trace::PathSource;
+use specfetch::synth::{Workload, WorkloadSpec};
+use specfetch::trace::{PathSource, VecSource};
+
+use common::random_config;
 
 const INSTRS: u64 = 30_000;
 const FIXTURE: &str = include_str!("fixtures/gate_results.txt");
+
+const PATH_INSTRS: u64 = 30_000;
+const PATH_FIXTURE: &str = include_str!("fixtures/path_results.txt");
 
 const PREFETCH_INSTRS: u64 = 20_000;
 const PREFETCH_FIXTURE: &str = include_str!("fixtures/prefetch_results.txt");
@@ -102,6 +123,118 @@ fn current_prefetch() -> String {
     out
 }
 
+fn current_paths() -> String {
+    let mut out = String::new();
+    let mut row = |case: &str, r: SimResult| writeln!(out, "{case} {}", encode_result(&r)).unwrap();
+    let synth = |spec: WorkloadSpec| Workload::generate(&spec).expect("spec generates");
+    let base = SimConfig::paper_baseline();
+    let with = |edit: &dyn Fn(&mut SimConfig)| {
+        let mut cfg = base;
+        edit(&mut cfg);
+        cfg
+    };
+
+    let w = synth(WorkloadSpec::c_like("ovl", 7));
+    for policy in FetchPolicy::ALL {
+        let cfg = with(&|c| c.policy = policy);
+        row(
+            &format!("policy/{}", policy.short_name()),
+            run(cfg, w.executor(3).take_instrs(PATH_INSTRS)),
+        );
+    }
+
+    let w = synth(WorkloadSpec::cpp_like("ovl-axes", 11));
+    let axes: [(&str, SimConfig); 4] = [
+        (
+            "1K-penalty20",
+            with(&|c| {
+                c.icache.size_bytes = 1024;
+                c.miss_penalty = 20;
+            }),
+        ),
+        ("depth1", with(&|c| c.max_unresolved = 1)),
+        ("classify", with(&|c| c.classify = true)),
+        ("bus2", with(&|c| c.bus_slots = 2)),
+    ];
+    for (name, cfg) in axes {
+        row(&format!("axis/{name}"), run(cfg, w.executor(5).take_instrs(PATH_INSTRS)));
+    }
+
+    let w = synth(WorkloadSpec::c_like("ovl-pf", 13));
+    let prefetchers: [(&str, SimConfig); 3] = [
+        ("nl", with(&|c| c.prefetch = true)),
+        (
+            "nl+target",
+            with(&|c| {
+                c.prefetch = true;
+                c.target_prefetch = true;
+            }),
+        ),
+        ("stream", with(&|c| c.stream_buffer = true)),
+    ];
+    for (name, cfg) in prefetchers {
+        row(&format!("prefetch/{name}"), run(cfg, w.executor(2).take_instrs(PATH_INSTRS)));
+    }
+
+    let w = synth(WorkloadSpec::c_like("ovl-ghr", 17));
+    let cfg = with(&|c| c.bpred.ghr_update = GhrUpdate::Speculative);
+    row("ghr/speculative", run(cfg, w.executor(4).take_instrs(PATH_INSTRS)));
+
+    let n = 4096;
+    let mut b = ProgramBuilder::new(Addr::new(0));
+    b.push_seq(n);
+    b.set_entry(Addr::new(0));
+    let p = b.finish().expect("straight-line image");
+    let path: Vec<DynInstr> = (0..n as u64).map(|i| DynInstr::seq(Addr::from_word(i))).collect();
+    for policy in FetchPolicy::ALL {
+        let cfg = with(&|c| {
+            c.policy = policy;
+            c.icache.size_bytes = 1024;
+        });
+        let src = VecSource::new(p.clone(), path.clone());
+        row(&format!("straight-1K/{}", policy.short_name()), run(cfg, src));
+    }
+
+    // A window that ends on a transfer and one that ends mid-run.
+    let w = synth(WorkloadSpec::c_like("ovl-cut", 23));
+    let mut full = w.executor(9).take_instrs(8_000);
+    let path: Vec<DynInstr> = std::iter::from_fn(|| full.next_instr()).collect();
+    for transfer in [true, false] {
+        let window = (7_777..8_000).find(|&n| path[n - 1].is_branch() == transfer).unwrap();
+        row(&format!("cut/{window}"), run(base, w.executor(9).take_instrs(window as u64)));
+    }
+
+    for (name, policy) in
+        [("gcc", FetchPolicy::Optimistic), ("gcc", FetchPolicy::Resume), ("li", base.policy)]
+    {
+        let bench = Benchmark::by_name(name).expect("suite benchmark");
+        let w = bench.workload().expect("calibrated specs generate");
+        let cfg = with(&|c| c.policy = policy);
+        let src = w.executor(bench.path_seed()).take_instrs(50_000);
+        row(&format!("suite/{name}/{}", policy.short_name()), run(cfg, src));
+    }
+
+    let w = synth(WorkloadSpec::c_like("lockstep", 7));
+    let mut rng = 0x5eed_0001u64;
+    for round in 0..3 {
+        for lane in 0..8 {
+            let cfg = random_config(&mut rng);
+            let src = w.executor(3).take_instrs(PATH_INSTRS);
+            row(&format!("random/{round}/{lane}"), run(cfg, src));
+        }
+    }
+    let w = synth(WorkloadSpec::cpp_like("lockstep-dup", 11));
+    row("batch/duplicate", run(base, w.executor(5).take_instrs(PATH_INSTRS)));
+    let w = synth(WorkloadSpec::c_like("lockstep-one", 13));
+    let cfg = with(&|c| c.policy = FetchPolicy::Resume);
+    row("batch/single", run(cfg, w.executor(2).take_instrs(PATH_INSTRS)));
+    out
+}
+
+fn run(cfg: SimConfig, path: impl PathSource) -> SimResult {
+    Simulator::new(cfg).run(path)
+}
+
 /// Compares `now` with a committed fixture line by line, or rewrites the
 /// fixture when `SPECFETCH_REGEN_FIXTURE` is set.
 fn check(now: &str, file: &str, fixture: &str) {
@@ -111,7 +244,7 @@ fn check(now: &str, file: &str, fixture: &str) {
         return;
     }
     for (got, want) in now.lines().zip(fixture.lines()) {
-        assert_eq!(got, want, "SimResult digest drifted from the pre-refactor engine");
+        assert_eq!(got, want, "SimResult drifted from the pre-refactor engine");
     }
     assert_eq!(
         now.lines().count(),
@@ -128,4 +261,9 @@ fn gates_reproduce_pre_refactor_results() {
 #[test]
 fn prefetchers_reproduce_pre_refactor_results() {
     check(&current_prefetch(), "prefetch_results.txt", PREFETCH_FIXTURE);
+}
+
+#[test]
+fn paths_reproduce_pre_refactor_results() {
+    check(&current_paths(), "path_results.txt", PATH_FIXTURE);
 }
