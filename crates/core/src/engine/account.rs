@@ -1,11 +1,9 @@
 //! Account stage: attribution of lost issue slots to the six ISPI
 //! components (DESIGN.md priority rules).
 
-use specfetch_trace::PathSource;
-
 use super::{Cause, Engine, MissState, Mode, Trigger};
 
-impl<S: PathSource> Engine<S> {
+impl Engine {
     pub(super) fn lose(&mut self, slots: u64, cause: Cause) {
         match cause {
             Cause::BranchFull => self.lost.branch_full += slots,

@@ -3,11 +3,10 @@
 
 use specfetch_bpred::GhrUpdate;
 use specfetch_isa::{Addr, InstrKind};
-use specfetch_trace::PathSource;
 
 use super::{needs_resolution, Engine, MissState, Mode};
 
-impl<S: PathSource> Engine<S> {
+impl Engine {
     /// Fires every due decode/resolve event, oldest record first.
     ///
     /// Records are pushed in fetch order with `decode_at = cycle +
@@ -94,14 +93,14 @@ impl<S: PathSource> Engine<S> {
                         // Correct-path conditionals resolve in trace
                         // order, so the live history must track the
                         // trace's shared outcome stream bit-for-bit.
-                        if let Some(chk) = &mut self.ghr_check {
-                            let k = chk.replay.count() as usize;
-                            let taken = chk.trace.cond_taken(k);
+                        if let Some(replay) = &mut self.ghr_check {
+                            let k = replay.count() as usize;
+                            let taken = self.cursor.trace().cond_taken(k);
                             debug_assert_eq!(
                                 taken, f.actual_taken,
                                 "trace outcome stream out of sync at conditional {k}"
                             );
-                            let ghr = chk.replay.push(taken);
+                            let ghr = replay.push(taken);
                             debug_assert_eq!(
                                 ghr,
                                 self.unit.ghr(),

@@ -2,11 +2,10 @@
 //! prediction, and divergence detection.
 
 use specfetch_isa::{Addr, DynInstr, InstrKind};
-use specfetch_trace::PathSource;
 
 use super::{needs_resolution, Cause, Engine, Inflight, Mode, Trigger};
 
-impl<S: PathSource> Engine<S> {
+impl Engine {
     /// Runs one cycle's fetch slots. Returns the charge cause when the
     /// *whole* cycle stalled without issuing a slot — the precondition for
     /// [`Engine::fast_forward_stall`] — and `None` otherwise.
@@ -34,14 +33,13 @@ impl<S: PathSource> Engine<S> {
                     // neither the cross-line LRU order nor any reported
                     // statistic. (Prefetchers retrigger per access, so
                     // `batch_ok` excludes them.)
-                    let batch = match (&self.cursor, self.batch_ok) {
-                        (Some(c), true) => {
-                            let run = c.run_len() as u64;
-                            let in_line =
-                                self.line_word_mask + 1 - (d.pc.word_index() & self.line_word_mask);
-                            run.min(in_line).min(width - slot)
-                        }
-                        _ => 0,
+                    let batch = if self.batch_ok {
+                        let run = self.cursor.run_len() as u64;
+                        let in_line =
+                            self.line_word_mask + 1 - (d.pc.word_index() & self.line_word_mask);
+                        run.min(in_line).min(width - slot)
+                    } else {
+                        0
                     };
                     if batch >= 2 {
                         if !self.access(d.pc, true) {
@@ -56,10 +54,8 @@ impl<S: PathSource> Engine<S> {
                         self.correct_instrs += batch;
                         self.last_fetch_cycle = Some(self.cycle);
                         slot += batch;
-                        if let Some(c) = self.cursor.as_mut() {
-                            c.skip(batch as usize);
-                            self.next_correct = c.peek();
-                        }
+                        self.cursor.skip(batch as usize);
+                        self.next_correct = self.cursor.peek();
                         continue;
                     }
                     if d.kind.is_conditional() && self.cond_in_flight >= self.cfg.max_unresolved {
@@ -114,16 +110,11 @@ impl<S: PathSource> Engine<S> {
         None
     }
 
-    /// Steps past the just-issued correct-path instruction and refreshes
-    /// `next_correct` — from the trace cursor when one is active, from
-    /// the source otherwise.
+    /// Steps the cursor past the just-issued correct-path instruction and
+    /// refreshes `next_correct`.
     fn advance_correct(&mut self) {
-        if let Some(c) = &mut self.cursor {
-            c.step();
-            self.next_correct = c.peek();
-        } else {
-            self.next_correct = self.source.next_instr();
-        }
+        self.cursor.step();
+        self.next_correct = self.cursor.peek();
     }
 
     /// Fetch-time branch handling for a correct-path branch: prediction,

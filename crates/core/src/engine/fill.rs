@@ -3,13 +3,12 @@
 
 use specfetch_cache::Purpose;
 use specfetch_isa::{Addr, LineAddr};
-use specfetch_trace::PathSource;
 
 use super::gate::{GateDecision, GateView};
 use super::prefetch::MissOutcome;
 use super::{Engine, MissState, Mode, PendingMiss};
 
-impl<S: PathSource> Engine<S> {
+impl Engine {
     pub(super) fn process_bus(&mut self) {
         // Nothing can complete before the cached watermark; skip the poll.
         // Prefetchers start transactions without the engine seeing them,

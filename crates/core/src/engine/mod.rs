@@ -1,13 +1,14 @@
 //! The cycle-granular fetch engine.
 //!
 //! One [`Engine`] simulates the paper's four-wide speculative front end
-//! over a single correct execution path. Each cycle it:
+//! over a single correct execution path: a recorded [`PredictedTrace`],
+//! walked by the engine's own cursor. Each cycle it:
 //!
 //! 1. collects a completed bus transaction (demand fill or prefetch);
 //! 2. fires due decode/resolve events of in-flight branches, applying
 //!    redirects, squashes, speculative BTB updates, and PHT training;
 //! 3. fetches up to `issue_width` instructions along the *believed* path —
-//!    the correct-path stream while no divergence is pending, the static
+//!    the recorded path while no divergence is pending, the static
 //!    image (a "wrong-path walk") after one — attributing every lost slot
 //!    to one of the six ISPI components.
 //!
@@ -46,7 +47,7 @@ use std::sync::Arc;
 use specfetch_bpred::{BranchUnit, OutcomeReplay};
 use specfetch_cache::{Bus, ICache, LineBuffer};
 use specfetch_isa::{Addr, DynInstr, InstrKind, LineAddr, Program};
-use specfetch_trace::{PathSource, PredictedSource, PredictedTrace};
+use specfetch_trace::{PredictedSource, PredictedTrace};
 
 use crate::{IspiBreakdown, MissClass, SimConfig, SimResult};
 use gate::MissGate;
@@ -66,7 +67,7 @@ enum Trigger {
 
 #[derive(Copy, Clone, Debug)]
 enum Mode {
-    /// Fetching the correct path (consuming the source).
+    /// Fetching the correct path (advancing the trace cursor).
     Correct,
     /// Fetching a wrong path. `walk` is the believed PC (`None` = the walk
     /// halted: unknown target, off-image, or an unserviced Oracle miss).
@@ -153,15 +154,6 @@ struct PendingMiss {
     state: MissState,
 }
 
-/// Debug-build cross-check of the live predictor history against the
-/// trace's resolve-order outcome stream (see `specfetch_bpred::replay`):
-/// at every correct-path conditional resolution the live GHR must equal
-/// the replayed one. Absent in release builds and without a trace.
-struct GhrCheck {
-    trace: Arc<PredictedTrace>,
-    replay: OutcomeReplay,
-}
-
 /// What a stalled slot is charged to.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum Cause {
@@ -173,10 +165,9 @@ enum Cause {
     Bus,
 }
 
-pub(crate) struct Engine<S: PathSource> {
+pub(crate) struct Engine {
     cfg: SimConfig,
-    source: S,
-    /// Shared with the source (and every sibling engine in a sweep):
+    /// Shared with the trace (and every sibling engine in a sweep):
     /// holding the handle instead of a deep copy keeps per-run setup O(1)
     /// in the image size.
     program: Arc<Program>,
@@ -190,18 +181,21 @@ pub(crate) struct Engine<S: PathSource> {
     gate: Box<dyn MissGate>,
     prefetchers: Prefetchers,
 
-    /// The engine's own cursor into the shared trace when the source
-    /// advertises one; while set, the engine never calls
-    /// `source.next_instr`. The cursor's run lengths let the fetch phase
-    /// issue whole sequential runs per step, and it carries the PC of its
-    /// position, so a sequential slot reads no trace memory.
-    cursor: Option<PredictedSource>,
+    /// The engine's cursor into the shared trace: the correct path. Its
+    /// run lengths let the fetch phase issue whole sequential runs per
+    /// step, and it carries the PC of its position, so a sequential slot
+    /// reads no trace memory.
+    cursor: PredictedSource,
     /// Run batching is byte-identical only while per-access side
     /// effects are limited to the cache itself (no prefetch triggers).
     batch_ok: bool,
     /// `words_per_line - 1`: in-line word offset mask for run batching.
     line_word_mask: u64,
-    ghr_check: Option<GhrCheck>,
+    /// Debug-build cross-check of the live predictor history against the
+    /// trace's resolve-order outcome stream (see `specfetch_bpred::replay`):
+    /// at every correct-path conditional resolution the live GHR must
+    /// equal the replayed one. Absent in release builds.
+    ghr_check: Option<OutcomeReplay>,
 
     cycle: u64,
     mode: Mode,
@@ -254,25 +248,18 @@ pub(crate) struct Engine<S: PathSource> {
     unused_end_slots: u64,
 }
 
-impl<S: PathSource> Engine<S> {
-    pub(crate) fn new(cfg: SimConfig, gate: Box<dyn MissGate>, mut source: S) -> Self {
+impl Engine {
+    pub(crate) fn new(
+        cfg: SimConfig,
+        gate: Box<dyn MissGate>,
+        trace: &Arc<PredictedTrace>,
+    ) -> Self {
         debug_assert!(cfg.validate().is_ok(), "callers validate the configuration");
-        let program = source.shared_program();
-        let cursor = source.predicted().map(PredictedTrace::source);
-        let next_correct = match &cursor {
-            Some(c) => c.peek(),
-            None => source.next_instr(),
-        };
+        let cursor = PredictedTrace::source(trace);
         let prefetchers = Prefetchers::new(&cfg);
         let batch_ok = prefetchers.is_empty();
-        let ghr_check = if cfg!(debug_assertions) && OutcomeReplay::models(cfg.bpred.ghr_update) {
-            cursor.as_ref().map(|c| GhrCheck {
-                trace: Arc::clone(c.trace()),
-                replay: OutcomeReplay::new(cfg.bpred.ghr_bits),
-            })
-        } else {
-            None
-        };
+        let ghr_check = (cfg!(debug_assertions) && OutcomeReplay::models(cfg.bpred.ghr_update))
+            .then(|| OutcomeReplay::new(cfg.bpred.ghr_bits));
         Engine {
             unit: BranchUnit::new(&cfg.bpred),
             icache: ICache::new(&cfg.icache),
@@ -281,13 +268,13 @@ impl<S: PathSource> Engine<S> {
             resume_buf: LineBuffer::default(),
             gate,
             prefetchers,
+            next_correct: cursor.peek(),
             cursor,
             batch_ok,
             line_word_mask: cfg.icache.line_bytes / specfetch_isa::INSTR_BYTES - 1,
             ghr_check,
             cycle: 0,
             mode: Mode::Correct,
-            next_correct,
             inflight: VecDeque::with_capacity(16),
             cond_in_flight: 0,
             pending: None,
@@ -310,16 +297,8 @@ impl<S: PathSource> Engine<S> {
             classification: MissClass::default(),
             unused_end_slots: 0,
             cfg,
-            source,
-            program,
+            program: Arc::clone(trace.program()),
         }
-    }
-
-    pub(crate) fn run(mut self) -> SimResult {
-        while self.next_correct.is_some() {
-            self.step_cycle();
-        }
-        self.into_result()
     }
 
     /// One simulated cycle: bus completions, the stream buffer, branch
@@ -349,31 +328,24 @@ impl<S: PathSource> Engine<S> {
         }
     }
 
-    /// Has the correct-path stream been exhausted?
+    /// Has the cursor reached the end of the trace?
     pub(crate) fn finished(&self) -> bool {
         self.next_correct.is_none()
     }
 
-    /// The engine's position in its shared trace (0 without one): the
-    /// index of the next correct-path instruction to fetch. The lockstep
-    /// scheduler advances lanes in bounded rounds of this position.
-    pub(crate) fn trace_idx(&self) -> usize {
-        self.cursor.as_ref().map_or(0, PredictedSource::position)
-    }
-
     /// Steps cycles until the trace cursor reaches `idx_limit` or the
-    /// stream ends. Interleaving lanes at this granularity is behaviour-
+    /// trace ends. Interleaving lanes at this granularity is behaviour-
     /// preserving: each engine is self-contained, so cycles of different
     /// lanes are independent — only wall-clock locality changes.
     pub(crate) fn advance_to(&mut self, idx_limit: usize) {
-        while self.next_correct.is_some() && self.trace_idx() < idx_limit {
+        while self.next_correct.is_some() && self.cursor.position() < idx_limit {
             self.step_cycle();
         }
     }
 
     /// Final accounting; consumes the engine.
     pub(crate) fn into_result(self) -> SimResult {
-        debug_assert!(self.finished(), "into_result before the stream ended");
+        debug_assert!(self.finished(), "into_result before the trace ended");
         debug_assert_eq!(
             self.cycle * self.cfg.issue_width as u64,
             self.correct_instrs + self.lost.total() + self.unused_end_slots,

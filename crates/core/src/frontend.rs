@@ -1,11 +1,13 @@
 //! Front-end assembly: a validated configuration plus a pluggable miss
 //! gate, ready to run over a path source.
 
-use specfetch_trace::PathSource;
+use std::panic;
+use std::sync::Arc;
+
+use specfetch_trace::{PathSource, PredictedTrace};
 
 use crate::engine::gate::{self, MissGate};
-use crate::engine::Engine;
-use crate::{SimConfig, SimConfigError, SimResult};
+use crate::{run_lockstep, SimConfig, SimConfigError, SimResult};
 
 /// A builder assembling the speculative front end for one run.
 ///
@@ -46,7 +48,12 @@ impl FrontEnd {
     /// Returns the first violated configuration constraint.
     pub fn build(cfg: SimConfig) -> Result<Self, SimConfigError> {
         cfg.validate()?;
-        Ok(FrontEnd { gate: gate::for_policy(cfg.policy), cfg })
+        Ok(Self::for_valid(cfg))
+    }
+
+    /// [`FrontEnd::build`] for a configuration the caller has validated.
+    pub(crate) fn for_valid(cfg: SimConfig) -> Self {
+        FrontEnd { gate: gate::for_policy(cfg.policy), cfg }
     }
 
     /// Replaces the miss gate (the reported `SimResult::policy` still
@@ -62,8 +69,23 @@ impl FrontEnd {
     }
 
     /// Simulates until `source` is exhausted and returns the measurements.
-    pub fn run<S: PathSource>(self, source: S) -> SimResult {
-        Engine::new(self.cfg, self.gate, source).run()
+    ///
+    /// The source is recorded into a [`PredictedTrace`] first and run as a
+    /// one-lane [`run_lockstep`] batch, so the result is the lockstep
+    /// lane's result for the same path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream cannot be replayed from its image (see
+    /// [`PredictedTrace::record`]), and re-raises a panic of the engine or
+    /// the gate.
+    pub fn run<P: PathSource>(self, mut source: P) -> SimResult {
+        let trace = Arc::new(PredictedTrace::record(&mut source, u64::MAX));
+        match run_lockstep(&trace, vec![self]).pop() {
+            Some(Ok(result)) => result,
+            Some(Err(payload)) => panic::resume_unwind(payload),
+            None => unreachable!("run_lockstep returns one outcome per front end"),
+        }
     }
 
     /// Decomposes the assembled front end (the lockstep executor builds

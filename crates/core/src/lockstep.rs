@@ -24,7 +24,7 @@
 //! Because each lane is a self-contained engine over an immutable trace,
 //! the interleaving order cannot affect results: lockstep output is
 //! byte-identical to running the lanes one after another, which is what
-//! the equivalence test suite checks.
+//! the lockstep equivalence suite checks.
 //!
 //! Fault isolation: each lane's construction and stepping run under
 //! `catch_unwind`. A panicking lane records its payload as that lane's
@@ -33,7 +33,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use specfetch_trace::{PredictedSource, PredictedTrace};
+use specfetch_trace::PredictedTrace;
 
 use crate::engine::Engine;
 use crate::{FrontEnd, SimResult};
@@ -55,8 +55,9 @@ const QUANTUM: usize = 16 * 1024;
 /// Runs one front end per lane over a shared trace, in lockstep.
 ///
 /// Returns one [`LaneOutcome`] per front end, in input order. Lane `i`'s
-/// result is byte-identical to `fronts[i].run(PredictedTrace::source(trace))`
-/// — the executor changes scheduling, never behaviour.
+/// result is byte-identical to running `fronts[i]` as the lone lane of a
+/// batch over the same trace — the executor changes scheduling, never
+/// behaviour.
 ///
 /// A lane that panics (during construction, stepping, or final
 /// accounting) yields `Err` with the captured payload; all other lanes
@@ -70,13 +71,12 @@ pub fn run_lockstep(trace: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec<L
     // index; a dead lane's slot is `None`. The scheduler's own state is
     // just these slots plus the shared watermark — no per-round
     // allocation.
-    let mut lanes: Vec<Option<Engine<PredictedSource>>> = fronts
+    let mut lanes: Vec<Option<Engine>> = fronts
         .into_iter()
         .enumerate()
         .map(|(i, fe)| {
             let (cfg, gate) = fe.into_parts();
-            let source = PredictedTrace::source(trace);
-            match panic::catch_unwind(AssertUnwindSafe(|| Engine::new(cfg, gate, source))) {
+            match panic::catch_unwind(AssertUnwindSafe(|| Engine::new(cfg, gate, trace))) {
                 Ok(engine) => Some(engine),
                 Err(payload) => {
                     out[i] = Some(Err(payload));
@@ -131,7 +131,7 @@ pub fn run_lockstep(trace: &Arc<PredictedTrace>, fronts: Vec<FrontEnd>) -> Vec<L
 mod tests {
     use super::*;
     use crate::engine::gate::{GateDecision, GateView, MissGate};
-    use crate::{FetchPolicy, SimConfig, Simulator};
+    use crate::{FetchPolicy, SimConfig};
     use specfetch_isa::{Addr, DynInstr, InstrKind, ProgramBuilder};
     use specfetch_trace::VecSource;
 
@@ -183,6 +183,13 @@ mod tests {
         Arc::new(PredictedTrace::record(&mut live, u64::MAX))
     }
 
+    /// `cfg` run alone over `trace`: the reference a lane of a larger
+    /// batch must match.
+    fn lone(trace: &Arc<PredictedTrace>, cfg: SimConfig) -> SimResult {
+        let fe = FrontEnd::build(cfg).unwrap();
+        run_lockstep(trace, vec![fe]).pop().unwrap().unwrap()
+    }
+
     fn grid() -> Vec<SimConfig> {
         let mut cfgs = Vec::new();
         for policy in FetchPolicy::ALL {
@@ -204,8 +211,7 @@ mod tests {
             grid().into_iter().map(|c| FrontEnd::build(c).unwrap()).collect();
         let batched = run_lockstep(&ov, fronts);
         for (cfg, lane) in grid().into_iter().zip(batched) {
-            let sequential = Simulator::new(cfg).run(PredictedTrace::source(&ov));
-            assert_eq!(lane.unwrap(), sequential, "lane diverged under {:?}", cfg.policy);
+            assert_eq!(lane.unwrap(), lone(&ov, cfg), "lane diverged under {:?}", cfg.policy);
         }
     }
 
@@ -217,7 +223,7 @@ mod tests {
         let cfg = SimConfig::paper_baseline();
         let fronts = vec![FrontEnd::build(cfg).unwrap(), FrontEnd::build(cfg).unwrap()];
         let batched = run_lockstep(&ov, fronts);
-        let sequential = Simulator::new(cfg).run(PredictedTrace::source(&ov));
+        let sequential = lone(&ov, cfg);
         for lane in batched {
             assert_eq!(lane.unwrap(), sequential);
         }
@@ -261,7 +267,7 @@ mod tests {
         ];
         let out = run_lockstep(&ov, fronts);
         assert_eq!(out.len(), 3);
-        let sequential = Simulator::new(cfg).run(PredictedTrace::source(&ov));
+        let sequential = lone(&ov, cfg);
         assert_eq!(*out[0].as_ref().unwrap(), sequential, "sibling lane 0 must complete");
         assert_eq!(*out[2].as_ref().unwrap(), sequential, "sibling lane 2 must complete");
         let payload = out[1].as_ref().unwrap_err();

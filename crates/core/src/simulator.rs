@@ -2,16 +2,17 @@
 
 use specfetch_trace::PathSource;
 
-use crate::engine::{gate, Engine};
-use crate::{SimConfig, SimResult};
+use crate::{FrontEnd, SimConfig, SimResult};
 
 /// Runs the fetch engine over a path source.
 ///
 /// A `Simulator` is a configured, reusable launcher: [`Simulator::run`]
-/// consumes one [`PathSource`] and returns the full [`SimResult`]. Policy
-/// comparisons replay the *same* path (same workload, same seed, same
-/// instruction cap) under different configs — the engine never perturbs
-/// the source's outcomes, so results are directly comparable.
+/// records one [`PathSource`], replays it and returns the full
+/// [`SimResult`]. Policy comparisons replay the *same* path (same
+/// workload, same seed, same instruction cap) under different configs —
+/// the engine never perturbs the path's outcomes, so results are
+/// directly comparable. To run many configurations over one recorded
+/// path, use [`run_lockstep`](crate::run_lockstep).
 ///
 /// See the crate-level example.
 #[derive(Copy, Clone, Debug)]
@@ -39,9 +40,15 @@ impl Simulator {
         &self.config
     }
 
-    /// Simulates until `source` is exhausted and returns the measurements.
-    pub fn run<S: PathSource>(&self, source: S) -> SimResult {
-        Engine::new(self.config, gate::for_policy(self.config.policy), source).run()
+    /// Simulates until `source` is exhausted and returns the measurements
+    /// (see [`FrontEnd::run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream cannot be replayed from its image (see
+    /// [`PredictedTrace::record`](specfetch_trace::PredictedTrace::record)).
+    pub fn run<P: PathSource>(&self, source: P) -> SimResult {
+        FrontEnd::for_valid(self.config).run(source)
     }
 }
 

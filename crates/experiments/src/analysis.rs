@@ -96,8 +96,13 @@ pub fn set_corrupt_target(name: &str) -> Result<(), SpecfetchError> {
     })
 }
 
+/// The benchmark [`set_corrupt_target`] installed, if any.
+pub fn corrupt_target() -> Option<&'static str> {
+    CORRUPT_TARGET.get().map(String::as_str)
+}
+
 fn maybe_corrupt(bench: &Benchmark, workload: Workload) -> Workload {
-    if CORRUPT_TARGET.get().is_some_and(|n| n == bench.name) {
+    if corrupt_target() == Some(bench.name) {
         if let Some((corrupted, _, _)) = workload.corrupt_first_branch_target() {
             return corrupted;
         }

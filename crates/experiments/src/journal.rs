@@ -15,9 +15,9 @@
 //! # File format
 //!
 //! One journal per run at `<result-dir>/journal/run-<key>.wal`, where
-//! `<key>` hashes the run's selection (experiments or sweep spec) and
-//! instruction window — a resume must describe the same run to find the
-//! same journal. Every line is one sealed [`crate::codec`] record, so
+//! `<key>` hashes the run's selection (experiments or sweep spec), its
+//! instruction window and the installed `--corrupt-target` hook — a
+//! resume must describe the same run to find the same journal. Every line is one sealed [`crate::codec`] record, so
 //! torn tail writes from a crash are detected and dropped
 //! (crash-exactness) while interior corruption is reported. The first
 //! record is the header; each later one is a grid-point event whose
@@ -146,8 +146,15 @@ pub fn path_for(dir: &Path, run_key: u64) -> PathBuf {
 /// Hashes a run description (experiment selection or sweep spec, plus
 /// the instruction window) into the journal's run key. A `--resume`
 /// invocation must describe the same run to replay the same journal.
+///
+/// The installed `--corrupt-target` hook is part of the run: the journal
+/// keeps the preflight failures it causes, so a run without the hook
+/// must not replay them, and one that keeps it does.
 pub fn run_key(description: &str, instrs: u64) -> u64 {
-    fnv1a(format!("{description}@{instrs}").as_bytes())
+    match crate::analysis::corrupt_target() {
+        Some(bench) => fnv1a(format!("{description}@{instrs} corrupt={bench}").as_bytes()),
+        None => fnv1a(format!("{description}@{instrs}").as_bytes()),
+    }
 }
 
 /// Folds loaded journal events into the replay map through the model's

@@ -81,7 +81,8 @@ pub(crate) enum Persist {
     Everywhere,
     /// The journal only: a preflight verdict. The store key cannot see
     /// what decided it (the `--corrupt-target` hook), and it is
-    /// recomputed in milliseconds.
+    /// recomputed in milliseconds; the journal's run key does see the
+    /// hook (`journal::run_key`).
     JournalOnly,
     /// Nowhere: replayed from the negative cache or the journal, which
     /// already hold it.
@@ -765,16 +766,16 @@ mod tests {
         assert_eq!(a, c);
     }
 
-    /// The interpret-per-run reference: a fresh behavioural
-    /// interpretation of `b`'s correct path, with no trace, memo or store
-    /// involved.
+    /// The lone-lane reference: `b`'s correct path recorded afresh from
+    /// its interpreter and run as a one-lane batch, with no trace cache,
+    /// memo or store involved.
     fn reference(b: &Benchmark, cfg: SimConfig, instrs: u64) -> SimResult {
         let workload = b.workload().unwrap();
         Simulator::new(cfg).run(workload.executor(b.path_seed()).take_instrs(instrs))
     }
 
     #[test]
-    fn every_policy_matches_the_live_interpreter() {
+    fn every_policy_matches_a_lone_lane() {
         let b = Benchmark::by_name("doduc").unwrap();
         let opts = RunOptions::smoke().with_instrs(10_000);
         for policy in FetchPolicy::ALL {
@@ -784,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_configs_matches_the_live_interpreter() {
+    fn simulate_configs_matches_lone_lanes() {
         // The window is this test's own.
         const W: u64 = 7_013;
         let b = Benchmark::by_name("li").unwrap();
@@ -818,7 +819,7 @@ mod tests {
         for i in [0, 1, 2, 5] {
             assert_eq!(cells[i], Ok(reference(b, cfgs[i], W)), "point {i}");
         }
-        // Both failures are the cells the live reference's panic gives.
+        // Both failures are the cells the lone lane's panic gives.
         for i in [3, 4] {
             let want = panic::catch_unwind(AssertUnwindSafe(|| reference(b, cfgs[i], W)))
                 .map_err(|p| CellFailure::from_panic(p.as_ref()));

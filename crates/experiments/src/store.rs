@@ -113,8 +113,7 @@ pub(crate) fn record_failed(bench: &Benchmark, instrs: u64, cfg: SimConfig, reas
 
 #[cfg(test)]
 mod tests {
-    use specfetch_core::{FetchPolicy, Simulator};
-    use specfetch_trace::PredictedTrace;
+    use specfetch_core::{run_lockstep, FetchPolicy, FrontEnd};
 
     use super::*;
 
@@ -127,7 +126,10 @@ mod tests {
             for policy in FetchPolicy::ALL.into_iter().chain([FetchPolicy::Dynamic]) {
                 for prefetch in [false, true] {
                     let plain = SimConfig { policy, prefetch, ..SimConfig::paper_baseline() };
-                    let run = |cfg| Simulator::new(cfg).run(PredictedTrace::source(&trace));
+                    let run = |cfg| {
+                        let fe = FrontEnd::build(cfg).unwrap();
+                        run_lockstep(&trace, vec![fe]).pop().unwrap().unwrap()
+                    };
                     let mut classified = run(SimConfig { classify: true, ..plain });
                     assert!(classified.classification.is_some());
                     classified.classification = None;

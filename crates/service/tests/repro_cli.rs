@@ -310,6 +310,38 @@ fn a_preflight_failure_is_not_stored() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `--corrupt-target` verdict belongs to the run that set the hook:
+/// the hook is part of the journal's run key, so a `--resume` without it
+/// simulates the clean image, while one that keeps it replays the failure.
+#[test]
+fn a_resume_without_the_hook_does_not_replay_its_verdict() {
+    for (tag, extra) in [("in-process", &[][..]), ("workers", &["--workers", "2"][..])] {
+        let dir = scratch(&format!("hook-resume-{tag}"));
+        let sweep = ["--sweep", "policy=Res bench=li,gcc metric=ispi", "--instrs", "2000"];
+        let args = [&sweep[..], &["--result-dir", dir.to_str().unwrap()], extra].concat();
+        let hook = ["--corrupt-target", "li"];
+        let resume = ["--resume"];
+
+        let hooked = repro(&[&args[..], &hook].concat());
+        assert_eq!(hooked.status.code(), Some(1), "{tag}: {}", stderr(&hooked));
+        assert!(stdout(&hooked).contains("li       FAILED(analysis:"), "{}", stdout(&hooked));
+
+        let kept = repro(&[&args[..], &hook, &resume].concat());
+        assert_eq!(kept.status.code(), Some(1), "{tag}: {}", stderr(&kept));
+        assert!(stdout(&kept).contains("li       FAILED(analysis:"), "{}", stdout(&kept));
+
+        let resumed = repro(&[&args[..], &resume].concat());
+        assert_eq!(resumed.status.code(), Some(0), "{tag}: {}", stderr(&resumed));
+        assert!(stdout(&resumed).contains("li       1.514"), "{}", stdout(&resumed));
+        assert_eq!(store_stats(&stderr(&resumed)), (1, 1), "{tag}: gcc hits, li simulates");
+
+        let plain = repro(&args);
+        assert_eq!(plain.status.code(), Some(0), "{tag}: {}", stderr(&plain));
+        assert_eq!(stdout(&plain), stdout(&resumed), "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn a_warm_replay_serves_a_corrupt_targets_hits() {
     // Preflight gates simulation, not lookup: a stored result came from

@@ -54,9 +54,9 @@
 //!
 //! The trace depends on the path alone — no cache or predictor parameters
 //! — so one `Arc<PredictedTrace>` serves every grid point of a benchmark.
-//! [`PredictedSource`]'s [`PathSource::predicted`] hook hands engines the
-//! shared trace, and its [`PredictedSource::run_len`] tells a fetch
-//! engine how many upcoming instructions need no branch machinery.
+//! Each engine walks it with its own [`PredictedSource`], whose
+//! [`PredictedSource::run_len`] tells the engine how many upcoming
+//! instructions need no branch machinery.
 //!
 //! # Examples
 //!
@@ -137,7 +137,7 @@ impl PredictedTrace {
     /// and to its fall-through when not. Also panics if the instruction
     /// count exceeds `u32::MAX`, or a PC lies below the image base or
     /// `u32::MAX` words or more above it.
-    pub fn record<S: PathSource>(source: &mut S, max_instrs: u64) -> Self {
+    pub fn record<P: PathSource>(source: &mut P, max_instrs: u64) -> Self {
         let mut trace = PredictedTrace::empty(source.shared_program());
         let mut expect: Option<Addr> = None;
         while (trace.len as u64) < max_instrs {
@@ -603,10 +603,6 @@ impl PathSource for PredictedSource {
         self.step();
         Some(d)
     }
-
-    fn predicted(&self) -> Option<&Arc<PredictedTrace>> {
-        Some(&self.trace)
-    }
 }
 
 /// A contiguous pre-materialised window of a [`PredictedTrace`]: the
@@ -892,9 +888,7 @@ mod tests {
         let trace = record(&p, u64::MAX);
         let s = PredictedTrace::source(&trace);
         assert!(Arc::ptr_eq(trace.program(), &s.shared_program()));
-        let advertised = s.predicted().expect("the cursor exposes its trace");
-        assert!(Arc::ptr_eq(advertised, &trace));
-        assert!(VecSource::new(p.clone(), path(&p)).predicted().is_none());
+        assert!(Arc::ptr_eq(s.trace(), &trace));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The `PathSource` abstraction the simulator consumes.
+//! The `PathSource` abstraction: a correct path to record.
 
 use std::sync::Arc;
 
@@ -8,21 +8,22 @@ use specfetch_isa::{DynInstr, Program};
 ///
 /// This is the simulator's input contract: a static [`Program`] image (used
 /// to walk wrong paths) plus a stream of retired correct-path instructions
-/// with ground-truth outcomes. Implementations include recorded-trace
-/// replay ([`crate::PredictedSource`], also what trace files load into),
-/// in-memory vectors ([`VecSource`]), and the synthetic workload
-/// interpreter in `specfetch-synth`.
+/// with ground-truth outcomes. The engine never consumes a source
+/// directly: [`crate::PredictedTrace::record`] drains it into a trace, and
+/// every engine walks a trace. Implementations include the synthetic
+/// workload interpreter in `specfetch-synth`, in-memory vectors
+/// ([`VecSource`]), and trace replay ([`crate::PredictedSource`]).
 pub trait PathSource {
     /// The static image this path executes within.
     fn program(&self) -> &Program;
 
     /// The static image as a cheaply clonable shared handle.
     ///
-    /// Engines keep a `Program` alive for wrong-path walks; sharing one
-    /// allocation across every engine in a sweep avoids deep-copying the
-    /// image per run. The default clones once per call — sources that
-    /// already hold their image behind an `Arc` override this to hand out
-    /// the existing handle.
+    /// A recorded trace keeps this handle, and every engine that walks
+    /// the trace shares it for wrong-path walks, so no run deep-copies the
+    /// image. The default clones once per call — sources that already
+    /// hold their image behind an `Arc` override this to hand out the
+    /// existing handle.
     fn shared_program(&self) -> Arc<Program> {
         Arc::new(self.program().clone())
     }
@@ -30,17 +31,6 @@ pub trait PathSource {
     /// The next retired correct-path instruction, or `None` when the trace
     /// is exhausted.
     fn next_instr(&mut self) -> Option<DynInstr>;
-
-    /// The shared recorded trace behind this source, if it replays one.
-    ///
-    /// Engines that find a trace here walk it with their own cursor,
-    /// issuing whole sequential runs instead of materialising one
-    /// [`DynInstr`] per call; the default (`None`) keeps the
-    /// instruction-at-a-time contract. Only [`crate::PredictedSource`]
-    /// returns `Some`.
-    fn predicted(&self) -> Option<&Arc<crate::PredictedTrace>> {
-        None
-    }
 
     /// Caps the stream at `limit` instructions (useful for scaled-down
     /// simulations of long traces).
@@ -80,19 +70,7 @@ pub struct Take<S> {
     remaining: u64,
 }
 
-impl<S: PathSource> Take<S> {
-    /// Instructions still allowed through.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Unwraps the underlying source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PathSource> PathSource for Take<S> {
+impl<P: PathSource> PathSource for Take<P> {
     fn program(&self) -> &Program {
         self.inner.program()
     }
@@ -175,11 +153,9 @@ mod tests {
     #[test]
     fn take_caps_the_stream() {
         let mut s = VecSource::new(program3(), path3()).take_instrs(2);
-        assert_eq!(s.remaining(), 2);
         assert!(s.next_instr().is_some());
         assert!(s.next_instr().is_some());
         assert!(s.next_instr().is_none());
-        assert_eq!(s.remaining(), 0);
     }
 
     #[test]
@@ -189,10 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn take_exposes_program_and_inner() {
+    fn take_exposes_program() {
         let s = VecSource::new(program3(), path3()).take_instrs(1);
         assert_eq!(s.program().len(), 3);
-        let inner = s.into_inner();
-        assert_eq!(inner.program().len(), 3);
+        assert!(Arc::ptr_eq(&s.shared_program(), &s.inner.shared_program()));
     }
 }

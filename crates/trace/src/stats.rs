@@ -94,7 +94,7 @@ impl TraceStats {
     }
 
     /// Drains a source and summarises it.
-    pub fn from_source<S: PathSource>(source: &mut S) -> Self {
+    pub fn from_source<P: PathSource>(source: &mut P) -> Self {
         let mut stats = TraceStats::default();
         let mut touched = HashSet::new();
         while let Some(d) = source.next_instr() {

@@ -1,8 +1,8 @@
 //! Lockstep-equivalence determinism: `run_lockstep` must be an invisible
 //! *scheduling* optimisation. For any batch of configurations advanced in
 //! lockstep over one shared trace, every lane's `SimResult` must be
-//! byte-identical to running that configuration alone through
-//! `Simulator::run` over the live interpreter the trace was recorded from.
+//! byte-identical to running that configuration as the lone lane of a
+//! batch over a fresh recording of the same path.
 //!
 //! The grids here are randomized (deterministically — a tiny LCG, no
 //! external crates) across every axis the sweep engine exposes, so the
@@ -14,7 +14,7 @@ mod common;
 
 use std::sync::Arc;
 
-use specfetch_core::{run_lockstep, FetchPolicy, FrontEnd, SimConfig, Simulator};
+use specfetch_core::{run_lockstep, FetchPolicy, FrontEnd, SimConfig, SimResult};
 use specfetch_synth::{Workload, WorkloadSpec};
 use specfetch_trace::{PathSource, PredictedTrace};
 
@@ -32,19 +32,25 @@ impl Path {
         Path { workload: Workload::generate(spec).unwrap(), seed, instrs }
     }
 
-    /// The live interpreter: the reference every lane must match.
-    fn live(&self) -> impl PathSource + '_ {
-        self.workload.executor(self.seed).take_instrs(self.instrs)
+    /// A fresh recording of the path from its interpreter.
+    fn trace(&self) -> Arc<PredictedTrace> {
+        let mut live = self.workload.executor(self.seed).take_instrs(self.instrs);
+        Arc::new(PredictedTrace::record(&mut live, u64::MAX))
     }
 
-    fn trace(&self) -> Arc<PredictedTrace> {
-        Arc::new(PredictedTrace::record(&mut self.live(), u64::MAX))
+    /// `cfg` as the lone lane of a batch: the reference every lane of a
+    /// larger batch must match.
+    fn lone(&self, cfg: SimConfig) -> SimResult {
+        let fe = FrontEnd::build(cfg).expect("valid config");
+        match run_lockstep(&self.trace(), vec![fe]).pop() {
+            Some(Ok(result)) => result,
+            _ => panic!("the lone lane of {cfg:?} failed"),
+        }
     }
 }
 
 /// Runs `cfgs` as one lockstep batch over the trace of `path` and demands
-/// each lane's result be exactly the live interpreter's result for that
-/// configuration.
+/// each lane's result be exactly that configuration's lone-lane result.
 fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) {
     let fronts: Vec<FrontEnd> =
         cfgs.iter().map(|c| FrontEnd::build(*c).expect("valid config")).collect();
@@ -52,7 +58,7 @@ fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) 
     assert_eq!(outcomes.len(), cfgs.len(), "{what}: one outcome per lane");
     for (i, (cfg, outcome)) in cfgs.iter().zip(&outcomes).enumerate() {
         let got = outcome.as_ref().unwrap_or_else(|_| panic!("{what}: lane {i} panicked"));
-        let want = Simulator::new(*cfg).run(path.live());
+        let want = path.lone(*cfg);
         assert_eq!(got, &want, "{what}: lane {i} ({:?}) diverged from sequential", cfg.policy);
         assert_eq!(
             got.ispi().to_bits(),
@@ -97,8 +103,8 @@ fn single_lane_batch_matches_sequential() {
 #[test]
 #[ignore = "multi-minute in debug builds; run with --release -- --ignored"]
 fn randomized_grids_match_sequential_500k() {
-    // The long variant mirrors tests/overlay_equivalence.rs: same
-    // assertion, production-scale instruction window, wider batch.
+    // The same assertion at a production-scale instruction window, with
+    // a wider batch.
     let path = Path::new(&WorkloadSpec::c_like("lockstep-long", 7), 3, 500_000);
     let mut rng = 0x5eed_0500u64;
     let mut cfgs: Vec<SimConfig> = (0..12).map(|_| random_config(&mut rng)).collect();
