@@ -17,11 +17,11 @@
 //! One journal per run at `<result-dir>/journal/run-<key>.wal`, where
 //! `<key>` hashes the run's selection (experiments or sweep spec), its
 //! instruction window and the installed `--corrupt-target` hook — a
-//! resume must describe the same run to find the same journal. Every line is one sealed [`crate::codec`] record, so
-//! torn tail writes from a crash are detected and dropped
-//! (crash-exactness) while interior corruption is reported. The first
-//! record is the header; each later one is a grid-point event whose
-//! `kind` is the model's event tag:
+//! resume must describe the same run to find the same journal. Every
+//! line is one sealed [`crate::codec`] record, so torn tail writes from
+//! a crash are detected and dropped (crash-exactness) while interior
+//! corruption is reported. The first record is the header; each later
+//! one is a grid-point event whose `kind` is the model's event tag:
 //!
 //! ```text
 //! kind=journal format=2 run=<key>                                  header
