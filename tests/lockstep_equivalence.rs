@@ -11,6 +11,7 @@
 //! the heterogeneity `run_grid` schedules in production.
 
 mod common;
+mod pinned;
 
 use std::sync::Arc;
 
@@ -19,6 +20,7 @@ use specfetch_synth::{Workload, WorkloadSpec};
 use specfetch_trace::{PathSource, PredictedTrace};
 
 use common::random_config;
+use pinned::assert_pinned;
 
 /// One workload's correct path: `instrs` instructions from `seed`.
 struct Path {
@@ -49,15 +51,20 @@ impl Path {
     }
 }
 
-/// Runs `cfgs` as one lockstep batch over the trace of `path` and demands
-/// each lane's result be exactly that configuration's lone-lane result.
-fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) {
+/// Runs `cfgs` as one lockstep batch over the trace of `path`, demands
+/// each lane's result be exactly that configuration's lone-lane result,
+/// and returns the lanes' results.
+fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) -> Vec<SimResult> {
     let fronts: Vec<FrontEnd> =
         cfgs.iter().map(|c| FrontEnd::build(*c).expect("valid config")).collect();
     let outcomes = run_lockstep(&path.trace(), fronts);
     assert_eq!(outcomes.len(), cfgs.len(), "{what}: one outcome per lane");
-    for (i, (cfg, outcome)) in cfgs.iter().zip(&outcomes).enumerate() {
-        let got = outcome.as_ref().unwrap_or_else(|_| panic!("{what}: lane {i} panicked"));
+    let results: Vec<SimResult> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, outcome)| outcome.unwrap_or_else(|_| panic!("{what}: lane {i} panicked")))
+        .collect();
+    for (i, (cfg, got)) in cfgs.iter().zip(&results).enumerate() {
         let want = path.lone(*cfg);
         assert_eq!(got, &want, "{what}: lane {i} ({:?}) diverged from sequential", cfg.policy);
         assert_eq!(
@@ -66,6 +73,7 @@ fn assert_batch_matches_sequential(path: &Path, cfgs: &[SimConfig], what: &str) 
             "{what}: lane {i} ISPI must be bit-identical"
         );
     }
+    results
 }
 
 #[test]
@@ -74,7 +82,10 @@ fn randomized_grids_match_sequential() {
     let mut rng = 0x5eed_0001u64;
     for round in 0..3 {
         let cfgs: Vec<SimConfig> = (0..8).map(|_| random_config(&mut rng)).collect();
-        assert_batch_matches_sequential(&path, &cfgs, &format!("round {round}"));
+        let results = assert_batch_matches_sequential(&path, &cfgs, &format!("round {round}"));
+        for (lane, result) in results.iter().enumerate() {
+            assert_pinned(&format!("random/{round}/{lane}"), result);
+        }
     }
 }
 
@@ -86,7 +97,9 @@ fn duplicate_lanes_agree_with_each_other() {
     let path = Path::new(&WorkloadSpec::cpp_like("lockstep-dup", 11), 5, 30_000);
     let cfg = SimConfig::paper_baseline();
     let cfgs = [cfg, cfg, cfg];
-    assert_batch_matches_sequential(&path, &cfgs, "duplicates");
+    for result in assert_batch_matches_sequential(&path, &cfgs, "duplicates") {
+        assert_pinned("batch/duplicate", &result);
+    }
 }
 
 #[test]
@@ -97,7 +110,9 @@ fn single_lane_batch_matches_sequential() {
     let path = Path::new(&WorkloadSpec::c_like("lockstep-one", 13), 2, 30_000);
     let mut cfg = SimConfig::paper_baseline();
     cfg.policy = FetchPolicy::Resume;
-    assert_batch_matches_sequential(&path, &[cfg], "single lane");
+    for result in assert_batch_matches_sequential(&path, &[cfg], "single lane") {
+        assert_pinned("batch/single", &result);
+    }
 }
 
 #[test]

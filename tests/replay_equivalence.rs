@@ -1,21 +1,23 @@
 //! Shared-trace equivalence and determinism: the trace cache must be an
-//! invisible optimisation.  Interpreting a benchmark afresh (the legacy
-//! interpret-per-run path, built here as the reference) and running it
-//! through the record-once/replay-many production path must produce
-//! byte-identical `SimResult`s — same event counts, same ISPI — for every
-//! policy, because both feed the engine the same retired-instruction
-//! stream.
+//! invisible optimisation. Running a benchmark through the record-once /
+//! replay-many production path must reproduce, field for field, the
+//! `SimResult` the engine computed when it interpreted the benchmark afresh
+//! and consumed it one live instruction at a time (the legacy path, pinned
+//! in `tests/fixtures/path_results.txt`) — same event counts, same ISPI.
 
-use specfetch_core::{FetchPolicy, SimConfig, Simulator};
+mod pinned;
+
+use specfetch_core::{FetchPolicy, SimConfig};
 use specfetch_experiments::{simulate_benchmark, RunOptions};
 use specfetch_synth::suite::Benchmark;
-use specfetch_trace::PathSource;
+
+use pinned::assert_pinned;
 
 const INSTRS: u64 = 50_000;
 
 /// One benchmark, two policies (the eager baseline and the paper's best
-/// policy), production replay against the interpreter: results must
-/// match exactly, field for field.
+/// policy), production replay against the pinned interpreter run: results
+/// must match exactly, field for field.
 #[test]
 fn legacy_and_shared_trace_paths_are_equivalent() {
     let bench = Benchmark::by_name("gcc").expect("gcc is in the suite");
@@ -26,25 +28,14 @@ fn legacy_and_shared_trace_paths_are_equivalent() {
         cfg.policy = policy;
 
         let shared = simulate_benchmark(bench, cfg, opts);
-        let workload = bench.workload().expect("calibrated specs generate");
-        let legacy =
-            Simulator::new(cfg).run(workload.executor(bench.path_seed()).take_instrs(INSTRS));
-
-        assert_eq!(
-            shared, legacy,
-            "{policy:?}: shared-trace result diverged from the legacy interpreter path"
-        );
-        assert_eq!(
-            shared.ispi().to_bits(),
-            legacy.ispi().to_bits(),
-            "{policy:?}: ISPI must be bit-identical, not merely approximately equal"
-        );
+        assert_pinned(&format!("suite/gcc/{}", policy.short_name()), &shared);
         assert_eq!(shared.correct_instrs, INSTRS);
     }
 }
 
 /// Replaying the same cached trace twice is itself deterministic: a
-/// second shared-mode run reproduces the first exactly.
+/// second shared-mode run reproduces the first exactly, and both are the
+/// pinned interpreter run.
 #[test]
 fn shared_trace_replay_is_deterministic_across_runs() {
     let bench = Benchmark::by_name("li").expect("li is in the suite");
@@ -54,4 +45,5 @@ fn shared_trace_replay_is_deterministic_across_runs() {
     let first = simulate_benchmark(bench, cfg, opts);
     let second = simulate_benchmark(bench, cfg, opts);
     assert_eq!(first, second);
+    assert_pinned(&format!("suite/li/{}", cfg.policy.short_name()), &first);
 }
